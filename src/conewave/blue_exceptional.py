@@ -12,15 +12,18 @@ cover with threshold c * delta^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
+import scipy.fft as _fft
 
 from .geometry import SECTOR_HALF_ANGLE, Cube, Tube, unit_dir
+from .lattice import FrequencyLattice
 from .norms import Quadrature
 from .tube_cover import WeightedTubeFamily, greedy_tube_cover
-from .waves import SpectralWave, make_wave, smoothstep
+from .waves import _FFT_WORKERS, SpectralWave, smoothstep
 
 PROFILE_POWER = 3.0          # cross-section weight profile (1 + d^2)^-power
 PROFILE_RADIUS = 8.0         # truncation radius of the profile
@@ -30,23 +33,72 @@ PROFILE_RADIUS = 8.0         # truncation radius of the profile
 BLUE_THRESHOLD_FACTOR = 2.0
 
 
+def unit_cell_sums(lattice: FrequencyLattice, modes: np.ndarray,
+                   coeffs: np.ndarray) -> np.ndarray:
+    """Riemann sums h^2 sum |u|^2 over the lattice grid points of every unit
+    cell [a, a+1) x [b, b+1), for u(x) = L^-2 sum_j coeffs_j e^{2 pi i x.modes_j / L};
+    repeated modes add up.  Returns a (box, box) array.
+
+    |u|^2 is a trigonometric polynomial whose modes are the differences of
+    u's modes, so a grid of M >= 2 * spread + 1 points per axis holds its
+    exact spectrum D (trapezoid-rule aliasing).  A cell sum is then
+    sum_d D(d) G(d) e^{2 pi i a.d / L} with the per-axis Dirichlet factor
+    G(d) = sum_{i < N/L} e^{2 pi i d i / N}; with M a multiple of L, folding
+    d mod L is a reshape and one L x L transform finishes.  This is exact for
+    every spread, also when M exceeds N."""
+    box = int(round(lattice.box))
+    n = lattice.size
+    if n % box:
+        raise ValueError("unit cells need a lattice size divisible by the box side")
+    cell = n // box
+    modes = np.asarray(modes, dtype=np.int64).reshape(-1, 2)
+    if len(modes) == 0:
+        return np.zeros((box, box))
+    if np.any(np.abs(modes) > n // 2 - 1):
+        raise ValueError("wave modes not representable on this lattice")
+    lo = modes.min(axis=0)
+    spread = modes.max(axis=0) - lo
+    shape = tuple(box * -(-(2 * int(s) + 1) // box) for s in spread)
+    # shifting every mode by lo leaves |u|^2 unchanged
+    spec = np.zeros(shape, dtype=np.complex128)
+    np.add.at(spec, ((modes[:, 0] - lo[0]) % shape[0], (modes[:, 1] - lo[1]) % shape[1]),
+              coeffs)
+    field = _fft.ifft2(spec, norm="forward", workers=_FFT_WORKERS)
+    dens = np.square(field.real) + np.square(field.imag)
+    spectrum = _fft.fft2(dens, norm="forward", workers=_FFT_WORKERS)
+    spectrum *= _dirichlet(shape[0], n, cell)[:, None]
+    spectrum *= _dirichlet(shape[1], n, cell)[None, :]
+    folded = spectrum.reshape(shape[0] // box, box, shape[1] // box, box).sum(axis=(0, 2))
+    weight = lattice.spacing ** 2 / lattice.box ** 4
+    return weight * _fft.ifft2(folded, norm="forward").real
+
+
+@functools.lru_cache(maxsize=None)
+def _dirichlet(m: int, n: int, cell: int) -> np.ndarray:
+    """sum_{i < cell} e^{2 pi i d i / n} for the signed frequencies d of an
+    m-point transform."""
+    d = np.fft.fftfreq(m, 1.0 / m)
+    out = np.exp(2j * np.pi * np.outer(d, np.arange(cell)) / n).sum(axis=1)
+    out.flags.writeable = False
+    return out
+
+
 def unit_cube_masses(psi: SpectralWave, quad: Quadrature):
     """Quadrature mass of psi in every unit spacetime cube of the window.
 
     Returns (t_corners, masses) with masses shaped (num t-cubes, box, box);
     cube (i, a, b) is [t_i, t_i + 1) x [a, a+1) x [b, b+1)."""
     lat = quad.lattice
-    cell = int(round(1.0 / lat.spacing))
-    nb = lat.size // cell
+    if abs(lat.box - psi.lattice.box) > 1e-12:
+        raise ValueError("quadrature lattice must share the torus size")
+    nb = int(round(lat.box))
     t_corners = np.arange(-quad.config.half_window, quad.config.half_window)
     masses = np.zeros((len(t_corners), nb, nb))
-    w = quad.cell_weight()
+    modes = np.concatenate([psi.modes_plus, psi.modes_minus])
     for t in quad.times:
         i = int(math.floor(t + quad.config.half_window))
-        f = psi.evaluate(t, lat)
-        dens = np.square(f.real) + np.square(f.imag)
-        cells = dens.reshape(nb, cell, nb, cell).sum(axis=(1, 3))
-        masses[i] += quad.dt * w * cells
+        coeffs = np.concatenate([psi.phased("plus", t), psi.phased("minus", t)])
+        masses[i] += quad.dt * unit_cell_sums(lat, modes, coeffs)
     return t_corners, masses
 
 
@@ -132,39 +184,47 @@ def sector_weights(psi: SpectralWave, quad: Quadrature, t_center: float = 0.0) -
     each packet's unit-cell mass field (smoothed by the cross-section profile)
     becomes the weights of radius-1 tubes anchored on the integer grid in the
     packet's snapped travel direction.  Weights are normalized by the profile
-    mass and the total mass so they sum to at most 1."""
+    mass and the total mass so they sum to at most 1.
+
+    The frequency cells and each slab's per-direction grids do not depend on
+    delta; they are kept on the wave, so a second delta reuses them."""
     lat = psi.lattice
-    box_i = int(round(lat.box))
-    cell = int(round(1.0 / lat.spacing))
-    cells = frequency_cells(psi)
+    if "frequency_cells" not in psi._cache:
+        psi._cache["frequency_cells"] = frequency_cells(psi)
+    cells = psi._cache["frequency_cells"]
     if not cells:
         return WeightedTubeFamily((), np.zeros(0), psi.k, lat.box)
-    kernel = _profile_kernel(box_i)
-    kernel_f = np.fft.rfft2(kernel)
-    kernel_sum = float(kernel.sum())
-    dir_grids: dict = {}
-    for alpha, sel, chi in cells:
-        part = make_wave(lat, [], [], psi.modes_minus[sel], psi.vals_minus[sel] * chi,
-                         color="blue", k=psi.k)
-        f = part.evaluate(t_center, lat)
-        dens = np.square(f.real) + np.square(f.imag)
-        cmass = dens.reshape(box_i, cell, box_i, cell).sum(axis=(1, 3)) * lat.spacing ** 2
-        smoothed = np.fft.irfft2(np.fft.rfft2(cmass) * kernel_f, s=(box_i, box_i))
-        theta = _snapped_direction(alpha, psi.k)
-        if theta not in dir_grids:
-            dir_grids[theta] = np.zeros((box_i, box_i))
-        dir_grids[theta] += smoothed
+    key = ("sector_grids", float(t_center))
+    if key not in psi._cache:
+        psi._cache[key] = _direction_grids(psi, cells, t_center)
+    kernel_sum = float(_profile_kernel(int(round(lat.box))).sum())
     total = psi.mass() * kernel_sum * (1.0 + 1e-9)
     tubes = []
     weights = []
     half = 2.0 ** psi.k
-    for theta in sorted(dir_grids):
-        grid = dir_grids[theta] / total
+    for theta, smoothed in sorted(psi._cache[key].items()):
+        grid = smoothed / total
         om = tuple(unit_dir(theta))
         for a, b in zip(*np.where(grid > 1e-14)):
             tubes.append(Tube(0.0, (float(a), float(b)), om, half_length=half))
             weights.append(grid[a, b])
     return WeightedTubeFamily(tuple(tubes), np.array(weights), psi.k, lat.box)
+
+
+def _direction_grids(psi: SpectralWave, cells: list, t_center: float) -> dict:
+    """Per snapped direction: the unit-cell masses of the cell packets at
+    t_center travelling that way, smoothed by the cross-section profile."""
+    lat = psi.lattice
+    box_i = int(round(lat.box))
+    phased = psi.phased("minus", t_center)
+    raw: dict = {}
+    for alpha, sel, chi in cells:
+        theta = _snapped_direction(alpha, psi.k)
+        raw[theta] = raw.get(theta, 0.0) + unit_cell_sums(lat, psi.modes_minus[sel],
+                                                          phased[sel] * chi)
+    kernel_f = np.fft.rfft2(_profile_kernel(box_i))
+    return {theta: np.fft.irfft2(np.fft.rfft2(m) * kernel_f, s=(box_i, box_i))
+            for theta, m in raw.items()}
 
 
 def exceptional_tubes_for_blue(psi: SpectralWave, delta: float, quad: Quadrature,

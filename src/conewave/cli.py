@@ -357,9 +357,29 @@ _COMMANDS = {"gen-wave": cmd_gen_wave, "cover": cmd_cover,
              "sharpness": cmd_sharpness}
 
 
+def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
+    """The run config of the arguments; any invalid value is a usage error
+    (one line, exit status 2) before work starts."""
+    try:
+        cfg = _merge_config(args)
+        if args.grid_N:
+            FrequencyLattice(cfg.dimension, args.grid_N, cfg.box)
+    except (ValueError, NotImplementedError) as exc:
+        ap.error(str(exc))
+    delta = getattr(args, "delta", None)
+    if delta is not None and not 0.0 < delta < 1.0:
+        ap.error(f"--delta must lie in (0, 1), got {delta}")
+    for flag in ("k", "kmax"):
+        val = getattr(args, flag, None)
+        if val is not None and val < 0:
+            ap.error(f"--{flag} must be >= 0, got {val}")
+    return cfg
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = _merge_config(args)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    cfg = _check_usage(ap, args)
     return _COMMANDS[args.command](cfg, args)
 
 

@@ -46,28 +46,6 @@ class FrequencyLattice:
             self._cache[key] = builder()
         return self._cache[key]
 
-    def mode_integers(self) -> np.ndarray:
-        """1-D integer mode numbers in FFT order."""
-        return self._cached("modes", lambda: np.fft.fftfreq(self.size, d=1.0 / self.size).astype(np.int64))
-
-    def xi_axes(self):
-        m = self.mode_integers()
-        return m / self.box, m / self.box
-
-    def xi_grids(self):
-        """2-D broadcastable frequency coordinate arrays (xi1 column, xi2 row)."""
-        def build():
-            x1, x2 = self.xi_axes()
-            return x1[:, None], x2[None, :]
-        return self._cached("xi_grids", build)
-
-    def rho_grid(self) -> np.ndarray:
-        """|xi| on the full lattice."""
-        def build():
-            x1, x2 = self.xi_grids()
-            return np.sqrt(x1 * x1 + x2 * x2)
-        return self._cached("rho", build)
-
     def x_axis(self) -> np.ndarray:
         return self._cached("x_axis", lambda: self.spacing * np.arange(self.size))
 

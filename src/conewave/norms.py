@@ -258,7 +258,3 @@ def l2t_linf_on_tube(phi: SpectralWave, tube: Tube, quad: Quadrature,
         total += m * m
     return math.sqrt(quad.dt * total)
 
-
-def abs_slices(phi: SpectralWave, quad: Quadrature) -> list:
-    """Magnitude fields |phi(t)| for all quadrature times."""
-    return [np.abs(phi.evaluate(t, quad.lattice)) for t in quad.times]

@@ -158,38 +158,30 @@ class SpectralWave:
             self._cache[key] = (modes[:, 0] % lattice.size, modes[:, 1] % lattice.size)
         return self._cache[key]
 
+    def phased(self, side: str, t: float, scale: float = 1.0) -> np.ndarray:
+        """Coefficients of one cone side propagated to time t, times scale."""
+        vals, sign = (self.vals_plus, 1) if side == "plus" else (self.vals_minus, -1)
+        return scale * vals * np.exp(sign * 2j * np.pi * t * self.rho(side))
+
     def evaluate(self, t: float, lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
         """Spatial field at time t on the lattice grid (complex N x N)."""
         lat = lattice or self.lattice
         if abs(lat.box - self.lattice.box) > 1e-12:
             raise ValueError("evaluation lattice must share the torus size")
-        # persistent scatter buffer: only the support entries are touched
-        buf = lat._cached("scatter_buf", lat.zeros)
-        scale = (lat.size / lat.box) ** 2
-        touched = []
-        if len(self.vals_plus):
-            i1, i2 = self._indices("plus", lat)
-            buf[i1, i2] += scale * self.vals_plus * np.exp(2j * np.pi * t * self.rho("plus"))
-            touched.append((i1, i2))
-        if len(self.vals_minus):
-            i1, i2 = self._indices("minus", lat)
-            buf[i1, i2] += scale * self.vals_minus * np.exp(-2j * np.pi * t * self.rho("minus"))
-            touched.append((i1, i2))
-        field = _fft.ifft2(buf, workers=_FFT_WORKERS)
-        for i1, i2 in touched:
-            buf[i1, i2] = 0.0
-        return field
+        # a fresh coefficient array per call, transformed in place
+        buf = self.coefficients_at(t, lat, (lat.size / lat.box) ** 2)
+        return _fft.ifft2(buf, overwrite_x=True, workers=_FFT_WORKERS)
 
-    def coefficients_at(self, t: float, lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
-        """Dense phased coefficient array at time t (for spectral pairings)."""
+    def coefficients_at(self, t: float, lattice: Optional[FrequencyLattice] = None,
+                        scale: float = 1.0) -> np.ndarray:
+        """Dense phased coefficient array at time t, times scale (for
+        spectral pairings)."""
         lat = lattice or self.lattice
         buf = lat.zeros()
-        if len(self.vals_plus):
-            i1, i2 = self._indices("plus", lat)
-            buf[i1, i2] += self.vals_plus * np.exp(2j * np.pi * t * self.rho("plus"))
-        if len(self.vals_minus):
-            i1, i2 = self._indices("minus", lat)
-            buf[i1, i2] += self.vals_minus * np.exp(-2j * np.pi * t * self.rho("minus"))
+        for side, vals in (("plus", self.vals_plus), ("minus", self.vals_minus)):
+            if len(vals):
+                i1, i2 = self._indices(side, lat)
+                buf[i1, i2] += self.phased(side, t, scale)
         return buf
 
     # -- algebra ------------------------------------------------------------
@@ -345,14 +337,18 @@ def make_blue_tube_wave(lattice: FrequencyLattice, t0: float, x0, omega, k: int,
     ang_half = 2.0 ** (-k)
     if abs(theta0) > SECTOR_HALF_ANGLE + 1e-12:
         raise ValueError("packet direction outside the e1 cone")
+    lo = 2.0 ** k
+    # the mode box holding the annulus piece lo <= |xi| <= lo + 1 of the sector
     half = lattice.size // 2
-    m = np.arange(-half, half)
-    m1, m2 = np.meshgrid(m, m, indexing="ij")
+    box = lattice.box
+    a1 = max(-half, math.floor(lo * math.cos(SECTOR_HALF_ANGLE) * box) - 1)
+    b1 = min(half - 1, math.ceil((lo + 1.0) * box) + 1)
+    b2 = min(half - 1, math.ceil((lo + 1.0) * math.sin(SECTOR_HALF_ANGLE) * box) + 1)
+    m1, m2 = np.meshgrid(np.arange(a1, b1 + 1), np.arange(-b2, b2 + 1), indexing="ij")
     xi1 = m1 / lattice.box
     xi2 = m2 / lattice.box
     r = np.sqrt(xi1 * xi1 + xi2 * xi2)
     theta = np.arctan2(xi2, xi1)
-    lo = 2.0 ** k
     dth = np.abs(theta - theta0)
     sel = (r >= lo) & (r <= lo + 1.0) & (dth <= ang_half) \
         & (np.abs(theta) <= SECTOR_HALF_ANGLE)

@@ -33,6 +33,8 @@ from conewave.waves import (inner_product, make_blue_tube_wave,
                             make_red_cube_train, margin, mass,
                             random_colored_wave)
 
+pytestmark = pytest.mark.acceptance
+
 T_SUITE_START = time.time()
 
 TRAIN_THETA = math.radians(12.0)

@@ -1,15 +1,18 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conewave.blue_exceptional import (exceptional_tubes_for_blue, find_bad_cubes,
                                        frequency_cells, sector_weights,
-                                       unit_cube_masses, _cell_window)
+                                       unit_cell_sums, unit_cube_masses, _cell_window)
+from conewave.config import RunConfig
 from conewave.geometry import Tube, cube_touches_tube, unit_dir, wrap_delta
-from conewave.lattice import lattice_for
+from conewave.lattice import FrequencyLattice, lattice_for
 from conewave.norms import Quadrature
-from conewave.waves import (make_blue_tube_wave, make_wave, mass,
+from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_wave, mass,
                             random_colored_wave, zero_wave)
 
 
@@ -156,3 +159,121 @@ def test_exceptional_requires_blue(quad0, lat0):
     phi = random_colored_wave(lat0, "red", 0, 1 / 20, seed=1)
     with pytest.raises(ValueError):
         exceptional_tubes_for_blue(phi, 0.2, quad0)
+
+
+# ---------------------------------------------------------------------------
+# unit-cell sums from the smallest alias-exact grid vs the fine-grid definition
+
+def _fine_cell_sums(psi, t, lat):
+    f = psi.evaluate(t, lat)
+    dens = np.square(f.real) + np.square(f.imag)
+    nb = int(round(lat.box))
+    cell = lat.size // nb
+    return lat.spacing ** 2 * dens.reshape(nb, cell, nb, cell).sum(axis=(1, 3))
+
+
+def _assert_cell_sums_match(psi, t, lat):
+    modes = np.concatenate([psi.modes_plus, psi.modes_minus])
+    coeffs = np.concatenate([psi.phased("plus", t), psi.phased("minus", t)])
+    got = unit_cell_sums(lat, modes, coeffs)
+    want = _fine_cell_sums(psi, t, lat)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * want.sum()
+
+
+@functools.lru_cache(maxsize=None)
+def _default_wave(kind, k, j):
+    cfg = RunConfig()
+    lat = lattice_for(cfg, k)
+    if kind == "random":
+        return random_colored_wave(lat, "blue", k, 1 / 20, seed=900 + 10 * k + j)
+    rng = np.random.default_rng(700 + 10 * k + j)
+    return make_blue_tube_wave(lat, float(rng.uniform(-4, 4)),
+                               tuple(rng.uniform(0, cfg.box, 2)),
+                               unit_dir(float(rng.uniform(-0.3, 0.3))), k)
+
+
+@settings(max_examples=24, deadline=None)
+@given(kind=st.sampled_from(["packet", "random"]), k=st.integers(0, 3),
+       j=st.integers(0, 1), t=st.floats(-8.0, 8.0))
+def test_unit_cell_sums_match_fine_grid_default_config(kind, k, j, t):
+    psi = _default_wave(kind, k, j)
+    _assert_cell_sums_match(psi, t, psi.lattice)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_wave(kind, k, j):
+    lat = lattice_for(RunConfig(box=20.0, half_window=4.0, dt=0.25), k)
+    red = random_colored_wave(lat, "red", k, 1 / 20, seed=300 + 10 * k + j)
+    if kind == "red":
+        return red
+    if kind == "bump":
+        return make_red_cube_bump(lattice_for(RunConfig(box=20.0, half_window=4.0), 0),
+                                  (0.5 * j, 6.0 + j, 13.0)).embed(lat)
+    if kind == "shared":
+        # the same modes on both cone sides: their contributions add up
+        return make_wave(lat, red.modes_plus, red.vals_plus,
+                         red.modes_plus, red.vals_plus[::-1], k=k)
+    blue = random_colored_wave(lat, "blue", k, 1 / 20, seed=400 + 10 * k + j)
+    return red.sub(blue, 0.5 + 0.25j)
+
+
+@settings(max_examples=24, deadline=None)
+@given(kind=st.sampled_from(["red", "bump", "shared", "two-sided"]), k=st.integers(0, 2),
+       j=st.integers(0, 1), t=st.floats(-4.0, 4.0))
+def test_unit_cell_sums_match_fine_grid_small_config(kind, k, j, t):
+    psi = _small_wave(kind, k, j)
+    _assert_cell_sums_match(psi, t, psi.lattice)
+
+
+def test_unit_cell_sums_widest_spread(small_config):
+    # modes at both ends of the lattice: the grid that resolves |u|^2 is
+    # larger than the fine grid, and the sums are still the fine-grid ones
+    lat = lattice_for(small_config, 1)
+    half = lat.size // 2
+    modes = [(-half + 1, 3), (half - 1, -2), (5, half - 1), (-7, -half + 1), (2, 1)]
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    psi = make_wave(lat, modes, vals, [], [])
+    for t in (-1.3, 0.0, 2.7):
+        _assert_cell_sums_match(psi, t, lat)
+
+
+def test_unit_cell_sums_rejects_bad_input(lat0):
+    with pytest.raises(ValueError):
+        unit_cell_sums(lat0, np.array([[lat0.size // 2, 0]]), np.array([1.0 + 0j]))
+    with pytest.raises(ValueError):     # no whole number of points per unit cell
+        unit_cell_sums(FrequencyLattice(2, 90, 20.0), np.array([[3, 0]]),
+                       np.array([1.0 + 0j]))
+
+
+def test_unit_cube_masses_rejects_other_torus(lat0):
+    # a side-20 wave whose modes fit on the side-40 lattice of the quadrature
+    cfg = RunConfig()
+    psi = make_blue_tube_wave(lat0, 0.0, (5.0, 5.0), unit_dir(0.0), 0)
+    with pytest.raises(ValueError):
+        unit_cube_masses(psi, Quadrature(cfg, lattice_for(cfg, 1)))
+
+
+def test_second_delta_reuses_cache(small_config):
+    # results on a wave that has already served another delta equal those on
+    # freshly built waves, and the brute-force scan does not change
+    lat = lattice_for(small_config, 1)
+    constructors = (lambda: make_blue_tube_wave(lat, 0.5, (6.0, 11.0), unit_dir(0.12), 1),
+                lambda: random_colored_wave(lat, "blue", 1, 1 / 20, seed=8))
+    quad = Quadrature(small_config, lat)
+    for build in constructors:
+        psi = build()
+        bad_before = find_bad_cubes(psi, 0.1, quad)
+        reused = [exceptional_tubes_for_blue(psi, d, quad) for d in (0.2, 0.1)]
+        assert "frequency_cells" in psi._cache
+        fresh = [exceptional_tubes_for_blue(build(), d, quad) for d in (0.2, 0.1)]
+        assert reused == fresh
+        assert find_bad_cubes(psi, 0.1, quad) == bad_before
+        # every slab's family read back from the cache is the one a fresh
+        # wave computes for that slab alone
+        for t_center in (-3.0, -1.0, 1.0, 3.0):     # the slab centers at k = 1
+            a = sector_weights(psi, quad, t_center)
+            b = sector_weights(build(), quad, t_center)
+            assert a.tubes == b.tubes
+            assert np.array_equal(a.weights, b.weights)

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conewave
 from conewave.cli import main, read_tubes, tube_from_dict, tube_to_dict, write_tubes
 from conewave.geometry import Tube, unit_dir
 from conewave.wave_io import load_wave, save_wave
@@ -114,8 +117,32 @@ def test_cli_fungibility_smoke(tmp_path):
 
 
 def test_cli_usage_error_exit_2():
+    # the child imports the same conewave as this process
+    src = str(Path(conewave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "conewave.cli", "no-such-command"],
-                          capture_output=True)
+                          capture_output=True, env=env)
     assert proc.returncode == 2
-    proc = subprocess.run([sys.executable, "-m", "conewave.cli"], capture_output=True)
+    proc = subprocess.run([sys.executable, "-m", "conewave.cli"], capture_output=True,
+                          env=env)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "gen-wave"],
+    ["--dt", "0.3", "gen-wave"],
+    ["--box-L", "40.5", "gen-wave"],
+    ["cover", "--delta", "0"],
+    ["gen-wave", "--k", "-1"],
+    ["extract", "--delta", "1.5"],
+])
+def test_cli_bad_values_are_usage_errors(argv, tmp_path, capsys):
+    # rejected before any work: one error line, exit status 2, no output files
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("conewave: error: ")
+    assert "Traceback" not in "\n".join(err)
+    assert not any(tmp_path.iterdir())

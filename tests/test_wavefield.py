@@ -247,3 +247,53 @@ def test_sub_and_embed(small_config, lat0):
     # same field sampled on the finer grid at the coarse points
     step = fine.size // lat0.size
     assert np.allclose(f1[::step, ::step], f0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# synthesis: no state shared across failures or threads
+
+def test_evaluate_after_failed_transform_is_clean(small_config, monkeypatch):
+    import conewave.waves as waves_mod
+    lat = lattice_for(small_config, 1)
+    red = random_colored_wave(lat, "red", 1, 1 / 20, seed=11)
+    blue = random_colored_wave(lat, "blue", 1, 1 / 20, seed=12)
+    real_ifft2 = waves_mod._fft.ifft2
+    calls = []
+
+    def failing_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("injected transform failure")
+        return real_ifft2(*args, **kwargs)
+
+    monkeypatch.setattr(waves_mod._fft, "ifft2", failing_once)
+    with pytest.raises(RuntimeError):
+        red.evaluate(0.3, lat)
+    got = blue.evaluate(0.7, lat)
+    want = blue.evaluate(0.7, lattice_for(small_config, 1))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_evaluate_threads_match_serial(small_config):
+    import threading
+    lat = lattice_for(small_config, 1)
+    ws = [random_colored_wave(lat, "red", 1, 1 / 20, seed=21),
+          random_colored_wave(lat, "blue", 1, 1 / 20, seed=22)]
+    times = small_config.time_samples()
+    fresh = lattice_for(small_config, 1)
+    serial = [[w.evaluate(t, fresh) for t in times] for w in ws]
+    results = [None, None]
+    barrier = threading.Barrier(2)
+
+    def run(j):
+        barrier.wait()
+        results[j] = [ws[j].evaluate(t, lat) for t in times]
+
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    for j in range(2):
+        for got, want in zip(results[j], serial[j]):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
