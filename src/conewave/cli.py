@@ -21,6 +21,7 @@ import numpy as np
 from . import constants as C
 from .blue_exceptional import exceptional_tubes_for_blue, find_bad_cubes
 from .config import RunConfig
+from .errors import ConewaveError
 from .extraction import extract_profile
 from .geometry import Tube, cube_touches_tube, unit_dir
 from .harness import (fungibility_partition, sharpness_experiment, standard_suite,
@@ -53,6 +54,13 @@ def write_tubes(tubes, path) -> None:
 
 def read_tubes(path) -> list:
     return [tube_from_dict(d) for d in json.loads(Path(path).read_text())]
+
+
+def read_family(path, k: int, box: float) -> WeightedTubeFamily:
+    """Weighted family from a {"tubes": [...], "weights": [...]} JSON file."""
+    data = json.loads(Path(path).read_text())
+    tubes = tuple(tube_from_dict(d) for d in data["tubes"])
+    return WeightedTubeFamily(tubes, np.array(data["weights"]), k, box)
 
 
 def _write_csv(path, rows, fieldnames) -> None:
@@ -215,12 +223,7 @@ def _random_family(cfg, args) -> WeightedTubeFamily:
 
 
 def cmd_cover(cfg, args) -> int:
-    if args.family:
-        data = json.loads(Path(args.family).read_text())
-        tubes = tuple(tube_from_dict(d) for d in data["tubes"])
-        fam = WeightedTubeFamily(tubes, np.array(data["weights"]), args.k, cfg.box)
-    else:
-        fam = _random_family(cfg, args)
+    fam = args.family if args.family is not None else _random_family(cfg, args)
     exc = greedy_tube_cover(fam, args.delta)
     residual = verify_pointwise_bound(fam, exc, args.delta, args.samples,
                                       seed=args.seed)
@@ -233,7 +236,7 @@ def cmd_cover(cfg, args) -> int:
 
 def cmd_blue_tubes(cfg, args) -> int:
     if args.wave:
-        psi = load_wave(args.wave)
+        psi = args.wave
         k = psi.k
     else:
         k = args.k if args.k is not None else 2
@@ -256,7 +259,7 @@ def cmd_blue_tubes(cfg, args) -> int:
 
 def cmd_extract(cfg, args) -> int:
     if args.wave:
-        phi = load_wave(args.wave)
+        phi = args.wave
     else:
         phi, _ = _default_train(cfg, args)
     quad = Quadrature(cfg, phi.lattice)
@@ -288,7 +291,7 @@ def _heatmap(cfg, args, phi, psi, tubes, t, name) -> None:
 
 def cmd_profile(cfg, args) -> int:
     if args.wave:
-        phi = load_wave(args.wave)
+        phi = args.wave
         axis = (0.0, (10.0, 20.0), math.radians(12.0))
     else:
         phi, tube = _default_train(cfg, args)
@@ -316,7 +319,7 @@ def cmd_profile(cfg, args) -> int:
 
 def cmd_fungibility(cfg, args) -> int:
     if args.wave:
-        phi = load_wave(args.wave)
+        phi = args.wave
         axis = (0.0, (10.0, 20.0), math.radians(12.0))
     else:
         phi, tube = _default_train(cfg, args)
@@ -358,8 +361,9 @@ _COMMANDS = {"gen-wave": cmd_gen_wave, "cover": cmd_cover,
 
 
 def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
-    """The run config of the arguments; any invalid value is a usage error
-    (one line, exit status 2) before work starts."""
+    """The run config of the arguments, with --wave and --family read; any
+    invalid value or input file is a usage error (one line, exit status 2)
+    before work starts."""
     try:
         cfg = _merge_config(args)
         if args.grid_N:
@@ -369,10 +373,19 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
     delta = getattr(args, "delta", None)
     if delta is not None and not 0.0 < delta < 1.0:
         ap.error(f"--delta must lie in (0, 1), got {delta}")
-    for flag in ("k", "kmax"):
+    for flag in ("k", "kmax", "margin"):
         val = getattr(args, flag, None)
         if val is not None and val < 0:
             ap.error(f"--{flag} must be >= 0, got {val}")
+    # input files are read here, so a bad file is a usage error too
+    try:
+        if getattr(args, "wave", None):
+            args.wave = load_wave(args.wave)
+        if getattr(args, "family", None):
+            args.family = read_family(args.family, args.k, cfg.box)
+    except (OSError, ValueError, KeyError, TypeError, NotImplementedError,
+            ConewaveError) as exc:
+        ap.error(f"cannot read input: {exc}")
     return cfg
 
 

@@ -35,11 +35,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import constants as C
 from .errors import NoDecrementError
 from .geometry import SECTOR_HALF_ANGLE, Tube
 from .lattice import FrequencyLattice
-from .norms import Quadrature, disk_pixel_indices
-from .waves import SpectralWave, inner_product, make_wave, sector_margin_distance
+from .norms import Quadrature, _disk_offsets, disk_pixel_indices
+from .waves import SpectralWave, _sector_modes, inner_product, make_wave, smoothstep
 
 DIRECTION_SPACING = 1.0 / 16.0
 OFFSET_SPACING = 0.5
@@ -110,13 +111,7 @@ class _TubeSearch:
         self.nc = n // cell
         self.cellmax = self.slices.reshape(len(quad.times), self.nc, cell,
                                            self.nc, cell).max(axis=(2, 4))
-        h = self.lat.spacing
-        reach = int(math.ceil(1.0 / h)) + 1
-        r = np.arange(-reach, reach + 1)
-        o1, o2 = np.meshgrid(r, r, indexing="ij")
-        keep = o1 * o1 + o2 * o2 <= (1.0 / h + 1.0) ** 2
-        self._off1 = o1[keep]
-        self._off2 = o2[keep]
+        self._off1, self._off2 = _disk_offsets(1.0, self.lat.spacing)
 
     def upper_bounds(self, thetas: np.ndarray, radius: float) -> np.ndarray:
         """Upper bound of the tube norm for every (direction, half-unit
@@ -189,9 +184,9 @@ def find_concentrating_tube(phi: SpectralWave, delta: float, quad: Quadrature,
         threshold = delta * math.sqrt(phi.mass())
     if phi.num_modes == 0:
         return None, 0.0
-    s = search or _TubeSearch(phi, quad)
+    search = search or _TubeSearch(phi, quad)
     thetas = search_directions()
-    bounds = s.upper_bounds(thetas, 1.0)
+    bounds = search.upper_bounds(thetas, 1.0)
     nc = bounds.shape[1]
     flat = bounds.ravel()
     order = np.argsort(-flat, kind="stable")
@@ -210,7 +205,7 @@ def find_concentrating_tube(phi: SpectralWave, delta: float, quad: Quadrature,
             a, b = divmod(rem, nc)
             ths[j] = thetas[di]
             xs[j] = (a * OFFSET_SPACING, b * OFFSET_SPACING)
-        vals = s.exact_norms(ths, xs)
+        vals = search.exact_norms(ths, xs)
         for j, v in enumerate(vals):
             if v > best_val + 1e-15:
                 best_val = float(v)
@@ -226,29 +221,28 @@ def find_concentrating_tube(phi: SpectralWave, delta: float, quad: Quadrature,
 # witness, extractor, step size
 
 def dual_witness(phi: SpectralWave, tube: Tube, quad: Quadrature,
-                 slices: Optional[list] = None) -> DualWitness:
-    """Trajectory/coefficient pair realizing the tube norm as a pairing."""
+                 search: Optional[_TubeSearch] = None) -> DualWitness:
+    """Trajectory/coefficient pair realizing the tube norm as a pairing.
+
+    x(t) is the argmax pixel of the search's magnitude slice over the tube
+    cross-section (a search of phi is built when none is given); the values
+    phi(t, x(t)) are summed from the spectrum at those pixels."""
+    search = search or _TubeSearch(phi, quad)
     lat = quad.lattice
-    times, pts, vals = [], [], []
+    idx, rows, cols = [], [], []
     for i, t in enumerate(quad.times):
         if not tube.time_active(t):
             continue
-        c = tube.axis_at(t)
-        rows, cols = disk_pixel_indices(lat, c, tube.eff_radius)
-        if len(rows) == 0:
+        r, c = disk_pixel_indices(lat, tube.axis_at(t), tube.eff_radius)
+        if len(r) == 0:
             continue
-        f = phi.evaluate(t, lat) if slices is None else None
-        a = np.abs(f[rows, cols]) if f is not None else slices[i][rows, cols]
-        j = int(np.argmax(a))
-        x = (rows[j] * lat.spacing, cols[j] * lat.spacing)
-        times.append(t)
-        pts.append(x)
-        if f is None:
-            f = phi.evaluate(t, lat)
-        vals.append(f[rows[j], cols[j]])
-    times = np.array(times)
-    pts = np.array(pts).reshape(-1, 2)
-    vals = np.array(vals, dtype=np.complex128)
+        j = int(np.argmax(search.slices[i][r, c]))
+        idx.append(i)
+        rows.append(r[j])
+        cols.append(c[j])
+    times = quad.times[idx]
+    pts = np.stack([rows, cols], axis=1) * lat.spacing
+    vals = phi.point_values(times, rows, cols, lat)
     norm = math.sqrt(quad.dt * float(np.sum(np.abs(vals) ** 2)))
     if norm == 0.0:
         raise NoDecrementError("zero tube norm: no witness")
@@ -264,15 +258,9 @@ def build_extractor(lattice: FrequencyLattice, witness: DualWitness,
     eta ramps smoothly from 0 at margin_target to 1 at margin_full; by default
     eta is the sharp indicator (exact pairing for every iterate whose support
     already lies in the margin region)."""
-    half = lattice.size // 2
-    m = np.arange(-half, half)
-    m1, m2 = np.meshgrid(m, m, indexing="ij")
-    d = sector_margin_distance(m1 / lattice.box, m2 / lattice.box)
-    sel = d >= margin_target - 1e-12
-    modes = np.stack([m1[sel], m2[sel]], axis=1)
+    modes, d = _sector_modes(lattice, 0, margin_target)
     if margin_full is not None and margin_full > margin_target + 1e-15:
-        eta = np.asarray(
-            _smooth01((d[sel] - margin_target) / (margin_full - margin_target)))
+        eta = smoothstep((d - margin_target) / (margin_full - margin_target))
     else:
         eta = np.ones(len(modes))
     xi = modes / lattice.box
@@ -282,11 +270,6 @@ def build_extractor(lattice: FrequencyLattice, witness: DualWitness,
         + xi[:, 1][:, None] * witness.points[None, :, 1]
     vals = (np.exp(-2j * np.pi * phase) @ (witness.dt * witness.f)) * eta
     return make_wave(lattice, modes, vals, [], [], color="red", k=0)
-
-
-def _smooth01(u):
-    from .waves import smoothstep
-    return smoothstep(u)
 
 
 @dataclass(frozen=True)
@@ -318,7 +301,7 @@ def optimal_multiple(phi: SpectralWave, extractor: SpectralWave) -> StepChoice:
 
 def extract_profile(phi: SpectralWave, delta: float, quad: Quadrature,
                     max_iter: int = 400, c_dilate: float = 2.0,
-                    dilation_cap: float = 6.0,
+                    dilation_cap: float = C.LAMBDA_CAP,
                     margin_step: Optional[float] = None):
     """Repeatedly extract concentrating rays until the remainder's tube
     concentration drops below delta * mass(phi)^(1/2) on the search grid.
@@ -347,7 +330,7 @@ def extract_profile(phi: SpectralWave, delta: float, quad: Quadrature,
                                               threshold=threshold, search=search)
         if tube is None:
             return tubes, current, trace
-        witness = dual_witness(current, tube, quad, slices=search.slices)
+        witness = dual_witness(current, tube, quad, search)
         extractor = build_extractor(current.lattice, witness, margin_target)
         step = optimal_multiple(current, extractor)
         mass_before = current.mass()

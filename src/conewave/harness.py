@@ -20,7 +20,7 @@ from .config import RunConfig
 from .extraction import extract_profile
 from .geometry import Region, Tube, dir_angle, unit_dir
 from .lattice import lattice_for
-from .norms import Quadrature, RegionMasks, lp_product, product_slice_sums
+from .norms import Quadrature, disk_pixel_indices, product_densities
 from .waves import SpectralWave, make_blue_tube_wave, make_red_cube_train, \
     random_colored_wave
 
@@ -110,29 +110,39 @@ def universal_tube_family(phi: SpectralWave, delta: float, quad: Quadrature,
     return _dedupe_tubes(tubes), remainder, trace
 
 
+def _partners_by_scale(suite: list, config: RunConfig):
+    """(quad, specs, partner waves) per frequency scale of the suite, in
+    increasing k; one scale's partners are built together."""
+    by_k: dict = {}
+    for spec in suite:
+        by_k.setdefault(spec.k, []).append(spec)
+    for k in sorted(by_k):
+        quad = Quadrature(config, lattice_for(config, k))
+        yield quad, by_k[k], [spec.build(config) for spec in by_k[k]]
+
+
 def verify_profile(phi: SpectralWave, tubes: list, delta: float, suite: list,
                    config: RunConfig, keep_slice_sums: bool = False) -> ProfileReport:
     """Bilinear ratios of phi against every suite wave, over the tube
-    complement and over the full window (one synthesis pass per pair).
+    complement and over the full window, from one synthesis pass per scale.
 
     With keep_slice_sums the per-time full-grid sums ride along on each
     record, letting interval checks reuse the pass."""
     t_start = time.time()
     report = ProfileReport(delta=delta, tubes=list(tubes))
     m_phi = phi.mass()
-    by_k: dict = {}
-    for spec in suite:
-        by_k.setdefault(spec.k, []).append(spec)
-    for k in sorted(by_k):
-        lat = lattice_for(config, k)
-        quad = Quadrature(config, lat)
-        region = Region(-config.half_window, config.half_window, tuple(tubes))
-        masks = RegionMasks(region, quad)
-        phi_k = phi.embed(lat)
-        for spec in by_k[k]:
-            psi = spec.build(config)
+    # the region spans the whole window, so the stream skips no slice
+    region = Region(-config.half_window, config.half_window, tuple(tubes))
+    for quad, specs, psis in _partners_by_scale(suite, config):
+        w = quad.cell_weight()
+        full = np.zeros((len(psis), len(quad.times)))
+        outside = np.zeros_like(full)
+        for i, j, mask, dens in product_densities(phi.embed(quad.lattice), psis,
+                                                  quad, region):
+            full[j, i] = w * float(dens.sum())
+            outside[j, i] = full[j, i] if mask is None else w * float(dens[mask].sum())
+        for spec, psi, full_s, out_s in zip(specs, psis, full, outside):
             denom = math.sqrt(m_phi * psi.mass())
-            full_s, out_s = _paired_slice_sums(phi_k, psi, quad, masks)
             report.records.append(ProfileRecord(
                 spec.kind, spec.k, spec.seed,
                 ratio_outside=math.sqrt(quad.dt * out_s.sum()) / denom,
@@ -159,35 +169,11 @@ def interval_ratios_from_report(report: ProfileReport, intervals: list,
     return rows
 
 
-def _paired_slice_sums(phi, psi, quad, masks):
-    """Per-slice squared product sums over the full grid and the masked
-    region, sharing one field synthesis per slice."""
-    times = quad.times
-    w = quad.cell_weight()
-    full = np.zeros(len(times))
-    outside = np.zeros(len(times))
-    for i, t in enumerate(times):
-        f = phi.evaluate(t, quad.lattice)
-        g = psi.evaluate(t, quad.lattice)
-        dens = np.square(f.real) + np.square(f.imag)
-        dens *= np.square(g.real) + np.square(g.imag)
-        full[i] = w * float(dens.sum())
-        m = masks.mask(i)
-        if m is None:
-            outside[i] = full[i]
-        elif m is False:
-            outside[i] = 0.0
-        else:
-            outside[i] = w * float(dens[m].sum())
-    return full, outside
-
-
 # ---------------------------------------------------------------------------
 # fungibility
 
 def tube_sup_profile(phi: SpectralWave, tubes: list, quad: Quadrature) -> np.ndarray:
     """g(t) = sum over tubes of (max over the tube's t-slice of |phi|)^2."""
-    from .norms import disk_pixel_indices
     lat = quad.lattice
     g = np.zeros(len(quad.times))
     for i, t in enumerate(quad.times):
@@ -230,20 +216,16 @@ def verify_fungibility(phi: SpectralWave, intervals: list, suite: list,
     """Per (interval, suite wave) bilinear ratios over the interval slab."""
     m_phi = phi.mass()
     rows = []
-    by_k: dict = {}
-    for spec in suite:
-        by_k.setdefault(spec.k, []).append(spec)
-    for k in sorted(by_k):
-        lat = lattice_for(config, k)
-        quad = Quadrature(config, lat)
-        phi_k = phi.embed(lat)
-        for spec in by_k[k]:
-            psi = spec.build(config)
+    for quad, specs, psis in _partners_by_scale(suite, config):
+        w = quad.cell_weight()
+        sums = np.zeros((len(psis), len(quad.times)))
+        for i, j, _, dens in product_densities(phi.embed(quad.lattice), psis, quad):
+            sums[j, i] = w * float(dens.sum())
+        for spec, psi, s in zip(specs, psis, sums):
             denom = math.sqrt(m_phi * psi.mass())
-            sums = product_slice_sums(phi_k, psi, quad)
             for lo, hi in intervals:
                 sel = (quad.times >= lo - 1e-12) & (quad.times < hi - 1e-12)
-                ratio = math.sqrt(quad.dt * float(sums[sel].sum())) / denom
+                ratio = math.sqrt(quad.dt * float(s[sel].sum())) / denom
                 rows.append({"k": spec.k, "seed": spec.seed, "kind": spec.kind,
                              "t_lo": lo, "t_hi": hi, "ratio": ratio})
     return rows
@@ -271,9 +253,15 @@ def sharpness_experiment(config: RunConfig, ks=DEFAULT_KS, seeds=(42,),
             psi = make_blue_tube_wave(lat, 0.0, x0, unit_dir(theta), k)
             tr = train.embed(lat)
             denom = math.sqrt(train.mass() * psi.mass())
-            s = product_slice_sums(tr, psi, quad)
-            rho = math.sqrt(quad.dt * float(s.sum())) / denom
-            lp = lp_product(tr, psi, p, quad)
+            # rho and the L^p norm from one pass over the densities
+            w = quad.cell_weight()
+            sums = np.zeros(len(quad.times))
+            lp_total = 0.0
+            for i, _, _, dens in product_densities(tr, (psi,), quad):
+                sums[i] = w * float(dens.sum())
+                lp_total += w * float(np.power(dens, 0.5 * p).sum())
+            rho = math.sqrt(quad.dt * float(sums.sum())) / denom
+            lp = (quad.dt * lp_total) ** (1.0 / p)
             lp_scaled = lp * 2.0 ** (-k * (1.0 / p - 0.5)) / denom
             rows.append({"k": k, "seed": seed, "rho": rho,
                          "lp_scaled": lp_scaled, "p": p})

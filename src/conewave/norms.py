@@ -51,33 +51,6 @@ class Quadrature:
 # ---------------------------------------------------------------------------
 # region masks on the lattice grid
 
-def _paint_disk(mask: np.ndarray, center, radius: float, lattice: FrequencyLattice,
-                value: bool = True) -> None:
-    """Set mask pixels within torus distance `radius` of `center`."""
-    n = lattice.size
-    h = lattice.spacing
-    reach = int(math.ceil(radius / h)) + 1
-    if 2 * reach + 1 >= n:
-        # radius comparable to the torus: exact wrapped distances everywhere
-        d1 = lattice.wrap(lattice.x_axis() - center[0])
-        d2 = lattice.wrap(lattice.x_axis() - center[1])
-        local = (d1 * d1)[:, None] + (d2 * d2)[None, :] <= radius * radius + 1e-12
-        mask[local] = value
-        return
-    b1 = int(math.floor(center[0] / h))
-    b2 = int(math.floor(center[1] / h))
-    i1 = np.arange(b1 - reach, b1 + reach + 1)
-    i2 = np.arange(b2 - reach, b2 + reach + 1)
-    d1 = i1 * h - center[0]
-    d2 = i2 * h - center[1]
-    local = (d1 * d1)[:, None] + (d2 * d2)[None, :] <= radius * radius + 1e-12
-    rows = i1 % n
-    cols = i2 % n
-    sub = mask[np.ix_(rows, cols)]
-    sub[local] = value
-    mask[np.ix_(rows, cols)] = sub
-
-
 def _interval_mask(axis: np.ndarray, center: float, half: float, box: float) -> np.ndarray:
     d = axis - center
     d -= box * np.round(d / box)
@@ -107,8 +80,7 @@ def region_slice_mask(region: Optional[Region], t: float,
             continue
         if excl is None:
             excl = np.zeros((lattice.size, lattice.size), dtype=bool)
-        c = tube.axis_at(t)
-        _paint_disk(excl, c, tube.eff_radius, lattice)
+        excl[disk_pixel_indices(lattice, tube.axis_at(t), tube.eff_radius)] = True
     if base is None and excl is None:
         return None
     if base is None:
@@ -118,94 +90,12 @@ def region_slice_mask(region: Optional[Region], t: float,
     return base
 
 
-class RegionMasks:
-    """Per-time-slice masks of a fixed region, bit-packed for reuse."""
-
-    def __init__(self, region: Region, quad: Quadrature):
-        self.region = region
-        self.quad = quad
-        self._packed = {}
-
-    def mask(self, i: int):
-        t = self.quad.times[i]
-        if i not in self._packed:
-            m = region_slice_mask(self.region, t, self.quad.lattice)
-            if m is None or m is False:
-                self._packed[i] = m
-            else:
-                self._packed[i] = np.packbits(m)
-        stored = self._packed[i]
-        if stored is None or stored is False:
-            return stored
-        n = self.quad.lattice.size
-        return np.unpackbits(stored, count=n * n).astype(bool).reshape(n, n)
-
-
-# ---------------------------------------------------------------------------
-# bilinear norms
-
-def product_slice_sums(phi: SpectralWave, psi: SpectralWave, quad: Quadrature,
-                       region: Optional[Region] = None,
-                       masks: Optional[RegionMasks] = None) -> np.ndarray:
-    """Per-time-slice values of sum_x h^2 |phi psi|^2, zero outside the region."""
-    times = quad.times
-    out = np.zeros(len(times))
-    w = quad.cell_weight()
-    lat = quad.lattice
-    for i, t in enumerate(times):
-        if region is not None and not (region.t_lo - 1e-12 <= t < region.t_hi - 1e-12):
-            continue
-        if masks is not None:
-            m = masks.mask(i)
-        else:
-            m = region_slice_mask(region, t, lat)
-        if m is False:
-            continue
-        f = phi.evaluate(t, lat)
-        g = psi.evaluate(t, lat)
-        dens = np.square(f.real) + np.square(f.imag)
-        dens *= np.square(g.real) + np.square(g.imag)
-        if m is None:
-            out[i] = w * float(dens.sum())
-        else:
-            out[i] = w * float(dens[m].sum())
-    return out
-
-
-def product_l2(phi: SpectralWave, psi: SpectralWave, region: Optional[Region] = None,
-               quad: Optional[Quadrature] = None,
-               masks: Optional[RegionMasks] = None) -> float:
-    """Riemann-sum approximation of the spacetime L^2 norm of phi * psi."""
-    sums = product_slice_sums(phi, psi, quad, region, masks)
-    return math.sqrt(quad.dt * float(sums.sum()))
-
-
-def lp_product(phi: SpectralWave, psi: SpectralWave, p: float,
-               quad: Optional[Quadrature] = None) -> float:
-    """Quadrature L^p norm of phi * psi over the full window."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    if p == 2.0:
-        return product_l2(phi, psi, None, quad)
-    lat = quad.lattice
-    w = quad.cell_weight()
-    total = 0.0
-    for t in quad.times:
-        f = phi.evaluate(t, lat)
-        g = psi.evaluate(t, lat)
-        dens = np.square(f.real) + np.square(f.imag)
-        dens *= np.square(g.real) + np.square(g.imag)
-        total += w * float(np.power(dens, 0.5 * p).sum())
-    return (quad.dt * total) ** (1.0 / p)
-
-
-# ---------------------------------------------------------------------------
-# tube norms
-
 _DISK_OFFSETS_CACHE: dict = {}
 
 
 def _disk_offsets(radius: float, h: float):
+    """Pixel offsets (o1, o2) reaching every pixel within `radius` of a point
+    whose nearest pixel has offset (0, 0)."""
     key = (round(radius / h * 16), round(1.0 / h))
     if key not in _DISK_OFFSETS_CACHE:
         reach = int(math.ceil(radius / h)) + 1
@@ -217,7 +107,8 @@ def _disk_offsets(radius: float, h: float):
 
 
 def disk_pixel_indices(lattice: FrequencyLattice, center, radius: float):
-    """Grid indices (rows, cols) of pixels within torus distance radius."""
+    """Grid indices (rows, cols) of pixels within torus distance radius; a
+    pixel appears more than once when the disk wraps onto itself."""
     h = lattice.spacing
     n = lattice.size
     o1, o2 = _disk_offsets(radius, h)
@@ -225,30 +116,97 @@ def disk_pixel_indices(lattice: FrequencyLattice, center, radius: float):
     b2 = int(round(center[1] / h))
     d1 = (b1 + o1) * h - center[0]
     d2 = (b2 + o2) * h - center[1]
-    keep = d1 * d1 + d2 * d2 <= radius * radius + 1e-12
-    return (b1 + o1[keep]) % n, (b2 + o2[keep]) % n
+    d1 *= d1                   # in place: this runs once per tube and slice
+    d2 *= d2
+    d1 += d2
+    keep = d1 <= radius * radius + 1e-12
+    rows = b1 + o1[keep]
+    rows %= n
+    cols = b2 + o2[keep]
+    cols %= n
+    return rows, cols
 
+
+# ---------------------------------------------------------------------------
+# bilinear norms
+
+def product_densities(phi: SpectralWave, partners, quad: Quadrature,
+                      region: Optional[Region] = None):
+    """The |phi psi|^2 density of phi with each partner psi, slice by slice.
+
+    phi and every partner are synthesized once per time slice and the region
+    mask is built once per slice; a slice outside the region is skipped
+    before synthesis.  Yields (i, j, mask, density) for time slice i and
+    partner j, with mask as region_slice_mask returns it (None: whole grid)."""
+    lat = quad.lattice
+    for i, t in enumerate(quad.times):
+        mask = region_slice_mask(region, t, lat)
+        if mask is False:
+            continue
+        f = phi.evaluate(t, lat)
+        for j, psi in enumerate(partners):
+            g = psi.evaluate(t, lat)
+            dens = np.square(f.real) + np.square(f.imag)
+            dens *= np.square(g.real) + np.square(g.imag)
+            yield i, j, mask, dens
+            # Release g and dens before the next synthesis, and keep no
+            # |phi|^2 across partners: one more N x N array at the peak cost
+            # 12 MB and, at N = 1280, page faults that slowed the sums by 10 %.
+            del g, dens
+        del f
+
+
+def product_slice_sums(phi: SpectralWave, psi: SpectralWave, quad: Quadrature,
+                       region: Optional[Region] = None) -> np.ndarray:
+    """Per-time-slice values of sum_x h^2 |phi psi|^2, zero outside the region."""
+    out = np.zeros(len(quad.times))
+    w = quad.cell_weight()
+    for i, _, mask, dens in product_densities(phi, (psi,), quad, region):
+        out[i] = w * float(dens.sum() if mask is None else dens[mask].sum())
+    return out
+
+
+def product_l2(phi: SpectralWave, psi: SpectralWave, region: Optional[Region] = None,
+               quad: Optional[Quadrature] = None) -> float:
+    """Riemann-sum approximation of the spacetime L^2 norm of phi * psi."""
+    sums = product_slice_sums(phi, psi, quad, region)
+    return math.sqrt(quad.dt * float(sums.sum()))
+
+
+def lp_product(phi: SpectralWave, psi: SpectralWave, p: float,
+               quad: Optional[Quadrature] = None) -> float:
+    """Quadrature L^p norm of phi * psi over the full window."""
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+    if p == 2.0:
+        return product_l2(phi, psi, None, quad)
+    w = quad.cell_weight()
+    total = 0.0
+    for _, _, _, dens in product_densities(phi, (psi,), quad):
+        total += w * float(np.power(dens, 0.5 * p).sum())
+    return (quad.dt * total) ** (1.0 / p)
+
+
+# ---------------------------------------------------------------------------
+# tube norms
 
 def l2t_linf_on_tube(phi: SpectralWave, tube: Tube, quad: Quadrature,
-                     region: Optional[Region] = None,
-                     slices: Optional[list] = None) -> float:
+                     region: Optional[Region] = None) -> float:
     """( sum_t dt * (max over grid x with (t,x) in tube (and region) |phi|)^2 )^1/2.
 
-    Empty slices contribute zero.  `slices` may carry precomputed |phi(t)|
-    magnitude arrays aligned with quad.times."""
+    Empty slices contribute zero."""
     lat = quad.lattice
     total = 0.0
-    for i, t in enumerate(quad.times):
+    for t in quad.times:
         if not tube.time_active(t):
             continue
-        rmask = region_slice_mask(region, t, lat) if region is not None else None
+        rmask = region_slice_mask(region, t, lat)
         if rmask is False:
             continue
         rows, cols = disk_pixel_indices(lat, tube.axis_at(t), tube.eff_radius)
         if len(rows) == 0:
             continue
-        a = slices[i] if slices is not None else np.abs(phi.evaluate(t, lat))
-        vals = a[rows, cols]
+        vals = np.abs(phi.evaluate(t, lat))[rows, cols]
         if rmask is not None:
             sel = rmask[rows, cols]
             if not sel.any():
@@ -257,4 +215,3 @@ def l2t_linf_on_tube(phi: SpectralWave, tube: Tube, quad: Quadrature,
         m = float(vals.max())
         total += m * m
     return math.sqrt(quad.dt * total)
-

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import constants as C
 from .errors import InvalidFamilyError
 from .geometry import Tube, dir_angle, square_of_direction, wrap_delta
 
-SEPARATION_MIN = 0.5               # separation predicate floor
 LARGE_SQUARE_FACTOR = 1.0 / 16.0   # delta' = factor * delta^2
 COVER_C = 8.0                      # emitted tube fatness
 WITNESS_SPACING = 0.5
@@ -83,7 +83,7 @@ class WeightedTubeFamily:
             self._cache["dirs"] = np.array([t.omega for t in self.tubes]).reshape(-1, 2)
         return self._cache["dirs"]
 
-    def check_separation(self, s_min: float = SEPARATION_MIN) -> float:
+    def check_separation(self, s_min: float = C.S_MIN) -> float:
         """Smallest pairwise |x_b - x_b'| + 2^k |omega_b - omega_b'|; raises
         below s_min."""
         if len(self.tubes) < 2:

@@ -22,6 +22,7 @@ from .waves import SpectralWave, make_wave
 MAGIC = b"CWAV1"
 _COLOR_CODE = {"none": 0, "red": 1, "blue": 2}
 _CODE_COLOR = {v: k for k, v in _COLOR_CODE.items()}
+_HEADER = "<IId B i"
 
 
 def _dense_lex(wave: SpectralWave, side: str) -> np.ndarray:
@@ -37,7 +38,7 @@ def _dense_lex(wave: SpectralWave, side: str) -> np.ndarray:
 def save_wave(wave: SpectralWave, path) -> None:
     path = Path(path)
     n = wave.lattice.size
-    header = MAGIC + struct.pack("<IId B i", wave.lattice.dimension, n,
+    header = MAGIC + struct.pack(_HEADER, wave.lattice.dimension, n,
                                  wave.lattice.box, _COLOR_CODE[wave.color], wave.k)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -50,13 +51,22 @@ def save_wave(wave: SpectralWave, path) -> None:
 
 
 def load_wave(path) -> SpectralWave:
+    """Read a CWAV1 file; ValueError when the file is truncated or padded,
+    names an unknown color, or holds support outside its color's sector."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:5] != MAGIC:
         raise ValueError(f"{path} is not a CWAV1 file")
-    dim, n, box, color_code, k = struct.unpack("<IId B i", raw[5:5 + struct.calcsize("<IId B i")])
-    off = 5 + struct.calcsize("<IId B i")
+    off = 5 + struct.calcsize(_HEADER)
+    if len(raw) < off:
+        raise ValueError(f"{path}: truncated header ({len(raw)} bytes)")
+    dim, n, box, color_code, k = struct.unpack(_HEADER, raw[5:off])
     count = n * n
+    if len(raw) != off + 2 * count * 8:
+        raise ValueError(f"{path}: {len(raw)} bytes, the header of an N={n} "
+                         f"wave needs {off + 2 * count * 8}")
+    if color_code not in _CODE_COLOR:
+        raise ValueError(f"{path}: unknown color code {color_code}")
     plus = np.frombuffer(raw, dtype="<c8", count=count, offset=off).reshape(n, n)
     minus = np.frombuffer(raw, dtype="<c8", count=count,
                           offset=off + count * 8).reshape(n, n)
@@ -67,5 +77,7 @@ def load_wave(path) -> SpectralWave:
         i1, i2 = np.nonzero(arr)
         modes = np.stack([i1 - half, i2 - half], axis=1)
         out.append((modes, arr[i1, i2].astype(np.complex128)))
-    return make_wave(lattice, out[0][0], out[0][1], out[1][0], out[1][1],
+    wave = make_wave(lattice, out[0][0], out[0][1], out[1][0], out[1][1],
                      color=_CODE_COLOR[color_code], k=k)
+    wave.validate_support()
+    return wave

@@ -163,14 +163,34 @@ class SpectralWave:
         vals, sign = (self.vals_plus, 1) if side == "plus" else (self.vals_minus, -1)
         return scale * vals * np.exp(sign * 2j * np.pi * t * self.rho(side))
 
-    def evaluate(self, t: float, lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
-        """Spatial field at time t on the lattice grid (complex N x N)."""
+    def _eval_lattice(self, lattice: Optional[FrequencyLattice]) -> FrequencyLattice:
         lat = lattice or self.lattice
         if abs(lat.box - self.lattice.box) > 1e-12:
             raise ValueError("evaluation lattice must share the torus size")
+        return lat
+
+    def evaluate(self, t: float, lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
+        """Spatial field at time t on the lattice grid (complex N x N)."""
+        lat = self._eval_lattice(lattice)
         # a fresh coefficient array per call, transformed in place
         buf = self.coefficients_at(t, lat, (lat.size / lat.box) ** 2)
         return _fft.ifft2(buf, overwrite_x=True, workers=_FFT_WORKERS)
+
+    def point_values(self, times, rows, cols,
+                     lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
+        """Field values at (times[i], h * (rows[i], cols[i])): the entries
+        evaluate(times[i])[rows[i], cols[i]], summed over the modes directly."""
+        lat = self._eval_lattice(lattice)
+        n = lat.size
+        out = np.zeros(len(times), dtype=np.complex128)
+        for side, vals in (("plus", self.vals_plus), ("minus", self.vals_minus)):
+            if not len(vals):
+                continue
+            i1, i2 = self._indices(side, lat)
+            for j, (t, r, c) in enumerate(zip(times, rows, cols)):
+                kernel = np.exp((2j * np.pi / n) * ((r * i1 + c * i2) % n))
+                out[j] += self.phased(side, t, lat.box ** -2) @ kernel
+        return out
 
     def coefficients_at(self, t: float, lattice: Optional[FrequencyLattice] = None,
                         scale: float = 1.0) -> np.ndarray:
@@ -287,11 +307,23 @@ def inner_product(w1: SpectralWave, w2: SpectralWave, t: float = 0.0,
 # ---------------------------------------------------------------------------
 # sector mode selection
 
-def _sector_modes(lattice: FrequencyLattice, k: int, min_margin: float):
-    """Mode integers whose rescaled frequency keeps the given sector margin."""
+def _sector_mode_grid(lattice: FrequencyLattice, lo: float, hi: float):
+    """Mode integer grids (m1, m2; "ij" order) of the box holding the sector
+    piece lo <= |xi| <= hi, clipped to the lattice."""
     half = lattice.size // 2
-    m = np.arange(-half, half)
-    m1, m2 = np.meshgrid(m, m, indexing="ij")
+    box = lattice.box
+    a1 = max(-half, math.floor(lo * math.cos(SECTOR_HALF_ANGLE) * box) - 1)
+    b1 = min(half - 1, math.ceil(hi * box) + 1)
+    b2 = min(half - 1, math.ceil(hi * math.sin(SECTOR_HALF_ANGLE) * box) + 1)
+    return np.meshgrid(np.arange(a1, b1 + 1), np.arange(-b2, b2 + 1), indexing="ij")
+
+
+def _sector_modes(lattice: FrequencyLattice, k: int, min_margin: float):
+    """Mode integers whose rescaled frequency keeps the given sector margin,
+    in lexicographic order, with their margins."""
+    if min_margin < 0.0:
+        raise ValueError(f"sector margin must be >= 0, got {min_margin}")
+    m1, m2 = _sector_mode_grid(lattice, 2.0 ** k, 2.0 ** (k + 1))
     scale = 2.0 ** (-k) / lattice.box
     d = sector_margin_distance(m1 * scale, m2 * scale)
     sel = d >= min_margin - 1e-12
@@ -338,13 +370,7 @@ def make_blue_tube_wave(lattice: FrequencyLattice, t0: float, x0, omega, k: int,
     if abs(theta0) > SECTOR_HALF_ANGLE + 1e-12:
         raise ValueError("packet direction outside the e1 cone")
     lo = 2.0 ** k
-    # the mode box holding the annulus piece lo <= |xi| <= lo + 1 of the sector
-    half = lattice.size // 2
-    box = lattice.box
-    a1 = max(-half, math.floor(lo * math.cos(SECTOR_HALF_ANGLE) * box) - 1)
-    b1 = min(half - 1, math.ceil((lo + 1.0) * box) + 1)
-    b2 = min(half - 1, math.ceil((lo + 1.0) * math.sin(SECTOR_HALF_ANGLE) * box) + 1)
-    m1, m2 = np.meshgrid(np.arange(a1, b1 + 1), np.arange(-b2, b2 + 1), indexing="ij")
+    m1, m2 = _sector_mode_grid(lattice, lo, lo + 1.0)
     xi1 = m1 / lattice.box
     xi2 = m2 / lattice.box
     r = np.sqrt(xi1 * xi1 + xi2 * xi2)

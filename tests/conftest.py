@@ -19,3 +19,18 @@ def lat0(small_config):
 @pytest.fixture(scope="session")
 def quad0(small_config, lat0):
     return Quadrature(small_config, lat0)
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """Every SpectralWave.evaluate call of the test, as (wave id, t, N)."""
+    from conewave.waves import SpectralWave
+    calls = []
+    real = SpectralWave.evaluate
+
+    def counting(self, t, lattice=None):
+        calls.append((id(self), float(t), (lattice or self.lattice).size))
+        return real(self, t, lattice)
+
+    monkeypatch.setattr(SpectralWave, "evaluate", counting)
+    return calls

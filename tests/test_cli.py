@@ -136,6 +136,7 @@ def test_cli_usage_error_exit_2():
     ["cover", "--delta", "0"],
     ["gen-wave", "--k", "-1"],
     ["extract", "--delta", "1.5"],
+    ["gen-wave", "--margin", "-0.1"],
 ])
 def test_cli_bad_values_are_usage_errors(argv, tmp_path, capsys):
     # rejected before any work: one error line, exit status 2, no output files
@@ -146,3 +147,70 @@ def test_cli_bad_values_are_usage_errors(argv, tmp_path, capsys):
     assert err[-1].startswith("conewave: error: ")
     assert "Traceback" not in "\n".join(err)
     assert not any(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# wave files are checked where they are read
+
+def _saved(tmp_path, lat0):
+    w = random_colored_wave(lat0, "red", 0, 1 / 20, seed=4)
+    p = tmp_path / "w.cwav"
+    save_wave(w, p)
+    return p
+
+
+def test_load_wave_rejects_bad_length(tmp_path, lat0):
+    p = _saved(tmp_path, lat0)
+    raw = p.read_bytes()
+    for bad in (raw[:-8], raw + bytes(8), raw[:20]):
+        p.write_bytes(bad)
+        with pytest.raises(ValueError):
+            load_wave(p)
+
+
+def test_load_wave_rejects_unknown_color(tmp_path, lat0):
+    p = _saved(tmp_path, lat0)
+    raw = bytearray(p.read_bytes())
+    raw[5 + 16] = 7                     # the uint8 color code after I, I, d
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="color"):
+        load_wave(p)
+
+
+def test_load_wave_rejects_support_outside_color(tmp_path, lat0):
+    # a red wave is stored, then its file is relabeled blue
+    p = _saved(tmp_path, lat0)
+    raw = bytearray(p.read_bytes())
+    raw[5 + 16] = 2
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="blue wave"):
+        load_wave(p)
+
+
+def test_cli_bad_input_files_are_usage_errors(tmp_path, lat0, capsys):
+    p = _saved(tmp_path, lat0)
+    p.write_bytes(p.read_bytes()[:-1])
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"tubes": []}))
+    out = tmp_path / "out"
+    for argv in (["extract", "--delta", "0.3", "--wave", str(p)],
+                 ["blue-tubes", "--delta", "0.2", "--wave", str(tmp_path / "none.cwav")],
+                 ["cover", "--delta", "0.3", "--family", str(fam)]):
+        with pytest.raises(SystemExit) as exc:
+            main(SMALL + ["--out-dir", str(out)] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("conewave: error: cannot read input")
+        assert not out.exists()
+
+
+def test_cli_cover_reads_family(tmp_path):
+    tubes = [Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=2.0),
+             Tube(0.0, (12.0, 9.0), tuple(unit_dir(0.2)), half_length=2.0)]
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"tubes": [tube_to_dict(t) for t in tubes],
+                               "weights": [0.5, 0.5]}))
+    rc = main(SMALL + ["--out-dir", str(tmp_path), "cover", "--delta", "0.3",
+                       "--k", "1", "--samples", "2000", "--family", str(fam)])
+    assert rc == 0
+    assert len(read_tubes(tmp_path / "cover_tubes.json")) > 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conewave.errors import NoDecrementError
 from conewave.extraction import (build_extractor, dual_witness, extract_profile,
@@ -191,3 +192,66 @@ def test_off_tube_smallness(quad0, train, small_config):
         checked += 1
         worst = max(worst, l2t_linf_on_tube(F, probe, quad0))
     assert worst <= EPS_OFF * math.sqrt(mass(F))
+
+
+# ---------------------------------------------------------------------------
+# the witness reads the search; point values come from the spectrum
+
+def test_dual_witness_with_search_synthesizes_nothing(quad0, train, evaluate_calls):
+    from conewave.extraction import _TubeSearch
+    w, _ = train
+    search = _TubeSearch(w, quad0)
+    tube, _ = find_concentrating_tube(w, 0.2, quad0, search=search)
+    evaluate_calls.clear()
+    wit = dual_witness(w, tube, quad0, search)
+    assert evaluate_calls == []
+    fresh = dual_witness(w, tube, quad0)
+    assert np.array_equal(wit.points, fresh.points)
+    assert np.array_equal(wit.values, fresh.values)
+    # the values are the synthesized field at the witness pixels
+    h = quad0.lattice.spacing
+    for t, x, v in zip(wit.times, wit.points, wit.values):
+        f = w.evaluate(t, quad0.lattice)
+        want = f[int(round(x[0] / h)), int(round(x[1] / h))]
+        assert abs(v - want) <= 1e-13 * np.abs(f).max()
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_point_values_match_evaluate(small_config, k):
+    from conewave.lattice import lattice_for
+    lat = lattice_for(small_config, k)
+    red = random_colored_wave(lat, "red", k, 1 / 20, seed=31)
+    two_sided = red.sub(random_colored_wave(lat, "blue", k, 1 / 20, seed=32))
+    rng = np.random.default_rng(k)
+    times = rng.uniform(-4.0, 4.0, 6)
+    rows = rng.integers(0, lat.size, 6)
+    cols = rng.integers(0, lat.size, 6)
+    for w in (red, two_sided):
+        got = w.point_values(times, rows, cols, lat)
+        for t, r, c, v in zip(times, rows, cols, got):
+            f = w.evaluate(t, lat)
+            assert abs(v - f[r, c]) <= 1e-13 * np.abs(f).max()
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(["random", "bump"]), seed=st.integers(0, 10_000),
+       x1=st.floats(0.0, 20.0), x2=st.floats(0.0, 20.0))
+def test_search_bound_dominates_exact_norm(quad0, lat0, kind, seed, x1, x2):
+    # the cell-max bound of every on-grid candidate is at least its exact norm
+    from conewave.extraction import OFFSET_SPACING, _TubeSearch
+    if kind == "random":
+        w = random_colored_wave(lat0, "red", 0, 1 / 20, seed=seed)
+    else:
+        w = make_red_cube_bump(lat0, (0.0, x1, x2))
+    search = _TubeSearch(w, quad0)
+    thetas = search_directions()
+    bounds = search.upper_bounds(thetas, 1.0)
+    rng = np.random.default_rng(seed)
+    di = rng.integers(0, len(thetas), 200)
+    cells = rng.integers(0, bounds.shape[1], (200, 2))
+    exact = search.exact_norms(thetas[di], cells * OFFSET_SPACING)
+    assert np.all(bounds[di, cells[:, 0], cells[:, 1]] >= exact)
+    # and at the largest bound, the first candidate the search evaluates
+    best = np.unravel_index(np.argmax(bounds), bounds.shape)
+    top = search.exact_norms(thetas[[best[0]]], np.array([best[1:]]) * OFFSET_SPACING)
+    assert bounds[best] >= top[0]

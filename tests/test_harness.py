@@ -162,3 +162,46 @@ def test_standard_suite_shapes():
     suite2 = standard_suite(ks=(0, 1), seeds_per_k=2, base_seed=7,
                             adversarial_axis=(0.0, (1.0, 2.0), 0.1))
     assert [s.seed for s in suite] == [s.seed for s in suite2]
+
+
+# ---------------------------------------------------------------------------
+# one synthesis per field and time slice
+
+def test_verify_profile_synthesizes_phi_once_per_slice(small_config, train,
+                                                      evaluate_calls):
+    w, tube = train
+    suite = [PsiSpec("random", 0, seed=21), PsiSpec("random", 0, seed=22),
+             PsiSpec("packet", 0, t0=0.0, x0=tuple(tube.x0), theta=0.21)]
+    report = verify_profile(w, [tube.dilate(2.0)], 0.2, suite, small_config)
+    n_t = len(small_config.time_samples())
+    assert len(evaluate_calls) == n_t * (1 + len(suite))
+    assert len(set(evaluate_calls)) == len(evaluate_calls)
+    assert len(report.records) == len(suite)
+    # the records match one pair at a time
+    lat = lattice_for(small_config, 0)
+    quad = Quadrature(small_config, lat)
+    region = Region(-small_config.half_window, small_config.half_window,
+                    (tube.dilate(2.0),))
+    for spec, rec in zip(suite, report.records):
+        psi = spec.build(small_config)
+        out = product_l2(w.embed(lat), psi, region, quad) / rec.denom
+        assert rec.ratio_outside == pytest.approx(out, rel=1e-12)
+
+
+def test_verify_fungibility_synthesizes_phi_once_per_slice(small_config, train,
+                                                           evaluate_calls):
+    w, _ = train
+    suite = [PsiSpec("random", 0, seed=5), PsiSpec("random", 0, seed=6)]
+    whole = [(-small_config.half_window, small_config.half_window)]
+    verify_fungibility(w, whole, suite, 0.3, small_config)
+    n_t = len(small_config.time_samples())
+    assert len(evaluate_calls) == n_t * (1 + len(suite))
+
+
+def test_sharpness_synthesizes_each_field_once_per_slice(small_config,
+                                                        evaluate_calls):
+    sharpness_experiment(small_config, ks=(0, 1), seeds=(3,), theta=0.21,
+                         x0=(6.0, 12.0))
+    n_t = len(small_config.time_samples())
+    assert len(evaluate_calls) == 2 * 2 * n_t
+    assert len(set(evaluate_calls)) == len(evaluate_calls)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conewave.geometry import Cube, Region, Tube, full_region, unit_dir
-from conewave.norms import (Quadrature, l2t_linf_on_tube, lp_product, product_l2,
+from conewave.norms import (Quadrature, disk_pixel_indices, l2t_linf_on_tube,
+                            lp_product, product_densities, product_l2,
                             product_slice_sums, region_slice_mask)
 from conewave.waves import (make_red_cube_bump, make_red_cube_train, plane_wave,
                             random_colored_wave, zero_wave)
@@ -108,3 +110,44 @@ def test_tube_norm_region_restriction(quad0, lat0):
     restricted = l2t_linf_on_tube(b, axis, quad0, region=reg)
     assert restricted <= whole
     assert restricted < 0.5 * whole
+
+
+# ---------------------------------------------------------------------------
+# the density stream and the disk rasterizer
+
+def test_product_densities_one_synthesis_per_field_and_slice(quad0, lat0,
+                                                             evaluate_calls):
+    a = random_colored_wave(lat0, "red", 0, 1 / 20, seed=10)
+    bs = [random_colored_wave(lat0, "blue", 0, 1 / 20, seed=11 + j) for j in range(3)]
+    region = Region(-1.0, 2.0)
+    got = list(product_densities(a, bs, quad0, region))
+    inside = [i for i, t in enumerate(quad0.times) if -1.0 <= t < 2.0]
+    assert [(i, j) for i, j, _, _ in got] == [(i, j) for i in inside for j in range(3)]
+    # slices outside the region are skipped before synthesis
+    assert len(evaluate_calls) == len(inside) * (1 + len(bs))
+    assert len(set(evaluate_calls)) == len(evaluate_calls)
+    i, j, mask, dens = got[5]
+    t = quad0.times[i]
+    want = (np.abs(a.evaluate(t, lat0)) * np.abs(bs[j].evaluate(t, lat0))) ** 2
+    assert mask is None
+    np.testing.assert_allclose(dens, want, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([16, 40, 80, 160]), box=st.sampled_from([4.0, 10.0, 20.0]),
+       c1=st.floats(-30.0, 60.0), c2=st.floats(-30.0, 60.0),
+       frac=st.floats(0.0, 0.8))
+def test_disk_pixel_indices_match_wrapped_distance(n, box, c1, c2, frac):
+    from conewave.lattice import FrequencyLattice
+    assume(box / n <= 0.25)
+    lat = FrequencyLattice(2, n, box)
+    radius = frac * box
+    got = np.zeros((n, n), dtype=bool)
+    got[disk_pixel_indices(lat, (c1, c2), radius)] = True
+    d1 = lat.wrap(lat.x_axis() - c1)
+    d2 = lat.wrap(lat.x_axis() - c2)
+    dist2 = (d1 * d1)[:, None] + (d2 * d2)[None, :]
+    # pixels clear of the boundary by more than round-off agree exactly
+    clear = np.abs(dist2 - radius * radius) > 1e-9 * max(1.0, box * box)
+    want = dist2 <= radius * radius
+    assert np.array_equal(got[clear], want[clear])

@@ -297,3 +297,61 @@ def test_evaluate_threads_match_serial(small_config):
     for j in range(2):
         for got, want in zip(results[j], serial[j]):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# sector modes from the annulus's mode box
+
+def _full_grid_sector(lat, k):
+    """Mode grids and sector margins over the whole lattice."""
+    half = lat.size // 2
+    m = np.arange(-half, half)
+    m1, m2 = np.meshgrid(m, m, indexing="ij")
+    scale = 2.0 ** (-k) / lat.box
+    return m1, m2, sector_margin_distance(m1 * scale, m2 * scale)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_sector_modes_match_full_grid_scan(k):
+    from conewave.config import RunConfig
+    from conewave.waves import _sector_modes
+    lat = lattice_for(RunConfig(), k)
+    m1, m2, d_full = _full_grid_sector(lat, k)
+    for margin_ in (0.0, 1 / 20, 1 / 18, 0.3):
+        sel = d_full >= margin_ - 1e-12
+        modes, d = _sector_modes(lat, k, margin_)
+        # same modes in the same order, same margins, bit for bit
+        assert np.array_equal(modes, np.stack([m1[sel], m2[sel]], axis=1))
+        assert np.array_equal(d, d_full[sel])
+
+
+def test_random_waves_match_full_grid_construction():
+    # one hash over k = 0..3, red and blue: the seeded waves equal waves drawn
+    # on the modes of a full-lattice scan
+    import hashlib
+    from conewave.config import RunConfig
+    got, want = hashlib.sha256(), hashlib.sha256()
+    for k in range(4):
+        lat = lattice_for(RunConfig(), k)
+        m1, m2, d_full = _full_grid_sector(lat, k)
+        sel = d_full >= 1 / 20 - 1e-12
+        modes = np.stack([m1[sel], m2[sel]], axis=1)
+        for j, color in enumerate(("red", "blue")):
+            seed = 100 * k + j
+            w = random_colored_wave(lat, color, k, 1 / 20, seed=seed)
+            rng = np.random.default_rng(seed)
+            vals = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+            side = ((modes, vals), ([], [])) if color == "red" else (([], []), (modes, vals))
+            ref = make_wave(lat, *side[0], *side[1], color=color, k=k).normalize_mass(1.0)
+            for h, v in ((got, w), (want, ref)):
+                for a in (v.modes_plus, v.vals_plus, v.modes_minus, v.vals_minus):
+                    h.update(a.tobytes())
+    assert got.hexdigest() == want.hexdigest()
+
+
+def test_sector_waves_reject_negative_margin(lat0):
+    with pytest.raises(ValueError):
+        random_colored_wave(lat0, "red", 0, -0.1, seed=1)
+    tube = Tube(0.0, (6.0, 12.0), (1.0, 0.0), half_length=2.0)
+    with pytest.raises(ValueError):
+        make_red_cube_train(lat0, tube, None, seed=1, min_margin=-0.01)
