@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.fft as _fft
 
-from .geometry import SECTOR_HALF_ANGLE, Cube, Tube, unit_dir
+from .geometry import SECTOR_HALF_ANGLE, Cube, unit_dir
 from .lattice import FrequencyLattice
 from .norms import Quadrature
 from .tube_cover import WeightedTubeFamily, greedy_tube_cover
@@ -193,22 +193,23 @@ def sector_weights(psi: SpectralWave, quad: Quadrature, t_center: float = 0.0) -
         psi._cache["frequency_cells"] = frequency_cells(psi)
     cells = psi._cache["frequency_cells"]
     if not cells:
-        return WeightedTubeFamily((), np.zeros(0), psi.k, lat.box)
+        return WeightedTubeFamily.from_arrays(np.zeros((0, 2)), np.zeros((0, 2)),
+                                              np.zeros(0), psi.k, lat.box)
     key = ("sector_grids", float(t_center))
     if key not in psi._cache:
         psi._cache[key] = _direction_grids(psi, cells, t_center)
     kernel_sum = float(_profile_kernel(int(round(lat.box))).sum())
     total = psi.mass() * kernel_sum * (1.0 + 1e-9)
-    tubes = []
-    weights = []
-    half = 2.0 ** psi.k
+    anchors, directions, weights = [], [], []
+    # tube order: directions by angle, then anchors row-major
     for theta, smoothed in sorted(psi._cache[key].items()):
         grid = smoothed / total
-        om = tuple(unit_dir(theta))
-        for a, b in zip(*np.where(grid > 1e-14)):
-            tubes.append(Tube(0.0, (float(a), float(b)), om, half_length=half))
-            weights.append(grid[a, b])
-    return WeightedTubeFamily(tuple(tubes), np.array(weights), psi.k, lat.box)
+        ij = np.nonzero(grid > 1e-14)
+        anchors.append(np.column_stack(ij))
+        directions.append(np.tile(unit_dir(theta), (len(ij[0]), 1)))
+        weights.append(grid[ij])
+    return WeightedTubeFamily.from_arrays(np.concatenate(anchors), np.concatenate(directions),
+                                          np.concatenate(weights), psi.k, lat.box)
 
 
 def _direction_grids(psi: SpectralWave, cells: list, t_center: float) -> dict:

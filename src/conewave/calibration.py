@@ -16,25 +16,13 @@ from .config import RunConfig
 from .extraction import (build_extractor, dual_witness, extract_profile,
                          find_concentrating_tube)
 from .geometry import Tube, unit_dir
-from .harness import (fungibility_partition, sharpness_experiment,
-                      standard_suite, tube_sup_profile, universal_tube_family,
-                      verify_profile)
+from .harness import (TRAIN_THETA, TRAIN_X0, fungibility_partition,
+                      sharpness_experiment, standard_suite, standard_train,
+                      tube_sup_profile, universal_tube_family, verify_profile)
 from .lattice import lattice_for
 from .norms import Quadrature, l2t_linf_on_tube, product_l2
-from .waves import (make_blue_tube_wave, make_red_cube_bump, make_red_cube_train,
-                    margin, mass, random_colored_wave)
-
-TRAIN_THETA = math.radians(12.0)
-TRAIN_X0 = (10.0, 20.0)
-
-
-def standard_train(config: RunConfig, seed: int = 42):
-    tube = Tube(0.0, TRAIN_X0, tuple(unit_dir(TRAIN_THETA)),
-                half_length=min(8.0, config.half_window))
-    lat0 = lattice_for(config, 0)
-    train = make_red_cube_train(lat0, tube, None, seed=seed,
-                                half_window=config.half_window)
-    return train.normalize_mass(1.0), tube
+from .waves import (make_blue_tube_wave, make_red_cube_bump, margin, mass,
+                    random_colored_wave)
 
 
 def calibrate(config: RunConfig = None, verbose: bool = True):

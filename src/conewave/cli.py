@@ -24,8 +24,9 @@ from .config import RunConfig
 from .errors import ConewaveError
 from .extraction import extract_profile
 from .geometry import Tube, cube_touches_tube, unit_dir
-from .harness import (fungibility_partition, sharpness_experiment, standard_suite,
-                      universal_tube_family, verify_fungibility, verify_profile)
+from .harness import (TRAIN_THETA, TRAIN_X0, fungibility_partition, sharpness_experiment,
+                      standard_suite, standard_train, universal_tube_family,
+                      verify_fungibility, verify_profile)
 from .lattice import FrequencyLattice, lattice_for
 from .norms import Quadrature
 from .render import field_to_ppm
@@ -104,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--color", choices=("red", "blue"), default="red")
     g.add_argument("--k", type=int, default=0)
     g.add_argument("--margin", type=float, default=1.0 / 18.0)
-    g.add_argument("--theta", type=float, default=math.radians(12.0))
-    g.add_argument("--x0", type=float, nargs=2, default=(10.0, 20.0))
+    g.add_argument("--theta", type=float, default=TRAIN_THETA)
+    g.add_argument("--x0", type=float, nargs=2, default=TRAIN_X0)
     g.add_argument("--t0", type=float, default=0.0)
     g.add_argument("--out", default="wave.cwav")
 
@@ -170,12 +171,11 @@ def _lattice(cfg: RunConfig, args, k: int) -> FrequencyLattice:
     return lattice_for(cfg, k)
 
 
-def _default_train(cfg, args, k: int = 3):
-    theta = math.radians(12.0)
-    half = min(2.0 ** k, cfg.half_window)
-    tube = Tube(0.0, (10.0, 20.0), tuple(unit_dir(theta)), half_length=half)
-    lat = _lattice(cfg, args, 0)
-    return make_red_cube_train(lat, tube, None, seed=args.seed).normalize_mass(1.0), tube
+def _red_wave(cfg, args):
+    """--wave, or the standard cube train on the k=0 lattice (--grid-N, --seed)."""
+    if args.wave:
+        return args.wave
+    return standard_train(cfg, args.seed, _lattice(cfg, args, 0))[0]
 
 
 def _out(args, name) -> Path:
@@ -207,19 +207,17 @@ def cmd_gen_wave(cfg, args) -> int:
 def _random_family(cfg, args) -> WeightedTubeFamily:
     rng = np.random.default_rng(args.seed)
     half = 2.0 ** args.k
-    tubes = []
-    while len(tubes) < args.tubes:
+    xs, ws = [], []
+    while len(xs) < args.tubes:
         x0 = rng.uniform(0.0, cfg.box, size=2)
-        th = rng.uniform(-math.pi / 8, math.pi / 8)
-        cand = Tube(0.0, tuple(x0), tuple(unit_dir(th)), half_length=half)
-        ok = all((np.linalg.norm(np.asarray(cand.x0) - np.asarray(t.x0))
-                  + half * np.linalg.norm(np.asarray(cand.omega) - np.asarray(t.omega)))
-                 >= 0.5 for t in tubes)
-        if ok:
-            tubes.append(cand)
-    w = rng.uniform(0.2, 1.0, size=len(tubes))
-    w = w / w.sum()
-    return WeightedTubeFamily(tuple(tubes), w, args.k, cfg.box)
+        om = unit_dir(rng.uniform(-math.pi / 8, math.pi / 8))
+        if all(np.linalg.norm(x0 - x) + half * np.linalg.norm(om - w) >= 0.5
+               for x, w in zip(xs, ws)):
+            xs.append(x0)
+            ws.append(om)
+    w = rng.uniform(0.2, 1.0, size=len(xs))
+    return WeightedTubeFamily.from_arrays(np.reshape(xs, (-1, 2)), np.reshape(ws, (-1, 2)),
+                                          w / w.sum(), args.k, cfg.box)
 
 
 def cmd_cover(cfg, args) -> int:
@@ -258,10 +256,7 @@ def cmd_blue_tubes(cfg, args) -> int:
 
 
 def cmd_extract(cfg, args) -> int:
-    if args.wave:
-        phi = args.wave
-    else:
-        phi, _ = _default_train(cfg, args)
+    phi = _red_wave(cfg, args)
     quad = Quadrature(cfg, phi.lattice)
     tubes, remainder, trace = extract_profile(phi, args.delta, quad,
                                               max_iter=args.max_iter,
@@ -290,16 +285,11 @@ def _heatmap(cfg, args, phi, psi, tubes, t, name) -> None:
 
 
 def cmd_profile(cfg, args) -> int:
-    if args.wave:
-        phi = args.wave
-        axis = (0.0, (10.0, 20.0), math.radians(12.0))
-    else:
-        phi, tube = _default_train(cfg, args)
-        axis = (0.0, tube.x0, math.radians(12.0))
+    phi = _red_wave(cfg, args)
     quad = Quadrature(cfg, phi.lattice)
     tubes, remainder, trace = universal_tube_family(phi, args.delta, quad)
     suite = standard_suite(seeds_per_k=args.suite_size, base_seed=args.seed,
-                           adversarial_axis=axis)
+                           adversarial_axis=(0.0, TRAIN_X0, TRAIN_THETA))
     report = verify_profile(phi, tubes, args.delta, suite, cfg)
     write_tubes(tubes, _out(args, "universal_tubes.json"))
     rows = [{"kind": r.kind, "k": r.k, "seed": r.seed,
@@ -318,17 +308,12 @@ def cmd_profile(cfg, args) -> int:
 
 
 def cmd_fungibility(cfg, args) -> int:
-    if args.wave:
-        phi = args.wave
-        axis = (0.0, (10.0, 20.0), math.radians(12.0))
-    else:
-        phi, tube = _default_train(cfg, args)
-        axis = (0.0, tube.x0, math.radians(12.0))
+    phi = _red_wave(cfg, args)
     quad = Quadrature(cfg, phi.lattice)
     tubes, _, _ = universal_tube_family(phi, args.delta, quad)
     intervals = fungibility_partition(phi, tubes, args.delta, quad)
     suite = standard_suite(seeds_per_k=args.suite_size, base_seed=args.seed,
-                           adversarial_axis=axis)
+                           adversarial_axis=(0.0, TRAIN_X0, TRAIN_THETA))
     rows = verify_fungibility(phi, intervals, suite, args.delta, cfg)
     _write_csv(_out(args, "fungibility.csv"), rows,
                ["k", "seed", "kind", "t_lo", "t_hi", "ratio"])

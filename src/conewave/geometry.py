@@ -42,17 +42,24 @@ class Tube:
     lam: float = 1.0               # dilation factor
 
     def __post_init__(self):
-        om = np.asarray(self.omega, dtype=float)
-        if abs(np.linalg.norm(om) - 1.0) > 1e-9:
+        x0 = tuple(float(v) for v in self.x0)
+        om = tuple(float(v) for v in self.omega)
+        if len(x0) != 2 or len(om) != 2:
+            raise ValueError("tube anchor and direction need two entries each")
+        if not (math.isfinite(self.t0) and all(map(math.isfinite, x0))):
+            raise ValueError("tube anchor must be finite")
+        if self.half_length is not None and not 0.0 < self.half_length < math.inf:
+            raise ValueError("tube half length must be None or positive and finite")
+        if not abs(math.hypot(*om) - 1.0) <= 1e-9:
             raise ValueError("tube direction must be a unit vector")
         if abs(dir_angle(om)) > SECTOR_HALF_ANGLE + 1e-3:
             raise ValueError("tube direction outside the e1 cone")
-        if self.radius < 1.0 - 1e-12:
+        if not self.radius >= 1.0 - 1e-12:
             raise ValueError("tube radius must be >= 1")
-        if self.lam < 1.0 - 1e-12:
+        if not self.lam >= 1.0 - 1e-12:
             raise ValueError("dilation must be >= 1")
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        object.__setattr__(self, "omega", tuple(float(v) for v in om))
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "omega", om)
 
     @property
     def eff_radius(self) -> float:

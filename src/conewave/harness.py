@@ -26,6 +26,19 @@ from .waves import SpectralWave, make_blue_tube_wave, make_red_cube_train, \
 
 COMPOSITION_EXPONENT = 2.0     # delta' = delta^C / C
 DEFAULT_KS = (0, 1, 2, 3)
+TRAIN_THETA = math.radians(12.0)     # axis of the standard cube train
+TRAIN_X0 = (10.0, 20.0)
+
+
+def standard_train(config: RunConfig, seed: int = 42, lattice=None):
+    """The standard cube train (unit mass) along its axis tube of half length
+    min(8, window), on the k=0 lattice unless another is given."""
+    tube = Tube(0.0, TRAIN_X0, tuple(unit_dir(TRAIN_THETA)),
+                half_length=min(8.0, config.half_window))
+    lat = lattice if lattice is not None else lattice_for(config, 0)
+    train = make_red_cube_train(lat, tube, None, seed=seed,
+                                half_window=config.half_window)
+    return train.normalize_mass(1.0), tube
 
 
 @dataclass(frozen=True)
@@ -235,8 +248,7 @@ def verify_fungibility(phi: SpectralWave, intervals: list, suite: list,
 # sharpness
 
 def sharpness_experiment(config: RunConfig, ks=DEFAULT_KS, seeds=(42,),
-                         theta: float = math.radians(12.0),
-                         x0=(10.0, 20.0)) -> list:
+                         theta: float = TRAIN_THETA, x0=TRAIN_X0) -> list:
     """Matched packet/train pairs per frequency scale: the plain bilinear
     ratio and the L^p ratio rescaled by the frequency-gap factor."""
     n = config.dimension

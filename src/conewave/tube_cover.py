@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import constants as C
 from .errors import InvalidFamilyError
-from .geometry import Tube, dir_angle, square_of_direction, wrap_delta
+from .geometry import (SECTOR_HALF_ANGLE, Tube, dir_angle, square_of_direction,
+                       wrap_delta)
 
 LARGE_SQUARE_FACTOR = 1.0 / 16.0   # delta' = factor * delta^2
 COVER_C = 8.0                      # emitted tube fatness
@@ -39,57 +40,73 @@ WITNESS_SPACING = 0.5
 _DENSE_LIMIT = 600
 
 
-@dataclass(frozen=True)
 class WeightedTubeFamily:
-    """Finite radius-1 tubes with a common anchor time t=0 and length 2^k."""
-    tubes: tuple
-    weights: np.ndarray
-    k: int
-    box: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    """Finite radius-1 tubes with a common anchor time t=0 and half length 2^k,
+    held as arrays: anchors (n, 2), directions (n, 2) and weights (n,).
+    Tube objects exist only at the boundary: the constructor accepts them and
+    ``tubes`` builds them on first access."""
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "tubes", tuple(self.tubes))
-        if len(w) != len(self.tubes):
-            raise InvalidFamilyError("one weight per tube required")
+    def __init__(self, tubes, weights, k: int, box: float):
+        tubes = tuple(tubes)
+        if any(abs(t.t0) > 1e-9 or t.half_length is None or abs(t.eff_radius - 1.0) > 1e-9
+               for t in tubes):
+            raise InvalidFamilyError("family tubes must be finite, of unit radius and "
+                                     "anchored at t=0")
+        self._set(np.array([t.x0 for t in tubes], dtype=float).reshape(-1, 2),
+                  np.array([t.omega for t in tubes], dtype=float).reshape(-1, 2),
+                  weights, k, box)
+        self._tubes = tubes
+
+    @classmethod
+    def from_arrays(cls, anchors, directions, weights, k: int,
+                    box: float) -> "WeightedTubeFamily":
+        fam = cls.__new__(cls)
+        fam._set(anchors, directions, weights, k, box)
+        fam._tubes = None
+        return fam
+
+    def _set(self, anchors, directions, weights, k, box) -> None:
+        """Validate and store read-only copies of the arrays."""
+        x = np.array(anchors, dtype=float)
+        d = np.array(directions, dtype=float)
+        w = np.array(weights, dtype=float)
+        if w.ndim != 1 or x.shape != (len(w), 2) or d.shape != (len(w), 2):
+            raise InvalidFamilyError("need (n, 2) anchors and directions and n weights, "
+                                     f"got {x.shape}, {d.shape}, {w.shape}")
+        if not (np.isfinite(x).all() and np.isfinite(d).all() and np.isfinite(w).all()):
+            raise InvalidFamilyError("non-finite anchor, direction or weight")
+        if np.any(np.abs(np.hypot(d[:, 0], d[:, 1]) - 1.0) > 1e-9) \
+                or np.any(np.abs(np.arctan2(d[:, 1], d[:, 0])) > SECTOR_HALF_ANGLE + 1e-3):
+            raise InvalidFamilyError("tube directions must be unit vectors in the e1 cone")
         if np.any(w < -1e-15):
             raise InvalidFamilyError("negative weight")
         if float(w.sum()) > 1.0 + 1e-9:
             raise InvalidFamilyError(f"weight sum {w.sum():.6f} exceeds 1")
-        for t in self.tubes:
-            if abs(t.t0) > 1e-9:
-                raise InvalidFamilyError("family tubes must be anchored at t=0")
-            if t.half_length is None:
-                raise InvalidFamilyError("family tubes must be finite")
-            if abs(t.eff_radius - 1.0) > 1e-9:
-                raise InvalidFamilyError("family tubes must have unit radius")
+        for a in (x, d, w):
+            a.flags.writeable = False
+        self.anchors, self.directions, self.weights = x, d, w
+        self.k, self.box = int(k), float(box)
+
+    @property
+    def tubes(self) -> tuple:
+        if self._tubes is None:
+            self._tubes = tuple(Tube(0.0, tuple(x), tuple(w), half_length=2.0 ** self.k)
+                                for x, w in zip(self.anchors.tolist(), self.directions.tolist()))
+        return self._tubes
 
     def __len__(self):
-        return len(self.tubes)
+        return len(self.weights)
 
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def anchors(self) -> np.ndarray:
-        if "anchors" not in self._cache:
-            self._cache["anchors"] = np.array([t.x0 for t in self.tubes]).reshape(-1, 2)
-        return self._cache["anchors"]
-
-    def directions(self) -> np.ndarray:
-        if "dirs" not in self._cache:
-            self._cache["dirs"] = np.array([t.omega for t in self.tubes]).reshape(-1, 2)
-        return self._cache["dirs"]
-
     def check_separation(self, s_min: float = C.S_MIN) -> float:
         """Smallest pairwise |x_b - x_b'| + 2^k |omega_b - omega_b'|; raises
         below s_min."""
-        if len(self.tubes) < 2:
+        if len(self) < 2:
             return math.inf
-        xs = self.anchors()
-        ws = self.directions()
+        xs, ws = self.anchors, self.directions
         scale = 2.0 ** self.k
         worst = math.inf
         for i in range(len(xs) - 1):
@@ -105,10 +122,9 @@ class WeightedTubeFamily:
         """Incidence matrix (num points, num tubes); built in point chunks to
         cap the intermediate memory."""
         half = 2.0 ** self.k
-        xs = self.anchors()
-        ws = self.directions()
-        out = np.empty((len(points), len(self.tubes)), dtype=bool)
-        chunk = max(1, 40_000_000 // (16 * max(len(self.tubes), 1)))
+        xs, ws = self.anchors, self.directions
+        out = np.empty((len(points), len(self)), dtype=bool)
+        chunk = max(1, 40_000_000 // (16 * max(len(self), 1)))
         for lo in range(0, len(points), chunk):
             t = times[lo:lo + chunk]
             p = points[lo:lo + chunk]
@@ -119,7 +135,7 @@ class WeightedTubeFamily:
         return out
 
     def grid_anchored(self) -> bool:
-        xs = self.anchors()
+        xs = self.anchors
         if len(xs) == 0:
             return False
         return bool(np.all(np.abs(xs - np.round(xs)) < 1e-9))
@@ -128,6 +144,14 @@ class WeightedTubeFamily:
 def _axis_times(k: int, spacing: float = WITNESS_SPACING) -> np.ndarray:
     half = 2.0 ** k
     return np.arange(-half, half + spacing / 2.0, spacing)
+
+
+def _axis_samples(family: WeightedTubeFamily) -> np.ndarray:
+    """Rows (t, x1, x2) of every tube's axis at the witness times, tube by
+    tube, with x = x0 + omega t reduced to the torus."""
+    ts = _axis_times(family.k)
+    xy = family.anchors[:, None, :] + family.directions[:, None, :] * ts[:, None]
+    return np.column_stack([np.tile(ts, len(family)), xy.reshape(-1, 2) % family.box])
 
 
 @dataclass
@@ -145,12 +169,7 @@ class CoverDiagnostics:
 class _DenseResidual:
     def __init__(self, family: WeightedTubeFamily):
         self.family = family
-        ts = _axis_times(family.k)
-        pts = []
-        for tube in family.tubes:
-            xy = tube.axis_at(ts)
-            pts.append(np.column_stack([ts, xy % family.box]))
-        allp = np.concatenate(pts, axis=0)
+        allp = _axis_samples(family)
         order = np.lexsort((allp[:, 2], allp[:, 1], allp[:, 0]))
         self.points = allp[order]
         self.inc = family.membership(self.points[:, 0], self.points[:, 1:])
@@ -180,23 +199,14 @@ class _GridResidual:
     def __init__(self, family: WeightedTubeFamily):
         self.family = family
         self.box_i = int(round(family.box))
-        dirs = family.directions()
-        keys = np.round(dirs, 9)
-        uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+        uniq, inv = np.unique(np.round(family.directions, 9), axis=0, return_inverse=True)
         self.group_dirs = uniq
-        self.group_members = [np.where(inv == g)[0] for g in range(len(uniq))]
-        anchors = np.round(family.anchors()).astype(int) % self.box_i
-        self.anchor_ij = anchors
-        self.images = []
-        self.index_img = []
-        for g, members in enumerate(self.group_members):
-            img = np.zeros((self.box_i, self.box_i))
-            idx = -np.ones((self.box_i, self.box_i), dtype=np.int64)
-            a = anchors[members]
-            img[a[:, 0], a[:, 1]] = family.weights[members]
-            idx[a[:, 0], a[:, 1]] = members
-            self.images.append(img)
-            self.index_img.append(idx)
+        # per direction group: the weight and the tube index at each integer anchor
+        cells = (inv.ravel(), *(np.round(family.anchors).astype(int) % self.box_i).T)
+        self.images = np.zeros((len(uniq), self.box_i, self.box_i))
+        self.images[cells] = family.weights
+        self.index_img = np.full(self.images.shape, -1, dtype=np.int64)
+        self.index_img[cells] = np.arange(len(family))
         self.times = _axis_times(family.k)
 
     @staticmethod
@@ -324,7 +334,7 @@ def _minimal_large_squares(angles: np.ndarray, weights: np.ndarray,
 def _emit_class_tubes(family: WeightedTubeFamily, t_j: float, x_j: np.ndarray,
                       idx: np.ndarray, delta_prime: float, cover_c: float,
                       half: float) -> list:
-    dirs = family.directions()[idx]
+    dirs = family.directions[idx]
     weights = family.weights[idx]
     angles = np.array([dir_angle(d) for d in dirs])
     max_level = max(0, int(math.ceil(math.log2(max(half, 1.0) * 4.0))))
@@ -335,7 +345,7 @@ def _emit_class_tubes(family: WeightedTubeFamily, t_j: float, x_j: np.ndarray,
         tubes.append(Tube(t_j, tuple(x_j), tuple(omega), half_length=half,
                           radius=1.0, lam=cover_c))
     heaviest = idx[int(np.argmax(weights))]
-    omega0 = family.tubes[heaviest].omega
+    omega0 = tuple(family.directions[heaviest])
     tubes.append(Tube(t_j, tuple(x_j), omega0, half_length=cover_c,
                       radius=2.0 * cover_c, lam=1.0))
     return tubes
@@ -345,17 +355,13 @@ def verify_pointwise_bound(family: WeightedTubeFamily, exceptional: list,
                            delta: float, samples: int, seed: int = 0) -> float:
     """Max residual weighted sum over sampled points outside the exceptional
     tubes.  Samples mix uniform spacetime points and perturbed points near the
-    input tubes; every input tube's axis samples are always included."""
+    input tubes; every input tube's axis samples are always included.
+    Returns 0.0 when no sample lies outside the exceptional tubes."""
     if len(family) == 0:
         return 0.0
     half = 2.0 ** family.k
     rng = np.random.default_rng(seed)
-    ts = _axis_times(family.k)
-    axis = []
-    for tube in family.tubes:
-        xy = tube.axis_at(ts)
-        axis.append(np.column_stack([ts, xy % family.box]))
-    axis = np.concatenate(axis, axis=0)
+    axis = _axis_samples(family)
     n_rand = max(0, samples - len(axis))
     n_uni = n_rand // 2
     uni = np.column_stack([rng.uniform(-half, half, size=n_uni),
@@ -363,7 +369,7 @@ def verify_pointwise_bound(family: WeightedTubeFamily, exceptional: list,
     n_tb = n_rand - n_uni
     picks = rng.integers(0, len(family), size=n_tb)
     t_b = rng.uniform(-half, half, size=n_tb)
-    base = family.anchors()[picks] + family.directions()[picks] * t_b[:, None]
+    base = family.anchors[picks] + family.directions[picks] * t_b[:, None]
     jitter = rng.uniform(-1.2, 1.2, size=(n_tb, 2))
     tb = np.column_stack([t_b, (base + jitter) % family.box])
     pts = np.concatenate([axis, uni, tb], axis=0)

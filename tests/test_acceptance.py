@@ -21,24 +21,21 @@ from conewave.config import RunConfig
 from conewave.extraction import (build_extractor, dual_witness, extract_profile,
                                  find_concentrating_tube, optimal_multiple)
 from conewave.geometry import Tube, cube_touches_tube, dir_angle, unit_dir
-from conewave.harness import (PsiSpec, fungibility_partition,
+from conewave.harness import (TRAIN_THETA, TRAIN_X0, PsiSpec, fungibility_partition,
                               interval_ratios_from_report, sharpness_experiment,
-                              standard_suite, tube_sup_profile,
+                              standard_suite, standard_train, tube_sup_profile,
                               universal_tube_family, verify_profile)
 from conewave.lattice import lattice_for
 from conewave.norms import Quadrature, product_l2
 from conewave.tube_cover import (CoverDiagnostics, WeightedTubeFamily,
                                  greedy_tube_cover, verify_pointwise_bound)
-from conewave.waves import (inner_product, make_blue_tube_wave,
-                            make_red_cube_train, margin, mass,
+from conewave.waves import (inner_product, make_blue_tube_wave, margin, mass,
                             random_colored_wave)
 
 pytestmark = pytest.mark.acceptance
 
 T_SUITE_START = time.time()
 
-TRAIN_THETA = math.radians(12.0)
-TRAIN_X0 = (10.0, 20.0)
 DELTA = 0.2
 
 
@@ -58,12 +55,8 @@ def quad0(config):
 
 
 @pytest.fixture(scope="module")
-def train(config, quad0):
-    tube = Tube(0.0, TRAIN_X0, tuple(unit_dir(TRAIN_THETA)), half_length=8.0)
-    lat0 = lattice_for(config, 0)
-    w = make_red_cube_train(lat0, tube, None, seed=42,
-                            half_window=config.half_window)
-    return w.normalize_mass(1.0), tube
+def train(config):
+    return standard_train(config)
 
 
 @pytest.fixture(scope="module")
@@ -157,8 +150,7 @@ def test_c03_bilinear_uniformity(config):
 
 
 def test_c04_sharpness(config):
-    rows = sharpness_experiment(config, seeds=(42, 43), theta=TRAIN_THETA,
-                                x0=TRAIN_X0)
+    rows = sharpness_experiment(config, seeds=(42, 43))
     rhos = [r["rho"] for r in rows]
     lp = max(r["lp_scaled"] for r in rows)
     spread = max(rhos) / min(rhos)
@@ -285,10 +277,7 @@ def test_c08_profile_theorem(universal, profile_report, config, quad0):
     randoms = [r for r in report.records if r.kind == "random"]
     budget = C.K_U * DELTA ** -C.K_P
     # budget stability: a fresh train seed lands within x1.5 of this count
-    lat0 = lattice_for(config, 0)
-    tube2 = Tube(0.0, TRAIN_X0, tuple(unit_dir(TRAIN_THETA)), half_length=8.0)
-    train2 = make_red_cube_train(lat0, tube2, None, seed=43,
-                                 half_window=config.half_window).normalize_mass(1.0)
+    train2, _ = standard_train(config, seed=43)
     tubes2, _, _ = universal_tube_family(train2, DELTA, quad0)
     stable = len(tubes) / 1.5 <= len(tubes2) <= 1.5 * len(tubes)
     ok = (len(randoms) == 40 and len(adversarial) == 4
@@ -337,9 +326,7 @@ def test_c10_runtime_and_reproducibility(config, quad0):
         exc = greedy_tube_cover(fam, 0.25)
         for t in exc:
             h.update(repr((t.t0, t.x0, t.omega, t.half_length, t.lam)).encode())
-        tube = Tube(0.0, TRAIN_X0, tuple(unit_dir(TRAIN_THETA)), half_length=8.0)
-        lat0 = lattice_for(config, 0)
-        tr = make_red_cube_train(lat0, tube, None, seed=42).normalize_mass(1.0)
+        tr, _ = standard_train(config)
         tb, val = find_concentrating_tube(tr, DELTA, quad0)
         h.update(repr((val, tb.x0, tb.omega)).encode())
     identical = h1.hexdigest() == h2.hexdigest()

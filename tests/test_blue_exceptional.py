@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from conewave.blue_exceptional import (exceptional_tubes_for_blue, find_bad_cubes,
                                        frequency_cells, sector_weights,
-                                       unit_cell_sums, unit_cube_masses, _cell_window)
+                                       unit_cell_sums, unit_cube_masses, _cell_window,
+                                       _profile_kernel)
 from conewave.config import RunConfig
 from conewave.geometry import Tube, cube_touches_tube, unit_dir, wrap_delta
 from conewave.lattice import FrequencyLattice, lattice_for
 from conewave.norms import Quadrature
+from conewave.tube_cover import WeightedTubeFamily
 from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_wave, mass,
                             random_colored_wave, zero_wave)
 
@@ -124,7 +126,7 @@ def test_sector_weights_packet_concentrates(quad0, lat0, small_config):
     x0 = np.array([12.0, 5.0])
     psi = make_blue_tube_wave(lat0, 0.0, x0, om, 0)
     fam = sector_weights(psi, quad0, 0.0)
-    anchors = fam.anchors()
+    anchors = fam.anchors
     d = wrap_delta(anchors - x0[None, :], small_config.box)
     near = np.sqrt((d * d).sum(axis=1)) <= 4.0
     assert fam.weights[near].sum() >= 0.8 * fam.total_weight
@@ -277,3 +279,31 @@ def test_second_delta_reuses_cache(small_config):
             b = sector_weights(build(), quad, t_center)
             assert a.tubes == b.tubes
             assert np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("build", [
+    lambda lat: random_colored_wave(lat, "blue", 2, 1 / 20, seed=8),
+    lambda lat: make_blue_tube_wave(lat, 0.5, (6.0, 11.0), unit_dir(0.12), 2),
+])
+def test_sector_weights_equals_per_cell_tubes(small_config, build):
+    # the reference family has one Tube per direction-grid cell above 1e-14,
+    # directions by angle and cells row-major
+    lat = lattice_for(small_config, 2)
+    psi = build(lat)
+    quad = Quadrature(small_config, lat)
+    t_center = -2.0
+    fam = sector_weights(psi, quad, t_center)
+    total = psi.mass() * float(_profile_kernel(int(lat.box)).sum()) * (1.0 + 1e-9)
+    tubes, weights = [], []
+    for theta, smoothed in sorted(psi._cache[("sector_grids", t_center)].items()):
+        grid = smoothed / total
+        for a, b in zip(*np.where(grid > 1e-14)):
+            tubes.append(Tube(0.0, (float(a), float(b)), tuple(unit_dir(theta)),
+                              half_length=4.0))
+            weights.append(grid[a, b])
+    ref = WeightedTubeFamily(tuple(tubes), np.array(weights), psi.k, lat.box)
+    assert len(fam) > 0 and len({t.omega for t in tubes}) > 1
+    assert fam.tubes == ref.tubes
+    assert fam.weights.tobytes() == ref.weights.tobytes()
+    assert fam.anchors.tobytes() == ref.anchors.tobytes()
+    assert fam.directions.tobytes() == ref.directions.tobytes()

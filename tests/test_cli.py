@@ -214,3 +214,31 @@ def test_cli_cover_reads_family(tmp_path):
                        "--k", "1", "--samples", "2000", "--family", str(fam)])
     assert rc == 0
     assert len(read_tubes(tmp_path / "cover_tubes.json")) > 0
+
+
+def _family_file(tmp_path, tube_changes=None, weight=0.5):
+    tube = dict(tube_to_dict(Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=2.0)),
+                **(tube_changes or {}))
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"tubes": [tube], "weights": [weight]}))
+    return path
+
+
+@pytest.mark.parametrize("tube_changes, weight", [
+    ({"x0": [float("nan"), 5.0]}, 0.5),
+    ({}, float("nan")),
+    ({"halflength": -3}, 0.5),
+    ({"x0": [5.0, 5.0, 1.0]}, 0.5),
+    ({"omega": [1.0, 0.0, 0.0]}, 0.5),
+])
+def test_cli_malformed_family_is_usage_error(tube_changes, weight, tmp_path, capsys):
+    path = _family_file(tmp_path, tube_changes, weight)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(out), "cover", "--k", "1", "--delta", "0.5",
+              "--family", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("conewave: error: cannot read input")
+    assert "Traceback" not in "\n".join(err)
+    assert not out.exists()

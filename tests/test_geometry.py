@@ -47,6 +47,27 @@ def test_tube_direction_constraint():
         Tube(0.0, (0.0, 0.0), (0.5, 0.0), half_length=1.0)
 
 
+@pytest.mark.parametrize("args, kwargs", [
+    ((0.0, (1.0, 2.0, 3.0), (1.0, 0.0)), {"half_length": 1.0}),
+    ((0.0, (1.0,), (1.0, 0.0)), {"half_length": 1.0}),
+    ((0.0, (1.0, 2.0), (1.0, 0.0, 0.0)), {"half_length": 1.0}),
+    ((math.nan, (1.0, 2.0), (1.0, 0.0)), {"half_length": 1.0}),
+    ((math.inf, (1.0, 2.0), (1.0, 0.0)), {"half_length": 1.0}),
+    ((0.0, (math.nan, 2.0), (1.0, 0.0)), {"half_length": 1.0}),
+    ((0.0, (1.0, -math.inf), (1.0, 0.0)), {"half_length": 1.0}),
+    ((0.0, (1.0, 2.0), (math.nan, 0.0)), {"half_length": 1.0}),
+    ((0.0, (1.0, 2.0), (1.0, 0.0)), {"half_length": -3.0}),
+    ((0.0, (1.0, 2.0), (1.0, 0.0)), {"half_length": 0.0}),
+    ((0.0, (1.0, 2.0), (1.0, 0.0)), {"half_length": math.inf}),
+    ((0.0, (1.0, 2.0), (1.0, 0.0)), {"half_length": math.nan}),
+    ((0.0, (1.0, 2.0), (1.0, 0.0)), {"half_length": 1.0, "radius": math.nan}),
+    ((0.0, (1.0, 2.0), (1.0, 0.0)), {"half_length": 1.0, "lam": math.nan}),
+])
+def test_tube_rejects_malformed_input(args, kwargs):
+    with pytest.raises(ValueError):
+        Tube(*args, **kwargs)
+
+
 def test_dilate_identity_and_doubling():
     t = Tube(0.0, (2.0, 2.0), (1.0, 0.0), half_length=2.0)
     assert dilate(t, 1.0).eff_radius == t.eff_radius

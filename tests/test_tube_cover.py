@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conewave.constants import S_MIN
 from conewave.errors import InvalidFamilyError
 from conewave.geometry import Tube, unit_dir
 from conewave.tube_cover import (CoverDiagnostics, WeightedTubeFamily,
-                                 _DenseResidual, _GridResidual, greedy_tube_cover,
-                                 verify_pointwise_bound)
+                                 _axis_samples, _DenseResidual, _GridResidual,
+                                 greedy_tube_cover, verify_pointwise_bound)
 
 BOX = 20.0
 
@@ -161,3 +162,166 @@ def test_grid_engine_matches_dense():
     hits_d = sorted(dense.collect(pd))
     hits_g = sorted(grid.collect(pd))
     assert hits_d == hits_g
+
+
+# ---------------------------------------------------------------------------
+# families are arrays; Tube objects only at the boundary
+
+def _same_family(a, b):
+    for name in ("anchors", "directions", "weights"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert (a.k, a.box, len(a)) == (b.k, b.box, len(b))
+
+
+def _grid_family(seed, n, k):
+    # n distinct (integer anchor, direction) pairs out of three directions
+    rng = np.random.default_rng(seed)
+    side = int(BOX)
+    picks = rng.choice(3 * side * side, size=n, replace=False)
+    tubes = tuple(_tube((float(p // 3 // side), float(p // 3 % side)),
+                        0.25 * (p % 3 - 1), k) for p in picks)
+    w = rng.uniform(0.0, 1.0, size=n)
+    return WeightedTubeFamily(tubes, w / (1.2 * w.sum()), k, BOX)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _random_separated_family(0, 60, 2),
+    lambda: _random_separated_family(5, 40, 0),
+    lambda: _grid_family(3, 700, 1),     # above the dense limit: grid engine
+])
+def test_from_arrays_agrees_with_tube_constructor(make):
+    fam = make()
+    arr = WeightedTubeFamily.from_arrays(fam.anchors, fam.directions, fam.weights,
+                                         fam.k, fam.box)
+    _same_family(arr, fam)
+    assert arr.tubes == fam.tubes
+    _same_family(WeightedTubeFamily(arr.tubes, arr.weights, arr.k, arr.box), fam)
+    for delta in (0.25, 0.1):
+        da, db = CoverDiagnostics(), CoverDiagnostics()
+        assert greedy_tube_cover(arr, delta, diagnostics=da) \
+            == greedy_tube_cover(fam, delta, diagnostics=db)
+        assert repr(da) == repr(db)
+
+
+def test_family_arrays_are_read_only_copies():
+    x = np.array([[1.0, 2.0]])
+    d = np.array([[1.0, 0.0]])
+    w = np.array([0.5])
+    fam = WeightedTubeFamily.from_arrays(x, d, w, 1, BOX)
+    x[0, 0] = w[0] = 7.0
+    assert fam.anchors[0, 0] == 1.0 and fam.weights[0] == 0.5
+    with pytest.raises(ValueError):
+        fam.weights[0] = 0.1
+
+
+_GOOD = (np.array([[1.0, 2.0], [5.0, 6.0]]), np.array([[1.0, 0.0], [1.0, 0.0]]),
+         np.array([0.2, 0.3]))
+
+
+@pytest.mark.parametrize("which, bad", [
+    (0, np.array([[np.nan, 2.0], [5.0, 6.0]])),
+    (0, np.array([[1.0, 2.0], [np.inf, 6.0]])),
+    (0, np.array([1.0, 2.0, 5.0, 6.0])),
+    (0, np.array([[1.0, 2.0, 0.0], [5.0, 6.0, 0.0]])),
+    (0, np.array([[1.0, 2.0]])),
+    (1, np.array([[np.nan, 0.0], [1.0, 0.0]])),
+    (1, np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])),
+    (1, np.array([[0.5, 0.0], [1.0, 0.0]])),
+    (1, np.array([unit_dir(0.6), [1.0, 0.0]])),
+    (2, np.array([0.2, np.nan])),
+    (2, np.array([0.2, np.inf])),
+    (2, np.array([0.2, -0.1])),
+    (2, np.array([0.6, 0.6])),
+    (2, np.array([[0.2, 0.3]])),
+    (2, np.array([0.2, 0.3, 0.1])),
+])
+def test_family_rejects_malformed_arrays(which, bad):
+    args = list(_GOOD)
+    args[which] = bad
+    with pytest.raises(InvalidFamilyError):
+        WeightedTubeFamily.from_arrays(*args, 1, BOX)
+    if which == 2:      # the same weights through the Tube constructor
+        tubes = (_tube((1.0, 2.0), 0.0, 1), _tube((5.0, 6.0), 0.0, 1))
+        with pytest.raises(InvalidFamilyError):
+            WeightedTubeFamily(tubes, bad, 1, BOX)
+
+
+def test_tube_constructor_rejects_wrong_tubes():
+    good = _tube((1.0, 2.0), 0.0, 1)
+    for bad in (Tube(0.0, (1.0, 2.0), (1.0, 0.0), half_length=None),
+                Tube(0.0, (1.0, 2.0), (1.0, 0.0), half_length=2.0, radius=2.0),
+                Tube(0.0, (1.0, 2.0), (1.0, 0.0), half_length=2.0, lam=1.5),
+                Tube(0.5, (1.0, 2.0), (1.0, 0.0), half_length=2.0)):
+        with pytest.raises(InvalidFamilyError):
+            WeightedTubeFamily((good, bad), np.array([0.1, 0.1]), 1, BOX)
+    with pytest.raises(InvalidFamilyError):
+        WeightedTubeFamily((good,), np.array([0.1, 0.1]), 1, BOX)
+
+
+def test_axis_samples_follow_the_tubes():
+    fam = _random_separated_family(2, 12, 1)
+    ts = np.arange(-2.0, 2.25, 0.5)
+    want = np.concatenate([np.column_stack([ts, t.axis_at(ts) % BOX]) for t in fam.tubes])
+    assert _axis_samples(fam).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the pointwise verifier can fail
+
+def _bundle_family(seed, k, n, box=40.0):
+    """Like the benchmark's cover families: bundles of seeded directions
+    through fixed spacetime points (t / 2^k, x1, x2) carrying 0.30, 0.20 and
+    0.09, then seeded background tubes sharing 0.2; S_MIN-separated."""
+    rng = np.random.default_rng(seed)
+    half = 2.0 ** k
+    edge = math.pi / 8 - 0.01
+    xs, ws, weights = [], [], []
+
+    def separated(x, w):
+        if not xs:
+            return True
+        d = x - np.array(xs)
+        d -= box * np.round(d / box)
+        sep = np.hypot(d[:, 0], d[:, 1]) + half * np.linalg.norm(w - np.array(ws), axis=1)
+        return bool(sep.min() >= S_MIN + 1e-9)
+
+    for weight, (t_frac, p1, p2) in ((0.30, (-0.4, 6.0, 9.0)), (0.20, (0.3, 26.0, 28.0)),
+                                     (0.09, (-0.1, 31.0, 5.0))):
+        tb = t_frac * half
+        step = 1.05 * S_MIN / (abs(tb) + half)
+        m = min(int(2 * edge / step) + 1, 12)
+        th0 = rng.uniform(-edge, edge - (m - 1) * step)
+        members = 0
+        for j in range(m):
+            om = unit_dir(th0 + j * step)
+            x = (np.array([p1, p2]) - om * tb) % box
+            if separated(x, om):
+                xs.append(x)
+                ws.append(om)
+                members += 1
+        split = rng.pareto(1.5, members) + 1.0
+        weights.extend(weight * split / split.sum())
+    n_bundled = len(xs)
+    while len(xs) < n:
+        x = rng.uniform(0.0, box, 2)
+        om = unit_dir(rng.uniform(-edge, edge))
+        if separated(x, om):
+            xs.append(x)
+            ws.append(om)
+    background = rng.pareto(2.0, n - n_bundled) + 1.0
+    weights.extend(0.2 * background / background.sum())
+    return WeightedTubeFamily.from_arrays(np.array(xs), np.array(ws), np.array(weights),
+                                          k, box)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_verifier_fails_without_the_heaviest_class(k):
+    delta = 0.25
+    fam = _bundle_family(3, k, 120)
+    diag = CoverDiagnostics()
+    out = greedy_tube_cover(fam, delta, diagnostics=diag)
+    assert diag.rounds >= 2
+    assert verify_pointwise_bound(fam, out, delta, 20000, seed=1) <= delta
+    heaviest = int(np.argmax([fam.weights[list(m)].sum() for m in diag.class_members]))
+    kept = [t for j, group in enumerate(diag.class_tubes) if j != heaviest for t in group]
+    assert verify_pointwise_bound(fam, kept, delta, 20000, seed=1) > delta
