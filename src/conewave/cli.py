@@ -22,7 +22,7 @@ from . import constants as C
 from .blue_exceptional import exceptional_tubes_for_blue, find_bad_cubes
 from .config import RunConfig
 from .errors import ConewaveError
-from .extraction import extract_profile
+from .extraction import extract_profile, search_cell
 from .geometry import Tube, cube_touches_tube, unit_dir
 from .harness import (TRAIN_THETA, TRAIN_X0, fungibility_partition, sharpness_experiment,
                       standard_suite, standard_train, universal_tube_family,
@@ -58,10 +58,13 @@ def read_tubes(path) -> list:
 
 
 def read_family(path, k: int, box: float) -> WeightedTubeFamily:
-    """Weighted family from a {"tubes": [...], "weights": [...]} JSON file."""
+    """Weighted family from a {"tubes": [...], "weights": [...]} JSON file;
+    its tubes must be S_MIN-separated, as the covering lemma assumes."""
     data = json.loads(Path(path).read_text())
     tubes = tuple(tube_from_dict(d) for d in data["tubes"])
-    return WeightedTubeFamily(tubes, np.array(data["weights"]), k, box)
+    family = WeightedTubeFamily(tubes, np.array(data["weights"]), k, box)
+    family.check_separation()
+    return family
 
 
 def _write_csv(path, rows, fieldnames) -> None:
@@ -371,6 +374,11 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
     except (OSError, ValueError, KeyError, TypeError, NotImplementedError,
             ConewaveError) as exc:
         ap.error(f"cannot read input: {exc}")
+    if args.command in ("extract", "profile", "fungibility"):
+        try:
+            search_cell(args.wave.lattice if args.wave else _lattice(cfg, args, 0))
+        except ValueError as exc:
+            ap.error(str(exc))
     return cfg
 
 

@@ -10,6 +10,12 @@ One round, for a red wave phi of mass at most 1:
    two-stage argmax: a cell-max upper bound over all candidates, then exact
    evaluation in decreasing bound order until the bound drops below the best
    exact value, so the returned tube is the exact argmax over the grid.
+   The half-unit offset grid lies on the pixel grid, so for each (direction,
+   time) pair the axis pixel's shift and the set of pixels within distance 1
+   of the axis point are the same for every candidate.  These disk stencils
+   are built once per quadrature, and an exact norm is one flat gather per
+   time slice from a wrap-padded magnitude stack; candidates off the grid
+   are rejected, since the stencils are exact only there.
 2. ``dual_witness`` realizes the tube norm as a pairing: x(t) is the grid
    argmax of |phi(t, .)| over the tube cross-section and f the normalized
    trace of phi along (t, x(t)).
@@ -98,20 +104,88 @@ class ExtractionTrace:
 # ---------------------------------------------------------------------------
 # concentration search
 
+def search_cell(lattice: FrequencyLattice) -> int:
+    """Pixels per half-unit offset cell; a ValueError when the offset grid
+    does not lie on the pixel grid, where neither the cell-max bound nor
+    the disk stencils hold."""
+    cell = int(round(OFFSET_SPACING / lattice.spacing))
+    if lattice.size % cell or abs(cell * lattice.spacing - OFFSET_SPACING) > 1e-12:
+        raise ValueError("the tube search needs the half-unit offset grid on the pixels, "
+                         f"but h = {lattice.spacing:g} does not divide 1/2")
+    return cell
+
+
+@dataclass(frozen=True)
+class _DiskStencils:
+    """Unit-disk cross-sections of the search's window tubes, one per
+    (time slice, search direction), for tubes anchored on the pixel grid.
+
+    For an anchor on the pixel grid the axis point at time t is the anchor
+    pixel plus omega t, so the nearest-pixel shift round(omega t / h) and
+    the set of pixel offsets within distance 1 of the axis point do not
+    depend on the anchor.  ``flat`` holds those offsets as flat indices into
+    one slice wrap-padded by ``pad`` pixels, each row padded to a common
+    length by repeating its first offset (a repeat leaves a max unchanged)."""
+    thetas: np.ndarray      # (D,) search directions
+    pad: int                # wrap padding of a magnitude slice, in pixels
+    shift: np.ndarray       # (2, T, D) axis pixel of the anchor-0 tube
+    flat: np.ndarray        # (T, D, K) flat disk offsets in a padded slice
+
+
+def _disk_stencils(quad: Quadrature) -> _DiskStencils:
+    """The search's disk stencils on this quadrature, built once per
+    quadrature; the inside test is the one of ``disk_pixel_indices``."""
+    if "disk_stencils" not in quad._cache:
+        h = quad.h
+        pad = int(math.ceil(1.0 / h)) + 1
+        width = quad.lattice.size + 2 * pad
+        thetas = search_directions()
+        o1, o2 = _disk_offsets(1.0, h)
+        c1 = np.cos(thetas)[None, :] * quad.times[:, None]     # (T, D)
+        c2 = np.sin(thetas)[None, :] * quad.times[:, None]
+        b1 = np.round(c1 / h).astype(np.int64)
+        b2 = np.round(c2 / h).astype(np.int64)
+        d1 = (b1[..., None] + o1) * h - c1[..., None]
+        d2 = (b2[..., None] + o2) * h - c2[..., None]
+        inside = d1 * d1 + d2 * d2 <= 1.0 + 1e-12
+        count = inside.sum(axis=-1)
+        kmax = int(count.max())
+        flat = (o1 * width + o2)[np.argsort(~inside, axis=-1, kind="stable")[..., :kmax]]
+        flat = np.where(np.arange(kmax) < count[..., None], flat, flat[..., :1])
+        quad._cache["disk_stencils"] = _DiskStencils(thetas, pad, np.stack([b1, b2]), flat)
+    return quad._cache["disk_stencils"]
+
+
 class _TubeSearch:
-    """Shared machinery: magnitude slices, cell-max bounds, exact disk norms."""
+    """Shared machinery of one wave's search: magnitude slices, cell-max
+    bounds and exact disk norms of tubes on the search grid.
+
+    The magnitude slices are held as one stack wrap-padded by the stencils'
+    padding, so every disk of an on-grid tube lies inside one padded slice
+    and needs no index wrapping; ``slices`` is a view of the stack's interior."""
 
     def __init__(self, phi: SpectralWave, quad: Quadrature):
         self.quad = quad
         self.lat = quad.lattice
         self.box = quad.config.box
-        self.slices = np.stack([np.abs(phi.evaluate(t, self.lat)) for t in quad.times])
+        self.stencils = _disk_stencils(quad)
         n = self.lat.size
-        cell = int(round(OFFSET_SPACING / self.lat.spacing))  # pixels per half-unit cell
+        self.cell = cell = search_cell(self.lat)
         self.nc = n // cell
-        self.cellmax = self.slices.reshape(len(quad.times), self.nc, cell,
-                                           self.nc, cell).max(axis=(2, 4))
-        self._off1, self._off2 = _disk_offsets(1.0, self.lat.spacing)
+        pad = self.stencils.pad
+        self.padded = np.empty((len(quad.times), n + 2 * pad, n + 2 * pad))
+        self.slices = self.padded[:, pad:pad + n, pad:pad + n]
+        for i, t in enumerate(quad.times):
+            np.abs(phi.evaluate(t, self.lat), out=self.slices[i])
+        # wrap the border: columns of the interior rows, then whole rows
+        edge = np.r_[0:pad, n + pad:n + 2 * pad]
+        src = (edge - pad) % n + pad
+        self.padded[:, pad:pad + n, edge] = self.padded[:, pad:pad + n][:, :, src]
+        self.padded[:, edge] = self.padded[:, src]
+        self.cellmax = self.slices[:, ::cell, ::cell].copy()
+        for a in range(cell):
+            for b in range(cell):
+                np.maximum(self.cellmax, self.slices[:, a::cell, b::cell], out=self.cellmax)
 
     def upper_bounds(self, thetas: np.ndarray, radius: float) -> np.ndarray:
         """Upper bound of the tube norm for every (direction, half-unit
@@ -119,58 +193,59 @@ class _TubeSearch:
         half-unit cell whose index differs from the axis cell by at most
         2*radius + sqrt(2), so a dilated cell-max dominates the exact disk
         max; for candidates on the cell grid the axis cell is a pure shift.
-        Shape (n_dirs, 2*box, 2*box)."""
+        Each slice's cell max is wrap-padded once; the dilation and the
+        per-direction shifts are slices of it.  Shape (n_dirs, 2*box, 2*box)."""
         times = self.quad.times
         dt = self.quad.dt
         nc = self.nc
         reach = 2.0 * radius + 1.5
         r = int(math.ceil(reach))
         offs = [(d1, d2) for d1 in range(-r, r + 1) for d2 in range(-r, r + 1)
-                if d1 * d1 + d2 * d2 <= reach * reach]
-        bounds = np.zeros((len(thetas), nc, nc))
-        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+                if d1 * d1 + d2 * d2 <= reach * reach and (d1, d2) != (0, 0)]
         inv = 1.0 / OFFSET_SPACING
-        for i, t in enumerate(times):
-            cm = self.cellmax[i]
-            dil = cm.copy()
+        s1 = np.floor(np.cos(thetas)[:, None] * times * inv).astype(np.int64)
+        s2 = np.floor(np.sin(thetas)[:, None] * times * inv).astype(np.int64)
+        smax = int(max(np.abs(s1).max(initial=0), np.abs(s2).max(initial=0)))
+        span = nc + 2 * smax              # the dilated cell max, wrapped by smax
+        wrap = np.arange(-smax - r, nc + smax + r) % nc
+        bounds = np.zeros((len(thetas), nc, nc))
+        for i in range(len(times)):
+            cm = self.cellmax[i][np.ix_(wrap, wrap)]
+            dil = cm[r:r + span, r:r + span].copy()
             for d1, d2 in offs:
-                if d1 == 0 and d2 == 0:
-                    continue
-                np.maximum(dil, np.roll(cm, shift=(-d1, -d2), axis=(0, 1)), out=dil)
-            for di, w in enumerate(dirs):
-                s1 = int(math.floor(w[0] * t * inv))
-                s2 = int(math.floor(w[1] * t * inv))
-                v = np.roll(dil, shift=(-s1, -s2), axis=(0, 1))
+                np.maximum(dil, cm[r + d1:r + d1 + span, r + d2:r + d2 + span], out=dil)
+            for di in range(len(thetas)):
+                a, b = smax + s1[di, i], smax + s2[di, i]
+                v = dil[a:a + nc, b:b + nc]
                 bounds[di] += dt * v * v
         return np.sqrt(bounds)
 
     def exact_norms(self, thetas: np.ndarray, x0s: np.ndarray) -> np.ndarray:
-        """Exact grid tube norms for a batch of window-spanning unit tubes;
-        loops over time slices so the per-slice batch stays cache-sized."""
-        t = self.quad.times
-        h = self.lat.spacing
+        """Exact grid tube norms for a batch of window-spanning unit tubes
+        with directions on the search grid and anchors on the half-unit grid
+        (the stencils are exact only there; anything else is a ValueError).
+        Per time slice the disk maxima of the whole batch are one flat
+        gather from the padded slice and a row max."""
+        st = self.stencils
+        thetas = np.asarray(thetas, dtype=float)
+        dirs = np.minimum(np.searchsorted(st.thetas, thetas), len(st.thetas) - 1)
+        if not np.array_equal(st.thetas[dirs], thetas):
+            raise ValueError("tube directions must lie on the search grid")
+        cells = np.asarray(x0s, dtype=float).reshape(-1, 2) / OFFSET_SPACING
+        if not np.array_equal(cells, np.round(cells)):
+            raise ValueError("tube anchors must lie on the half-unit grid")
+        pix = cells.astype(np.int64) * self.cell
         n = self.lat.size
-        w1 = np.cos(thetas)
-        w2 = np.sin(thetas)
-        o1 = self._off1[None, :]
-        o2 = self._off2[None, :]
-        acc = np.zeros(len(thetas))
-        for i, ti in enumerate(t):
-            c1 = x0s[:, 0] + w1 * ti
-            c2 = x0s[:, 1] + w2 * ti
-            b1 = np.round(c1 / h).astype(np.int64)[:, None]
-            b2 = np.round(c2 / h).astype(np.int64)[:, None]
-            d1 = (b1 + o1) * h - c1[:, None]
-            d2 = (b2 + o2) * h - c2[:, None]
-            inside = d1 * d1 + d2 * d2 <= 1.0 + 1e-12
-            vals = self.slices[i][(b1 + o1) % n, (b2 + o2) % n]
-            m = np.where(inside, vals, 0.0).max(axis=1)
+        width = self.padded.shape[-1]
+        rows = (pix[:, 0] + st.shift[0][:, dirs]) % n + st.pad    # (T, batch)
+        cols = (pix[:, 1] + st.shift[1][:, dirs]) % n + st.pad
+        base = rows * width + cols
+        flat = self.padded.reshape(len(self.padded), -1)
+        acc = np.zeros(len(dirs))
+        for i in range(len(flat)):
+            m = flat[i][st.flat[i, dirs] + base[i][:, None]].max(axis=1)
             acc += m * m
         return np.sqrt(self.quad.dt * acc)
-
-    def exact_norm(self, theta: float, x0) -> float:
-        return float(self.exact_norms(np.array([theta]),
-                                      np.array([x0], dtype=float))[0])
 
 
 def find_concentrating_tube(phi: SpectralWave, delta: float, quad: Quadrature,
@@ -187,7 +262,6 @@ def find_concentrating_tube(phi: SpectralWave, delta: float, quad: Quadrature,
     search = search or _TubeSearch(phi, quad)
     thetas = search_directions()
     bounds = search.upper_bounds(thetas, 1.0)
-    nc = bounds.shape[1]
     flat = bounds.ravel()
     order = np.argsort(-flat, kind="stable")
     best_val = -1.0
@@ -195,20 +269,18 @@ def find_concentrating_tube(phi: SpectralWave, delta: float, quad: Quadrature,
     chunk = 512
     for lo in range(0, len(order), chunk):
         cut = max(best_val, threshold * (1.0 - 1e-12))
-        take = [int(i) for i in order[lo:lo + chunk] if flat[i] > cut]
-        if not take:
+        take = order[lo:lo + chunk]
+        take = take[flat[take] > cut]
+        if not len(take):
             break
-        ths = np.empty(len(take))
-        xs = np.empty((len(take), 2))
-        for j, idx in enumerate(take):
-            di, rem = divmod(idx, nc * nc)
-            a, b = divmod(rem, nc)
-            ths[j] = thetas[di]
-            xs[j] = (a * OFFSET_SPACING, b * OFFSET_SPACING)
+        di, a, b = np.unravel_index(take, bounds.shape)
+        ths = thetas[di]
+        xs = np.stack([a, b], axis=1) * OFFSET_SPACING
         vals = search.exact_norms(ths, xs)
-        for j, v in enumerate(vals):
-            if v > best_val + 1e-15:
-                best_val = float(v)
+        # only a value above the best at the chunk's start can raise the best
+        for j in np.flatnonzero(vals > best_val + 1e-15):
+            if vals[j] > best_val + 1e-15:
+                best_val = float(vals[j])
                 best_tube = Tube(0.0, tuple(xs[j]),
                                  (math.cos(ths[j]), math.sin(ths[j])),
                                  half_length=None)

@@ -74,13 +74,9 @@ def region_slice_mask(region: Optional[Region], t: float,
         ax = lattice.x_axis()
         base = np.outer(_interval_mask(ax, c1, half, lattice.box),
                         _interval_mask(ax, c2, half, lattice.box))
-    excl = None
-    for tube in region.excluded:
-        if not tube.time_active(t):
-            continue
-        if excl is None:
-            excl = np.zeros((lattice.size, lattice.size), dtype=bool)
-        excl[disk_pixel_indices(lattice, tube.axis_at(t), tube.eff_radius)] = True
+    spans = [_disk_row_spans(lattice, tube.axis_at(t), tube.eff_radius)
+             for tube in region.excluded if tube.time_active(t)]
+    excl = _paint_spans(lattice.size, spans) if spans else None
     if base is None and excl is None:
         return None
     if base is None:
@@ -125,6 +121,55 @@ def disk_pixel_indices(lattice: FrequencyLattice, center, radius: float):
     cols = b2 + o2[keep]
     cols %= n
     return rows, cols
+
+
+def _disk_row_spans(lattice: FrequencyLattice, center, radius: float):
+    """The pixels of ``disk_pixel_indices`` as row spans: unwrapped grid rows
+    and inclusive unwrapped column bounds (lo, hi), with hi < lo on a row
+    that holds none.  On each row the inside test holds on one interval of
+    columns; its ends are estimated from a square root and then moved in
+    until the test itself holds, so the spans hold exactly the same pixels."""
+    h = lattice.spacing
+    reach = int(math.ceil(radius / h)) + 1
+    rows = int(round(center[0] / h)) + np.arange(-reach, reach + 1)
+    d1 = rows * h - center[0]
+    d1 *= d1
+    limit = radius * radius + 1e-12
+    mid = center[1] / h
+    half = np.sqrt(np.maximum(limit - d1, 0.0)) / h
+    # one column beyond the estimate on each side: the true ends lie within
+    lo = np.ceil(mid - half).astype(np.int64) - 1
+    hi = np.floor(mid + half).astype(np.int64) + 1
+
+    def inside(cols):
+        d2 = cols * h - center[1]
+        return d1 + d2 * d2 <= limit
+
+    while (step := (hi >= lo) & ~inside(hi)).any():
+        hi -= step
+    while (step := (lo <= hi) & ~inside(lo)).any():
+        lo += step
+    return rows, lo, hi
+
+
+def _paint_spans(n: int, spans) -> np.ndarray:
+    """Boolean n x n mask of the union of (rows, lo, hi) spans, wrapped onto
+    the torus: +1 at each span's first column and -1 past its last in a
+    difference array, summed along the rows."""
+    rows, lo, hi = (np.concatenate(a) for a in zip(*spans))
+    length = np.minimum(hi - lo + 1, n)            # n: the whole row
+    keep = length > 0
+    rows, lo, length = rows[keep] % n, lo[keep] % n, length[keep]
+    lo[length == n] = 0
+    end = lo + length
+    over = end > n                                 # wraps past the last column
+    base = rows * (n + 1)
+    idx = np.concatenate([base + lo, base + np.minimum(end, n),
+                          base[over], base[over] + end[over] - n])
+    weight = np.concatenate([np.ones(len(lo)), -np.ones(len(lo)),
+                             np.ones(int(over.sum())), -np.ones(int(over.sum()))])
+    diff = np.bincount(idx, weights=weight, minlength=n * (n + 1)).reshape(n, n + 1)
+    return np.cumsum(diff[:, :n], axis=1) > 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .geometry import (SECTOR_HALF_ANGLE, Tube, dir_angle, square_of_direction,
 LARGE_SQUARE_FACTOR = 1.0 / 16.0   # delta' = factor * delta^2
 COVER_C = 8.0                      # emitted tube fatness
 WITNESS_SPACING = 0.5
+SEPARATION_BLOCK = 250_000         # tube pairs per block of check_separation
 _DENSE_LIMIT = 600
 
 
@@ -52,6 +53,10 @@ class WeightedTubeFamily:
                for t in tubes):
             raise InvalidFamilyError("family tubes must be finite, of unit radius and "
                                      "anchored at t=0")
+        bad = [t.half_length for t in tubes if abs(t.half_length - 2.0 ** k) > 1e-9]
+        if bad:
+            raise InvalidFamilyError(f"family tubes must have half length 2^k = {2.0 ** k:g}, "
+                                     f"got {bad[0]:g}")
         self._set(np.array([t.x0 for t in tubes], dtype=float).reshape(-1, 2),
                   np.array([t.omega for t in tubes], dtype=float).reshape(-1, 2),
                   weights, k, box)
@@ -103,17 +108,35 @@ class WeightedTubeFamily:
 
     def check_separation(self, s_min: float = C.S_MIN) -> float:
         """Smallest pairwise |x_b - x_b'| + 2^k |omega_b - omega_b'|; raises
-        below s_min."""
-        if len(self) < 2:
+        below s_min.
+
+        The tubes are sorted by their first anchor coordinate and compared in
+        blocks of rows, each against the later tubes whose torus gap in that
+        coordinate is below the smallest separation found so far (no other
+        pair can be closer), so no n x n array is built."""
+        n = len(self)
+        if n < 2:
             return math.inf
-        xs, ws = self.anchors, self.directions
+        key = self.anchors[:, 0] % self.box
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        (x1, x2), (w1, w2) = self.anchors[order].T, self.directions[order].T
         scale = 2.0 ** self.k
+        rows = max(1, SEPARATION_BLOCK // n)
         worst = math.inf
-        for i in range(len(xs) - 1):
-            dx = wrap_delta(xs[i + 1:] - xs[i], self.box)
-            sep = np.sqrt((dx * dx).sum(axis=1)) \
-                + scale * np.sqrt(((ws[i + 1:] - ws[i]) ** 2).sum(axis=1))
-            worst = min(worst, float(sep.min()))
+        for lo in range(0, n - 1, rows):
+            hi = min(lo + rows, n - 1)
+            near = max(lo + 1, int(np.searchsorted(key, key[hi - 1] + worst, "right")))
+            wrap = max(near, int(np.searchsorted(key, key[lo] + self.box - worst)))
+            cols = np.r_[lo + 1:near, wrap:n]
+            i = np.arange(lo, hi)[:, None]
+            d1 = wrap_delta(x1[cols] - x1[i], self.box)
+            d2 = wrap_delta(x2[cols] - x2[i], self.box)
+            e1 = w1[cols] - w1[i]
+            e2 = w2[cols] - w2[i]
+            sep = np.sqrt(d1 * d1 + d2 * d2) + scale * np.sqrt(e1 * e1 + e2 * e2)
+            sep[cols <= i] = np.inf                 # each pair once
+            worst = min(worst, float(sep.min(initial=np.inf)))
         if worst < s_min - 1e-9:
             raise InvalidFamilyError(f"family separation {worst:.4f} below {s_min}")
         return worst

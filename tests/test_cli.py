@@ -242,3 +242,35 @@ def test_cli_malformed_family_is_usage_error(tube_changes, weight, tmp_path, cap
     assert err[-1].startswith("conewave: error: cannot read input")
     assert "Traceback" not in "\n".join(err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tubes, message", [
+    ([tube_to_dict(Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=6.0))], "half length"),
+    ([tube_to_dict(Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=2.0))] * 2, "separation"),
+])
+def test_cli_family_outside_the_lemma_is_usage_error(tubes, message, tmp_path, capsys):
+    # a half length other than 2^k, or a tube given twice, exits 2 in one line
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"tubes": tubes, "weights": [0.25] * len(tubes)}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(out), "cover", "--k", "1", "--delta", "0.5",
+              "--family", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("conewave: error: cannot read input") and message in err[-1]
+    assert "Traceback" not in "\n".join(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "profile", "fungibility"])
+def test_cli_search_off_the_pixel_grid_is_usage_error(command, tmp_path, capsys):
+    # h = 20/100 = 0.2 puts the half-unit tube offsets between pixels, where
+    # the search's bounds and stencils do not hold
+    with pytest.raises(SystemExit) as exc:
+        main(SMALL + ["--grid-N", "100", "--out-dir", str(tmp_path / "out"),
+                      command, "--delta", "0.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("conewave: error: the tube search needs")
+    assert not (tmp_path / "out").exists()

@@ -255,3 +255,112 @@ def test_search_bound_dominates_exact_norm(quad0, lat0, kind, seed, x1, x2):
     best = np.unravel_index(np.argmax(bounds), bounds.shape)
     top = search.exact_norms(thetas[[best[0]]], np.array([best[1:]]) * OFFSET_SPACING)
     assert bounds[best] >= top[0]
+
+
+# ---------------------------------------------------------------------------
+# the stencil kernel against the per-candidate definition
+
+def _oracle_slice_maxima(w, quad, thetas, x0s):
+    """Per candidate and time slice, the max of |phi| over the grid pixels
+    within torus distance 1 + 1e-12 of the axis point c = x0 + omega t,
+    each candidate's disk found from its own nearest pixel.  Shape (m, T)."""
+    lat = quad.lattice
+    h, n = lat.spacing, lat.size
+    reach = int(math.ceil(1.0 / h)) + 1
+    o = np.arange(-reach, reach + 1)
+    o1, o2 = (a.ravel()[None, :] for a in np.meshgrid(o, o, indexing="ij"))
+    out = np.empty((len(thetas), len(quad.times)))
+    for i, t in enumerate(quad.times):
+        mag = np.abs(w.evaluate(t, lat))
+        c1 = x0s[:, 0] + np.cos(thetas) * t
+        c2 = x0s[:, 1] + np.sin(thetas) * t
+        b1 = np.round(c1 / h).astype(np.int64)[:, None]
+        b2 = np.round(c2 / h).astype(np.int64)[:, None]
+        d1 = (b1 + o1) * h - c1[:, None]
+        d2 = (b2 + o2) * h - c2[:, None]
+        inside = d1 * d1 + d2 * d2 <= 1.0 + 1e-12
+        out[:, i] = np.where(inside, mag[(b1 + o1) % n, (b2 + o2) % n], 0.0).max(axis=1)
+    return out
+
+
+def _oracle_norms(w, quad, thetas, x0s):
+    acc = np.zeros(len(thetas))
+    for m in _oracle_slice_maxima(w, quad, thetas, x0s).T:
+        acc += m * m
+    return np.sqrt(quad.dt * acc)
+
+
+@pytest.fixture(scope="module")
+def quad_default():
+    from conewave.config import RunConfig
+    from conewave.lattice import lattice_for
+    from conewave.norms import Quadrature
+    cfg = RunConfig()
+    return Quadrature(cfg, lattice_for(cfg, 0))
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["random", "bump"]), default=st.booleans(),
+       seed=st.integers(0, 10_000), x1=st.floats(0.0, 1.0), x2=st.floats(0.0, 1.0))
+def test_exact_norms_match_per_candidate_oracle(quad0, quad_default, kind, default,
+                                                seed, x1, x2):
+    # bitwise, for every direction, cells on the torus edges and random cells
+    from conewave.extraction import OFFSET_SPACING, _TubeSearch
+    quad = quad_default if default else quad0
+    lat = quad.lattice
+    if kind == "random":
+        w = random_colored_wave(lat, "red", 0, 1 / 20, seed=seed)
+    else:
+        w = make_red_cube_bump(lat, (0.0, x1 * lat.box, x2 * lat.box))
+    search = _TubeSearch(w, quad)
+    thetas = search_directions()
+    last = search.nc - 1
+    rng = np.random.default_rng(seed)
+    cells = np.concatenate([[[0, 0], [0, last], [last, 0], [last, last]],
+                            rng.integers(0, search.nc, (4, 2))])
+    di = np.repeat(np.arange(len(thetas)), len(cells))
+    x0s = np.tile(cells, (len(thetas), 1)) * OFFSET_SPACING
+    got = search.exact_norms(thetas[di], x0s)
+    assert np.array_equal(got, _oracle_norms(w, quad, thetas[di], x0s))
+    # the first and last slices alone, where the disks lie furthest from the
+    # anchors: the other slices of the search's stack are zeroed
+    maxima = _oracle_slice_maxima(w, quad, thetas[di], x0s)
+    stack = search.padded.copy()
+    for i in (0, len(quad.times) - 1):
+        search.padded[:] = 0.0
+        search.padded[i] = stack[i]
+        got = search.exact_norms(thetas[di], x0s)
+        assert np.array_equal(got, np.sqrt(quad.dt * (maxima[:, i] * maxima[:, i])))
+
+
+def test_exact_norms_reject_candidates_off_the_grid(quad0, train):
+    from conewave.extraction import _TubeSearch
+    search = _TubeSearch(train[0], quad0)
+    thetas = search_directions()
+    with pytest.raises(ValueError, match="half-unit grid"):
+        search.exact_norms(thetas[:1], np.array([[1.0, 1.25]]))
+    with pytest.raises(ValueError, match="search grid"):
+        search.exact_norms(np.array([thetas[0] + 1e-3]), np.array([[1.0, 1.5]]))
+
+
+def test_find_matches_oracle_search(quad0, lat0, train):
+    # the same tube and value as a search whose exact stage is the oracle,
+    # and that value is the oracle's max over every candidate of the grid
+    from conewave.extraction import OFFSET_SPACING, _TubeSearch
+
+    class OracleSearch(_TubeSearch):
+        def exact_norms(self, thetas, x0s):
+            return _oracle_norms(self.wave, self.quad, thetas, x0s)
+
+    waves = (train[0], random_colored_wave(lat0, "red", 0, 1 / 20, seed=5),
+             make_red_cube_bump(lat0, (0.0, 7.0, 13.5)))
+    for w in waves:
+        oracle = OracleSearch(w, quad0)
+        oracle.wave = w
+        want = find_concentrating_tube(w, 0.0, quad0, threshold=0.0, search=oracle)
+        got = find_concentrating_tube(w, 0.0, quad0, threshold=0.0)
+        assert got[0] == want[0] and got[1] == want[1]
+        thetas = search_directions()
+        di, a, b = np.indices((len(thetas), oracle.nc, oracle.nc)).reshape(3, -1)
+        every = _oracle_norms(w, quad0, thetas[di], np.stack([a, b], axis=1) * OFFSET_SPACING)
+        assert got[1] == every.max()

@@ -151,3 +151,29 @@ def test_disk_pixel_indices_match_wrapped_distance(n, box, c1, c2, frac):
     clear = np.abs(dist2 - radius * radius) > 1e-9 * max(1.0, box * box)
     want = dist2 <= radius * radius
     assert np.array_equal(got[clear], want[clear])
+
+
+def test_region_mask_spans_match_pixel_scatter():
+    # 1200 random centres (a fifth on pixels, a fifth within 1e-12 of one,
+    # many off the fundamental domain) and tube radii from 1 up to 0.8 box, one to four excluded disks per mask:
+    # the painted mask is the scattered disk_pixel_indices, pixel for pixel
+    from conewave.lattice import FrequencyLattice
+    rng = np.random.default_rng(0)
+    centres = 0
+    while centres < 1200:
+        box = float(rng.choice([4.0, 10.0, 20.0]))
+        lat = FrequencyLattice(2, int(rng.choice([4, 8])) * int(box), box)
+        tubes, want = [], np.ones((lat.size, lat.size), dtype=bool)
+        for _ in range(rng.integers(1, 5)):
+            c = rng.uniform(-box, 2.0 * box, 2)
+            if rng.random() < 0.4:
+                c = np.round(c / lat.spacing) * lat.spacing
+                if rng.random() < 0.5:      # where the 1e-12 tolerance decides
+                    c += rng.uniform(-1e-12, 1e-12, 2)
+            r = rng.uniform(1.0, 0.8 * box) if rng.random() < 0.7 \
+                else float(rng.choice([1.0, 1.5, 2.0]))
+            tubes.append(Tube(0.0, tuple(c), (1.0, 0.0), half_length=None, radius=r))
+            want[disk_pixel_indices(lat, c, r)] = False
+        centres += len(tubes)
+        got = region_slice_mask(Region(-1.0, 1.0, tuple(tubes)), 0.0, lat)
+        assert np.array_equal(got, want)

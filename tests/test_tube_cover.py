@@ -52,6 +52,73 @@ def test_family_invariants():
         WeightedTubeFamily((shifted,), np.array([0.1]), 1, BOX)
 
 
+def test_family_rejects_other_half_lengths():
+    # membership uses 2^k, so a tube of another half length would be covered
+    # as a different tube
+    good = _tube((1.0, 1.0), 0.0, 1)
+    for half in (6.0, 1.0, 2.0 + 1e-6):
+        other = Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=half)
+        with pytest.raises(InvalidFamilyError, match="half length"):
+            WeightedTubeFamily((good, other), np.array([0.1, 0.1]), 1, BOX)
+    assert len(WeightedTubeFamily((good,), np.array([0.1]), 1, BOX)) == 1
+
+
+def _separation_loop(fam):
+    # one row at a time against every later tube
+    xs, ws = fam.anchors, fam.directions
+    worst = math.inf
+    for i in range(len(xs) - 1):
+        dx = xs[i + 1:] - xs[i]
+        dx -= fam.box * np.round(dx / fam.box)
+        sep = np.sqrt((dx * dx).sum(axis=1)) \
+            + 2.0 ** fam.k * np.sqrt(((ws[i + 1:] - ws[i]) ** 2).sum(axis=1))
+        worst = min(worst, float(sep.min()))
+    return worst
+
+
+@pytest.mark.parametrize("seed, n, k", [(0, 2, 0), (1, 40, 1), (2, 700, 2),
+                                        (3, 1500, 0), (4, 1200, 3)])
+def test_check_separation_matches_loop(seed, n, k):
+    # random anchors, some off the fundamental domain, and random directions;
+    # n = 700 and above spans several row blocks
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-BOX, 2.0 * BOX, (n, 2))
+    ws = np.array([unit_dir(t) for t in rng.uniform(-0.39, 0.39, n)])
+    fam = WeightedTubeFamily.from_arrays(xs, ws, np.full(n, 0.5 / n), k, BOX)
+    assert fam.check_separation(0.0) == pytest.approx(_separation_loop(fam),
+                                                      rel=1e-12, abs=1e-12)
+    sep = _random_separated_family(seed, min(n, 200), k)
+    assert sep.check_separation() == pytest.approx(_separation_loop(sep),
+                                                   rel=1e-12, abs=1e-12)
+
+
+def test_check_separation_across_the_seam(monkeypatch):
+    # one row per block: the closest pair straddles the torus seam of the
+    # first coordinate, and its lower member is not the first tube in order
+    import conewave.tube_cover as tc
+    monkeypatch.setattr(tc, "SEPARATION_BLOCK", 1)
+    fam = _random_separated_family(4, 120, 1)
+    xs = fam.anchors.copy()
+    xs[:3] = [[0.0, 10.0], [0.01, 3.0], [BOX - 0.02, 3.0]]
+    seam = WeightedTubeFamily.from_arrays(xs, np.repeat(fam.directions[:1], len(xs), 0),
+                                          fam.weights, 1, BOX)
+    assert seam.check_separation(0.0) == pytest.approx(_separation_loop(seam),
+                                                       rel=1e-12, abs=1e-12)
+    assert seam.check_separation(0.0) == pytest.approx(0.03, abs=1e-12)
+    assert fam.check_separation() == pytest.approx(_separation_loop(fam), rel=1e-12)
+
+
+def test_check_separation_rejects_a_repeated_tube():
+    fam = _random_separated_family(9, 300, 1)
+    assert fam.check_separation() >= S_MIN
+    for j in (0, 150, 299):
+        twice = np.r_[np.arange(300), j]
+        dup = WeightedTubeFamily.from_arrays(fam.anchors[twice], fam.directions[twice],
+                                             fam.weights[twice] / 2.0, 1, BOX)
+        with pytest.raises(InvalidFamilyError, match="separation 0.0000"):
+            dup.check_separation()
+
+
 def test_single_light_tube_no_output():
     delta = 0.4
     fam = WeightedTubeFamily((_tube((3.0, 3.0), 0.1, 2),),
