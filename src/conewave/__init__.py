@@ -8,24 +8,4 @@ extraction that produces a partner-independent tube family outside of which
 the bilinear product norm improves by a prescribed factor.
 """
 
-from .config import RunConfig, DEFAULT_CONFIG
-from .lattice import FrequencyLattice, lattice_for
-from .waves import (SpectralWave, evaluate, inner_product, make_blue_tube_wave,
-                    make_red_cube_bump, make_red_cube_train, make_wave, margin,
-                    mass, plane_wave, random_colored_wave, zero_wave)
-from .geometry import (Cube, Region, SphereSquare, Tube, cover_tube_by_unit_cubes,
-                       dilate, dyadic_sphere_grid, shrink_cube, tube_contains,
-                       unit_dir)
-from .norms import Quadrature, l2t_linf_on_tube, lp_product, product_l2
-from .tube_cover import WeightedTubeFamily, greedy_tube_cover, verify_pointwise_bound
-from .blue_exceptional import (exceptional_tubes_for_blue, find_bad_cubes,
-                               sector_weights)
-from .extraction import (DualWitness, ExtractionTrace, build_extractor,
-                         dual_witness, extract_profile, find_concentrating_tube,
-                         optimal_multiple)
-from .harness import (ProfileReport, PsiSpec, fungibility_partition,
-                      sharpness_experiment, standard_suite, universal_tube_family,
-                      verify_fungibility, verify_profile)
-from .wave_io import load_wave, save_wave
-
 __version__ = "0.1.0"

@@ -228,8 +228,7 @@ def _direction_grids(psi: SpectralWave, cells: list, t_center: float) -> dict:
             for theta, m in raw.items()}
 
 
-def exceptional_tubes_for_blue(psi: SpectralWave, delta: float, quad: Quadrature,
-                               threshold_factor: float = BLUE_THRESHOLD_FACTOR) -> list:
+def exceptional_tubes_for_blue(psi: SpectralWave, delta: float, quad: Quadrature) -> list:
     """Tubes whose 3-dilations cover every bad unit cube of the blue wave.
 
     The window splits into time slabs of length 2^k; each slab's sector-weight
@@ -240,7 +239,7 @@ def exceptional_tubes_for_blue(psi: SpectralWave, delta: float, quad: Quadrature
     half_len = 2.0 ** psi.k
     t0 = -quad.config.half_window
     out = []
-    threshold = min(1.0, threshold_factor * delta * delta)
+    threshold = min(1.0, BLUE_THRESHOLD_FACTOR * delta * delta)
     while t0 < quad.config.half_window - 1e-9:
         t_center = t0 + 0.5 * half_len
         family = sector_weights(psi, quad, t_center)

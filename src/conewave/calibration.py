@@ -21,8 +21,7 @@ from .harness import (TRAIN_THETA, TRAIN_X0, fungibility_partition,
                       tube_sup_profile, universal_tube_family, verify_profile)
 from .lattice import lattice_for
 from .norms import Quadrature, l2t_linf_on_tube, product_l2
-from .waves import (make_blue_tube_wave, make_red_cube_bump, margin, mass,
-                    random_colored_wave)
+from .waves import make_blue_tube_wave, make_red_cube_bump, random_colored_wave
 
 
 def calibrate(config: RunConfig = None, verbose: bool = True):
@@ -103,7 +102,7 @@ def calibrate(config: RunConfig = None, verbose: bool = True):
 
     # extractor off-tube ratio (20 probes per first extractor)
     wit = dual_witness(train, Tube(0.0, tuple(tubes1[0].x0), tubes1[0].omega, None), quad0)
-    F = build_extractor(lat0, wit, margin_target=margin(train) - 1.0 / config.box)
+    F = build_extractor(lat0, wit, margin_target=train.margin() - 1.0 / config.box)
     fat = tubes1[0]
     rng = np.random.default_rng(0)
     offr, checked = 0.0, 0
@@ -115,7 +114,7 @@ def calibrate(config: RunConfig = None, verbose: bool = True):
         if fat.contains(ts, probe.axis_at(ts), config.box).any():
             continue
         checked += 1
-        offr = max(offr, l2t_linf_on_tube(F, probe, quad0) / math.sqrt(mass(F)))
+        offr = max(offr, l2t_linf_on_tube(F, probe, quad0) / math.sqrt(F.mass()))
     report("extractor_off_ratio(max)", offr)
 
     # profile pipeline at delta = 0.2

@@ -77,14 +77,14 @@ def _write_csv(path, rows, fieldnames) -> None:
 
 def _load_config_file(path) -> dict:
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for num, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(2)
+            raise ValueError(f"{path}: line {num} is not key = value")
         key, val = (s.strip() for s in line.split("=", 1))
-        out[key.replace("-", "_")] = val
+        out[key.replace("-", "_").lower()] = val
     return out
 
 
@@ -151,10 +151,11 @@ def _merge_config(args) -> RunConfig:
     file_vals = _load_config_file(args.config) if args.config else {}
 
     def pick(flag, key, cast, default):
+        val = file_vals.pop(key, None)
         if flag is not None:
             return flag
-        if key in file_vals:
-            return cast(file_vals[key])
+        if val is not None:
+            return cast(val)
         return default
 
     n = pick(args.n, "n", int, 2)
@@ -163,8 +164,9 @@ def _merge_config(args) -> RunConfig:
     dt = pick(args.dt, "dt", float, 0.25)
     args.seed = pick(args.seed, "seed", int, 42)
     args.out_dir = pick(args.out_dir, "out_dir", str, ".")
-    args.grid_N = pick(args.grid_N, "grid_n", int, None) if args.grid_N is None \
-        else args.grid_N
+    args.grid_N = pick(args.grid_N, "grid_n", int, None)
+    if file_vals:
+        raise ValueError(f"{args.config}: unknown key {min(file_vals)!r}")
     return RunConfig(box=box, half_window=window, dt=dt, dimension=n)
 
 
@@ -263,8 +265,7 @@ def cmd_extract(cfg, args) -> int:
     quad = Quadrature(cfg, phi.lattice)
     tubes, remainder, trace = extract_profile(phi, args.delta, quad,
                                               max_iter=args.max_iter,
-                                              c_dilate=args.c_dilate,
-                                              dilation_cap=C.LAMBDA_CAP)
+                                              c_dilate=args.c_dilate)
     write_tubes(tubes, _out(args, "extract_tubes.json"))
     save_wave(remainder, _out(args, "remainder.cwav"))
     rows = [{"iteration": i, "value": s.value, "mu": s.mu,
@@ -356,7 +357,7 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
         cfg = _merge_config(args)
         if args.grid_N:
             FrequencyLattice(cfg.dimension, args.grid_N, cfg.box)
-    except (ValueError, NotImplementedError) as exc:
+    except (OSError, ValueError, NotImplementedError) as exc:
         ap.error(str(exc))
     delta = getattr(args, "delta", None)
     if delta is not None and not 0.0 < delta < 1.0:

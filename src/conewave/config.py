@@ -52,6 +52,3 @@ class RunConfig:
         """Points per axis resolving frequencies up to 2^(kmax+1)."""
         n = int(round(4.0 * self.box)) * (2 ** kmax)
         return n
-
-
-DEFAULT_CONFIG = RunConfig()

@@ -46,6 +46,3 @@ K_P = 3.0
 C_F = 1.0                # per-interval ratio <= C_F * delta
 K_I = 2.0                # interval count <= K_I * delta^-K_P
 K_G = 2.0                # integral of the tube sup profile <= K_G * delta^-K_P
-
-# cube cover of a tube
-CUBES_PER_LENGTH = 27.0  # covering unit cubes <= CUBES_PER_LENGTH * 2^k

@@ -22,7 +22,7 @@ One round, for a red wave phi of mass at most 1:
 3. ``build_extractor`` synthesizes the red wave whose t=0 pairing with phi
    reproduces that tube norm exactly: coefficients are the windowed exponential
    sums of the witness, cut off to the sector sub-region of prescribed margin.
-   The default cutoff is the sharp indicator of the margin region, which keeps
+   The cutoff is the sharp indicator of the margin region, which keeps
    every iterate's support inside the region where the cutoff equals one and
    makes the pairing identity exact along the whole iteration.
 4. ``optimal_multiple`` picks the step size mu in (0, 1] minimizing the mass
@@ -46,17 +46,16 @@ from .errors import NoDecrementError
 from .geometry import SECTOR_HALF_ANGLE, Tube
 from .lattice import FrequencyLattice
 from .norms import Quadrature, _disk_offsets, disk_pixel_indices
-from .waves import SpectralWave, _sector_modes, inner_product, make_wave, smoothstep
+from .waves import SpectralWave, _sector_modes, inner_product, make_wave
 
 DIRECTION_SPACING = 1.0 / 16.0
 OFFSET_SPACING = 0.5
-PRUNE_MASS_FRACTION = 1e-6
 
 
-def search_directions(spacing: float = DIRECTION_SPACING) -> np.ndarray:
-    """Angles at the given spacing covering the pi/8 cone around e1."""
-    m = int(math.floor(SECTOR_HALF_ANGLE / spacing))
-    return spacing * np.arange(-m, m + 1)
+def search_directions() -> np.ndarray:
+    """Angles at DIRECTION_SPACING covering the pi/8 cone around e1."""
+    m = int(math.floor(SECTOR_HALF_ANGLE / DIRECTION_SPACING))
+    return DIRECTION_SPACING * np.arange(-m, m + 1)
 
 
 @dataclass(frozen=True)
@@ -322,25 +321,19 @@ def dual_witness(phi: SpectralWave, tube: Tube, quad: Quadrature,
 
 
 def build_extractor(lattice: FrequencyLattice, witness: DualWitness,
-                    margin_target: float, margin_full: Optional[float] = None) -> SpectralWave:
+                    margin_target: float) -> SpectralWave:
     """Red wave whose t=0 pairing with the witnessed wave equals the tube norm.
 
-    Coefficients: eta(xi) * sum_i dt f(t_i) e^{-2 pi i (t_i |xi| + x(t_i).xi)}
-    on the sector modes of margin >= margin_target.  With margin_full given,
-    eta ramps smoothly from 0 at margin_target to 1 at margin_full; by default
-    eta is the sharp indicator (exact pairing for every iterate whose support
-    already lies in the margin region)."""
-    modes, d = _sector_modes(lattice, 0, margin_target)
-    if margin_full is not None and margin_full > margin_target + 1e-15:
-        eta = smoothstep((d - margin_target) / (margin_full - margin_target))
-    else:
-        eta = np.ones(len(modes))
+    Coefficients: sum_i dt f(t_i) e^{-2 pi i (t_i |xi| + x(t_i).xi)} on the
+    sector modes of margin >= margin_target, a sharp cutoff (exact pairing
+    for every iterate whose support already lies in the margin region)."""
+    modes, _ = _sector_modes(lattice, 0, margin_target)
     xi = modes / lattice.box
     rho = np.sqrt((xi * xi).sum(axis=1))
     phase = rho[:, None] * witness.times[None, :] \
         + xi[:, 0][:, None] * witness.points[None, :, 0] \
         + xi[:, 1][:, None] * witness.points[None, :, 1]
-    vals = (np.exp(-2j * np.pi * phase) @ (witness.dt * witness.f)) * eta
+    vals = np.exp(-2j * np.pi * phase) @ (witness.dt * witness.f)
     return make_wave(lattice, modes, vals, [], [], color="red", k=0)
 
 
@@ -372,27 +365,23 @@ def optimal_multiple(phi: SpectralWave, extractor: SpectralWave) -> StepChoice:
 # the iteration
 
 def extract_profile(phi: SpectralWave, delta: float, quad: Quadrature,
-                    max_iter: int = 400, c_dilate: float = 2.0,
-                    dilation_cap: float = C.LAMBDA_CAP,
-                    margin_step: Optional[float] = None):
+                    max_iter: int = 400, c_dilate: float = 2.0):
     """Repeatedly extract concentrating rays until the remainder's tube
     concentration drops below delta * mass(phi)^(1/2) on the search grid.
 
     Returns (tubes, remainder, trace); tubes are the found tubes dilated by
-    min(delta^-c_dilate, dilation_cap)."""
+    min(delta^-c_dilate, LAMBDA_CAP)."""
     mass0 = phi.mass()
     trace = ExtractionTrace()
     if mass0 == 0.0:
         return [], phi, trace
     threshold = delta * math.sqrt(mass0)
     trace.threshold = threshold
-    if margin_step is None:
-        margin_step = max(delta ** 10, 1.0 / quad.config.box)
-    margin_target = phi.margin() - margin_step
+    margin_target = phi.margin() - max(delta ** 10, 1.0 / quad.config.box)
     if margin_target <= 0.0:
         raise ValueError("wave margin too small for the extractor cutoff")
     trace.margin_target = margin_target
-    lam = min(delta ** (-c_dilate), dilation_cap)
+    lam = min(delta ** (-c_dilate), C.LAMBDA_CAP)
 
     current = phi
     tubes = []

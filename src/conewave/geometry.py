@@ -1,4 +1,4 @@
-"""Spacetime geometry: light-ray tubes, cubes, sampling regions, direction grid.
+"""Spacetime geometry: light-ray tubes, cubes and sampling regions.
 
 A tube is a cylinder of radius r around the ray x = x0 + omega (t - t0) with
 |omega| = 1 and omega within pi/8 of e1 (plus tolerance for dilated covers).
@@ -99,16 +99,6 @@ class Tube:
         return replace(self, lam=self.lam * lam)
 
 
-def tube_contains(tube: Tube, point, box: float) -> bool:
-    """Single-point membership; point = (t, x1, x2)."""
-    t, x1, x2 = point
-    return bool(tube.contains(t, np.array([x1, x2]), box))
-
-
-def dilate(tube: Tube, lam: float) -> Tube:
-    return tube.dilate(lam)
-
-
 @dataclass(frozen=True)
 class Cube:
     center: tuple      # (t, x1, x2)
@@ -119,29 +109,13 @@ class Cube:
             raise ValueError("cube side must be positive")
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
 
-    def contains(self, t, x, box: float) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        h = 0.5 * self.side
-        ok_t = np.abs(t - self.center[0]) <= h + 1e-12
-        d1 = np.abs(wrap_delta(x[..., 0] - self.center[1], box)) <= h + 1e-12
-        d2 = np.abs(wrap_delta(x[..., 1] - self.center[2], box)) <= h + 1e-12
-        return ok_t & d1 & d2
 
-
-def shrink_cube(cube: Cube, c: float) -> Cube:
-    """Same center, (1 - c) of the side length."""
-    if not 0.0 < c < 1.0:
-        raise ValueError("shrink factor must lie in (0, 1)")
-    return Cube(cube.center, (1.0 - c) * cube.side)
-
-
-def cube_touches_tube(cube: Cube, tube: Tube, box: float, dilation: float = 1.0,
-                      samples_per_axis: int = 5) -> bool:
-    """Sampled intersection test between a cube and a (dilated) tube."""
+def cube_touches_tube(cube: Cube, tube: Tube, box: float, dilation: float = 1.0) -> bool:
+    """Sampled intersection test between a cube and a (dilated) tube, on
+    5 samples per axis."""
     probe = tube.dilate(dilation) if dilation > 1.0 else tube
     h = 0.5 * cube.side
-    g = np.linspace(-h, h, samples_per_axis)
+    g = np.linspace(-h, h, 5)
     tt, x1, x2 = np.meshgrid(g + cube.center[0], g + cube.center[1], g + cube.center[2],
                              indexing="ij")
     pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
@@ -163,98 +137,9 @@ def axis_unit_cubes(tube: Tube) -> list:
     return cubes
 
 
-def cover_tube_by_unit_cubes(tube: Tube) -> list:
-    """Unit cubes whose union contains the tube: a 3x3 transverse stencil
-    around each axis cube (a radius-1 cross-section plus the axis drift within
-    one time unit reaches 1.5 per coordinate, which side-1 cubes centered on
-    the axis alone cannot contain)."""
-    cubes = []
-    for c in axis_unit_cubes(tube):
-        t, x1, x2 = c.center
-        for d1 in (-1.0, 0.0, 1.0):
-            for d2 in (-1.0, 0.0, 1.0):
-                cubes.append(Cube((t, x1 + d1, x2 + d2), 1.0))
-    return cubes
-
-
 @dataclass(frozen=True)
 class Region:
-    """Time slab intersected with an optional cube, minus a union of tubes."""
+    """Time slab [t_lo, t_hi) minus a union of tubes."""
     t_lo: float
     t_hi: float
     excluded: tuple = ()
-    cube: Optional[Cube] = None
-
-    def time_mask(self, times: np.ndarray) -> np.ndarray:
-        # half-open [t_lo, t_hi) so adjacent regions partition the window
-        return (times >= self.t_lo - 1e-12) & (times < self.t_hi - 1e-12)
-
-    def contains(self, t, x, box: float) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        ok = (t >= self.t_lo - 1e-12) & (t < self.t_hi - 1e-12)
-        if self.cube is not None:
-            ok = ok & self.cube.contains(t, x, box)
-        for tube in self.excluded:
-            ok = ok & ~tube.contains(t, x, box)
-        return ok
-
-
-def full_region(config) -> Region:
-    return Region(-config.half_window, config.half_window)
-
-
-def separation(t1: Tube, t2: Tube, length_scale: float, box: float) -> float:
-    """|x1 - x2| + scale * |omega1 - omega2| (torus metric on anchors)."""
-    dx = wrap_delta(np.asarray(t1.x0) - np.asarray(t2.x0), box)
-    dw = np.asarray(t1.omega) - np.asarray(t2.omega)
-    return float(np.linalg.norm(dx) + length_scale * np.linalg.norm(dw))
-
-
-# ---------------------------------------------------------------------------
-# dyadic direction grid (n = 2: each hemisphere is an arc, charted by angle)
-
-@dataclass(frozen=True)
-class SphereSquare:
-    hemisphere: int    # 0: |angle from e1| <= pi/2, 1: the opposite arc
-    level: int
-    index: int         # 0 .. 2^level - 1
-
-    @property
-    def chart_width(self) -> float:
-        return math.pi / (2 ** self.level)
-
-    def angle_range(self):
-        lo = -math.pi / 2 + self.hemisphere * math.pi + self.index * self.chart_width
-        return lo, lo + self.chart_width
-
-    def center_direction(self) -> np.ndarray:
-        lo, hi = self.angle_range()
-        return unit_dir(0.5 * (lo + hi))
-
-    def contains_angle(self, theta: float) -> bool:
-        lo, hi = self.angle_range()
-        th = (theta + math.pi / 2) % (2 * math.pi) - math.pi / 2
-        return lo <= th < hi
-
-    def contains(self, other: "SphereSquare") -> bool:
-        """Set inclusion: does this square contain the (deeper) other square?"""
-        if other.hemisphere != self.hemisphere or other.level < self.level:
-            return False
-        return other.index >> (other.level - self.level) == self.index
-
-
-def dyadic_sphere_grid(level: int) -> list:
-    """All direction squares at one level; level 0 gives the two hemispheres."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    return [SphereSquare(h, level, i) for h in (0, 1) for i in range(2 ** level)]
-
-
-def square_of_direction(theta: float, level: int) -> SphereSquare:
-    """The unique square at the given level containing direction angle theta."""
-    th = (theta + math.pi / 2) % (2 * math.pi)
-    hemi = 0 if th < math.pi else 1
-    local = th - hemi * math.pi
-    width = math.pi / (2 ** level)
-    idx = min(int(local / width), 2 ** level - 1)
-    return SphereSquare(hemi, level, idx)

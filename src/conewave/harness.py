@@ -113,11 +113,10 @@ def _dedupe_tubes(tubes: list) -> list:
 
 
 def universal_tube_family(phi: SpectralWave, delta: float, quad: Quadrature,
-                          c_comp: float = COMPOSITION_EXPONENT,
                           max_iter: int = 400):
     """Partner-independent tube family: ray extraction at the boosted accuracy
     delta' = delta^C / C, with near-duplicate tubes merged."""
-    delta_prime = delta ** c_comp / c_comp
+    delta_prime = delta ** COMPOSITION_EXPONENT / COMPOSITION_EXPONENT
     tubes, remainder, trace = extract_profile(phi, delta_prime, quad,
                                               max_iter=max_iter)
     return _dedupe_tubes(tubes), remainder, trace

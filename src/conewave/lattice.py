@@ -32,15 +32,6 @@ class FrequencyLattice:
         """Spatial step h."""
         return self.box / self.size
 
-    @property
-    def freq_step(self) -> float:
-        return 1.0 / self.box
-
-    @property
-    def max_freq(self) -> float:
-        """Largest representable per-axis frequency, N/(2L)."""
-        return self.size / (2.0 * self.box)
-
     def _cached(self, key, builder):
         if key not in self._cache:
             self._cache[key] = builder()

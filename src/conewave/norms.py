@@ -1,4 +1,4 @@
-"""Quadrature norms over spacetime regions, tubes and cubes.
+"""Quadrature norms over spacetime regions and tubes.
 
 Every norm here is *defined* as a Riemann sum: left-endpoint nodes in time
 (weight dt) and the full lattice grid in space (weight h^2).  The L^inf_x part
@@ -51,12 +51,6 @@ class Quadrature:
 # ---------------------------------------------------------------------------
 # region masks on the lattice grid
 
-def _interval_mask(axis: np.ndarray, center: float, half: float, box: float) -> np.ndarray:
-    d = axis - center
-    d -= box * np.round(d / box)
-    return np.abs(d) <= half + 1e-12
-
-
 def region_slice_mask(region: Optional[Region], t: float,
                       lattice: FrequencyLattice) -> Optional[np.ndarray]:
     """Boolean spatial mask of the region at time t; None means all-inside.
@@ -65,25 +59,9 @@ def region_slice_mask(region: Optional[Region], t: float,
         return None
     if not (region.t_lo - 1e-12 <= t < region.t_hi - 1e-12):
         return False
-    base = None
-    if region.cube is not None:
-        tc, c1, c2 = region.cube.center
-        half = 0.5 * region.cube.side
-        if abs(t - tc) > half + 1e-12:
-            return False
-        ax = lattice.x_axis()
-        base = np.outer(_interval_mask(ax, c1, half, lattice.box),
-                        _interval_mask(ax, c2, half, lattice.box))
     spans = [_disk_row_spans(lattice, tube.axis_at(t), tube.eff_radius)
              for tube in region.excluded if tube.time_active(t)]
-    excl = _paint_spans(lattice.size, spans) if spans else None
-    if base is None and excl is None:
-        return None
-    if base is None:
-        return ~excl
-    if excl is not None:
-        base &= ~excl
-    return base
+    return ~_paint_spans(lattice.size, spans) if spans else None
 
 
 _DISK_OFFSETS_CACHE: dict = {}
@@ -211,15 +189,15 @@ def product_slice_sums(phi: SpectralWave, psi: SpectralWave, quad: Quadrature,
     return out
 
 
-def product_l2(phi: SpectralWave, psi: SpectralWave, region: Optional[Region] = None,
-               quad: Optional[Quadrature] = None) -> float:
+def product_l2(phi: SpectralWave, psi: SpectralWave, region: Optional[Region],
+               quad: Quadrature) -> float:
     """Riemann-sum approximation of the spacetime L^2 norm of phi * psi."""
     sums = product_slice_sums(phi, psi, quad, region)
     return math.sqrt(quad.dt * float(sums.sum()))
 
 
 def lp_product(phi: SpectralWave, psi: SpectralWave, p: float,
-               quad: Optional[Quadrature] = None) -> float:
+               quad: Quadrature) -> float:
     """Quadrature L^p norm of phi * psi over the full window."""
     if p < 1.0:
         raise ValueError("p must be >= 1")
@@ -235,9 +213,8 @@ def lp_product(phi: SpectralWave, psi: SpectralWave, p: float,
 # ---------------------------------------------------------------------------
 # tube norms
 
-def l2t_linf_on_tube(phi: SpectralWave, tube: Tube, quad: Quadrature,
-                     region: Optional[Region] = None) -> float:
-    """( sum_t dt * (max over grid x with (t,x) in tube (and region) |phi|)^2 )^1/2.
+def l2t_linf_on_tube(phi: SpectralWave, tube: Tube, quad: Quadrature) -> float:
+    """( sum_t dt * (max over grid x with (t,x) in tube |phi|)^2 )^1/2.
 
     Empty slices contribute zero."""
     lat = quad.lattice
@@ -245,18 +222,9 @@ def l2t_linf_on_tube(phi: SpectralWave, tube: Tube, quad: Quadrature,
     for t in quad.times:
         if not tube.time_active(t):
             continue
-        rmask = region_slice_mask(region, t, lat)
-        if rmask is False:
-            continue
         rows, cols = disk_pixel_indices(lat, tube.axis_at(t), tube.eff_radius)
         if len(rows) == 0:
             continue
-        vals = np.abs(phi.evaluate(t, lat))[rows, cols]
-        if rmask is not None:
-            sel = rmask[rows, cols]
-            if not sel.any():
-                continue
-            vals = vals[sel]
-        m = float(vals.max())
+        m = float(np.abs(phi.evaluate(t, lat))[rows, cols].max())
         total += m * m
     return math.sqrt(quad.dt * total)

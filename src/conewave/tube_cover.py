@@ -10,9 +10,9 @@ weighted indicator sum stays below delta:
   rounds.  Witness points are searched on the tube axes sampled at spacing
   1/2 in time (a violating point always lies inside input tubes).
 * Per class: all collected tubes pass through one witness point, so they are
-  determined by their directions.  Build the dyadic direction-grid weight
-  profile, mark squares heavier than delta' = delta^2/16 as large, keep the
-  minimal large squares, and emit for each a C x C*2^k tube through the
+  determined by their directions.  Sum the weights on every dyadic arc of
+  directions, mark arcs heavier than delta' = delta^2/16 as large, keep the
+  minimal large arcs, and emit for each a C x C*2^k tube through the
   witness point, plus one stout tube covering the C-ball around the point.
 
 Residual evaluation has two engines: a dense incidence matrix for small
@@ -31,8 +31,7 @@ import numpy as np
 
 from . import constants as C
 from .errors import InvalidFamilyError
-from .geometry import (SECTOR_HALF_ANGLE, Tube, dir_angle, square_of_direction,
-                       wrap_delta)
+from .geometry import SECTOR_HALF_ANGLE, Tube, dir_angle, unit_dir, wrap_delta
 
 LARGE_SQUARE_FACTOR = 1.0 / 16.0   # delta' = factor * delta^2
 COVER_C = 8.0                      # emitted tube fatness
@@ -164,9 +163,9 @@ class WeightedTubeFamily:
         return bool(np.all(np.abs(xs - np.round(xs)) < 1e-9))
 
 
-def _axis_times(k: int, spacing: float = WITNESS_SPACING) -> np.ndarray:
+def _axis_times(k: int) -> np.ndarray:
     half = 2.0 ** k
-    return np.arange(-half, half + spacing / 2.0, spacing)
+    return np.arange(-half, half + WITNESS_SPACING / 2.0, WITNESS_SPACING)
 
 
 def _axis_samples(family: WeightedTubeFamily) -> np.ndarray:
@@ -291,8 +290,7 @@ class _GridResidual:
 
 # ---------------------------------------------------------------------------
 
-def greedy_tube_cover(family: WeightedTubeFamily, delta: float,
-                      cover_c: float = COVER_C,
+def greedy_tube_cover(family: WeightedTubeFamily, delta: float, *,
                       diagnostics: CoverDiagnostics | None = None) -> list:
     """Exceptional tubes outside of which sum c_b 1_{T_b} <= delta."""
     if not 0.0 < delta <= 1.0:
@@ -322,8 +320,7 @@ def greedy_tube_cover(family: WeightedTubeFamily, delta: float,
     out = []
     groups = []
     for t_j, x_j, idx in classes:
-        emitted = _emit_class_tubes(family, t_j, x_j, idx, delta_prime,
-                                    cover_c, half)
+        emitted = _emit_class_tubes(family, t_j, x_j, idx, delta_prime, half)
         groups.append(tuple(emitted))
         out.extend(emitted)
 
@@ -336,41 +333,47 @@ def greedy_tube_cover(family: WeightedTubeFamily, delta: float,
     return out
 
 
-def _minimal_large_squares(angles: np.ndarray, weights: np.ndarray,
-                           threshold: float, max_level: int) -> list:
-    """Dyadic direction squares heavier than threshold, minimal by inclusion."""
-    large = []
-    for level in range(max_level + 1):
-        acc = {}
-        for th, w in zip(angles, weights):
-            sq = square_of_direction(th, level)
-            acc[sq] = acc.get(sq, 0.0) + w
-        for sq, w in acc.items():
-            if w > threshold:
-                large.append(sq)
-    minimal = [sq for sq in large
-               if not any(sq.contains(other) and other != sq for other in large)]
-    minimal.sort(key=lambda s: (s.hemisphere, s.level, s.index))
-    return minimal
+def _arc_indices(angles: np.ndarray, level: int) -> np.ndarray:
+    """Index i of the dyadic direction arc [-pi/2 + i w, -pi/2 + (i+1) w),
+    w = pi / 2^level, that holds each angle of the e1 half circle.  The
+    quotient can round across an arc edge (-pi/32 gives 14.999... at level
+    5), so the index is moved to the side the edge itself decides."""
+    width = math.pi / 2 ** level
+    idx = np.minimum(((angles + math.pi / 2) / width).astype(np.int64), 2 ** level - 1)
+    idx -= angles < -math.pi / 2 + idx * width
+    idx += angles >= -math.pi / 2 + (idx + 1) * width
+    return idx
+
+
+def _minimal_large_arcs(angles: np.ndarray, weights: np.ndarray,
+                        threshold: float, max_level: int) -> list:
+    """(level, index) of the dyadic direction arcs heavier than threshold
+    that contain no deeper such arc, by level and then index."""
+    large = [np.flatnonzero(np.bincount(_arc_indices(angles, level), weights) > threshold)
+             for level in range(max_level + 1)]
+    return [(level, int(i)) for level in range(max_level + 1) for i in large[level]
+            if not any(np.any(large[deeper] >> (deeper - level) == i)
+                       for deeper in range(level + 1, max_level + 1))]
 
 
 def _emit_class_tubes(family: WeightedTubeFamily, t_j: float, x_j: np.ndarray,
-                      idx: np.ndarray, delta_prime: float, cover_c: float,
-                      half: float) -> list:
+                      idx: np.ndarray, delta_prime: float, half: float) -> list:
     dirs = family.directions[idx]
     weights = family.weights[idx]
     angles = np.array([dir_angle(d) for d in dirs])
     max_level = max(0, int(math.ceil(math.log2(max(half, 1.0) * 4.0))))
-    squares = _minimal_large_squares(angles, weights, delta_prime, max_level)
     tubes = []
-    for sq in squares:
-        omega = sq.center_direction()
+    for level, i in _minimal_large_arcs(angles, weights, delta_prime, max_level):
+        width = math.pi / 2 ** level
+        lo = -math.pi / 2 + i * width
+        hi = lo + width
+        omega = unit_dir(0.5 * (lo + hi))
         tubes.append(Tube(t_j, tuple(x_j), tuple(omega), half_length=half,
-                          radius=1.0, lam=cover_c))
+                          radius=1.0, lam=COVER_C))
     heaviest = idx[int(np.argmax(weights))]
     omega0 = tuple(family.directions[heaviest])
-    tubes.append(Tube(t_j, tuple(x_j), omega0, half_length=cover_c,
-                      radius=2.0 * cover_c, lam=1.0))
+    tubes.append(Tube(t_j, tuple(x_j), omega0, half_length=COVER_C,
+                      radius=2.0 * COVER_C, lam=1.0))
     return tubes
 
 

@@ -255,8 +255,8 @@ def _merge(m1, v1, m2, v2):
     return _prune(uniq, merged)
 
 
-def _prune(modes, vals, tol: float = 0.0):
-    keep = np.abs(vals) > tol
+def _prune(modes, vals):
+    keep = np.abs(vals) > 0.0
     return modes[keep], vals[keep]
 
 
@@ -278,21 +278,6 @@ def plane_wave(lattice: FrequencyLattice, mode, amplitude: complex, side: str = 
     if side == "plus":
         return make_wave(lattice, m, [amplitude], [], [])
     return make_wave(lattice, [], [], m, [amplitude])
-
-
-# ---------------------------------------------------------------------------
-# functional ops (thin wrappers so the API reads as verbs)
-
-def mass(w: SpectralWave) -> float:
-    return w.mass()
-
-
-def margin(w: SpectralWave) -> float:
-    return w.margin()
-
-
-def evaluate(w: SpectralWave, t: float, lattice=None) -> np.ndarray:
-    return w.evaluate(t, lattice)
 
 
 def inner_product(w1: SpectralWave, w2: SpectralWave, t: float = 0.0,

@@ -29,8 +29,7 @@ from conewave.lattice import lattice_for
 from conewave.norms import Quadrature, product_l2
 from conewave.tube_cover import (CoverDiagnostics, WeightedTubeFamily,
                                  greedy_tube_cover, verify_pointwise_bound)
-from conewave.waves import (inner_product, make_blue_tube_wave, margin, mass,
-                            random_colored_wave)
+from conewave.waves import inner_product, make_blue_tube_wave, random_colored_wave
 
 pytestmark = pytest.mark.acceptance
 
@@ -85,7 +84,7 @@ def test_c01_conservation(config):
         for j in range(n):
             color = "red" if j % 2 == 0 else "blue"
             w = random_colored_wave(lat, color, k, 1 / 20, seed=2000 + 13 * k + j)
-            ref = math.sqrt(mass(w))
+            ref = math.sqrt(w.mass())
             for t in times:
                 nrm = math.sqrt(float((np.abs(w.evaluate(t)) ** 2).sum())
                                 * lat.spacing ** 2)
@@ -108,7 +107,7 @@ def test_c02_pairing_duality(config, quad0, train):
     collected = 0
     for w in waves:
         current = w
-        m_target = margin(current) - 1.0 / config.box
+        m_target = current.margin() - 1.0 / config.box
         for _ in range(4):
             tube, val = find_concentrating_tube(current, 0.25, quad0, threshold=0.0)
             if tube is None:
@@ -248,8 +247,7 @@ def test_c06_blue_exceptional(config):
 def test_c07_extraction(train, quad0):
     t0 = time.time()
     w, _ = train
-    tubes, rem, trace = extract_profile(w, DELTA, quad0, max_iter=400,
-                                        dilation_cap=C.LAMBDA_CAP)
+    tubes, rem, trace = extract_profile(w, DELTA, quad0, max_iter=400)
     floor = C.C_DEC * DELTA ** 2 / math.log(1.0 / DELTA)
     budget = math.ceil(1.0 / (C.C_DEC * DELTA ** 3))
     first_dir = dir_angle(tubes[0].omega)

@@ -14,7 +14,7 @@ from conewave.geometry import Tube, cube_touches_tube, unit_dir, wrap_delta
 from conewave.lattice import FrequencyLattice, lattice_for
 from conewave.norms import Quadrature
 from conewave.tube_cover import WeightedTubeFamily
-from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_wave, mass,
+from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_wave,
                             random_colored_wave, zero_wave)
 
 
@@ -54,7 +54,7 @@ def test_cube_mass_table_consistency(quad0, lat0):
     t_corners, masses = unit_cube_masses(psi, quad0)
     # summing all cubes recovers the full spacetime quadrature mass
     window = 2 * quad0.config.half_window
-    assert masses.sum() == pytest.approx(window * mass(psi), rel=1e-9)
+    assert masses.sum() == pytest.approx(window * psi.mass(), rel=1e-9)
 
 
 def test_partition_masses_sum_exactly(quad0, lat0):
@@ -64,8 +64,8 @@ def test_partition_masses_sum_exactly(quad0, lat0):
     for _, sel, chi in cells:
         part = make_wave(lat0, [], [], psi.modes_minus[sel],
                          psi.vals_minus[sel] * chi, color="blue", k=0)
-        total += mass(part)
-    assert total == pytest.approx(mass(psi), rel=1e-12)
+        total += part.mass()
+    assert total == pytest.approx(psi.mass(), rel=1e-12)
 
 
 def test_window_localized_pieces_orthogonal(small_config):
@@ -96,7 +96,7 @@ def test_window_localized_pieces_orthogonal(small_config):
     f0 = p0.evaluate(0.3) * eta
     f1 = p1.evaluate(0.3) * eta
     ip = np.vdot(f1, f0) * lat.spacing ** 2
-    scale = math.sqrt(mass(p0) * mass(p1))
+    scale = math.sqrt(p0.mass() * p1.mass())
     assert abs(ip) <= 1e-8 * max(scale, 1e-30)
 
 

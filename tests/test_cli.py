@@ -12,7 +12,7 @@ import conewave
 from conewave.cli import main, read_tubes, tube_from_dict, tube_to_dict, write_tubes
 from conewave.geometry import Tube, unit_dir
 from conewave.wave_io import load_wave, save_wave
-from conewave.waves import mass, random_colored_wave
+from conewave.waves import random_colored_wave
 from conewave.lattice import lattice_for
 
 SMALL = ["--box-L", "20", "--window", "4"]
@@ -36,7 +36,7 @@ def test_wave_file_roundtrip(tmp_path, small_config, lat0):
     back = load_wave(p)
     assert back.color == "blue" and back.k == 0
     assert back.lattice.size == lat0.size and back.lattice.box == lat0.box
-    assert mass(back) == pytest.approx(mass(w), rel=1e-6)  # complex64 storage
+    assert back.mass() == pytest.approx(w.mass(), rel=1e-6)  # complex64 storage
     sidecar = json.loads((tmp_path / "w.cwav.json").read_text())
     assert sidecar["points_per_axis"] == lat0.size
     # deterministic bytes
@@ -51,7 +51,7 @@ def test_cli_gen_wave_and_reload(tmp_path):
     assert rc == 0
     w = load_wave(tmp_path / "r.cwav")
     assert w.color == "red"
-    assert mass(w) == pytest.approx(1.0, rel=1e-6)
+    assert w.mass() == pytest.approx(1.0, rel=1e-6)
 
 
 def test_cli_cover_runs(tmp_path):
@@ -137,16 +137,24 @@ def test_cli_usage_error_exit_2():
     ["gen-wave", "--k", "-1"],
     ["extract", "--delta", "1.5"],
     ["gen-wave", "--margin", "-0.1"],
+    ["--config", "bogus_key = 3", "gen-wave"],
+    ["--config", "box_l 20", "gen-wave"],
 ])
 def test_cli_bad_values_are_usage_errors(argv, tmp_path, capsys):
     # rejected before any work: one error line, exit status 2, no output files
+    if "--config" in argv:            # the value after it is the file's text
+        i = argv.index("--config") + 1
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text(argv[i] + "\n")
+        argv = argv[:i] + [str(cfgf)] + argv[i + 1:]
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["--out-dir", str(tmp_path)] + argv)
+        main(["--out-dir", str(out)] + argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("conewave: error: ")
     assert "Traceback" not in "\n".join(err)
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

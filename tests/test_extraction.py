@@ -11,8 +11,7 @@ from conewave.extraction import (build_extractor, dual_witness, extract_profile,
 from conewave.geometry import Tube, dir_angle, unit_dir
 from conewave.norms import l2t_linf_on_tube
 from conewave.waves import (inner_product, make_red_cube_bump, make_red_cube_train,
-                            make_wave, margin, mass, plane_wave,
-                            random_colored_wave, zero_wave)
+                            make_wave, plane_wave, random_colored_wave, zero_wave)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +85,7 @@ def test_build_extractor_time_spike(quad0, lat0):
     F = build_extractor(lat0, wit, margin_target=0.05)
     assert np.allclose(np.abs(F.vals_plus), quad0.dt * abs(wit.f[0]))
     F.validate_support()
-    assert margin(F) >= 0.05 - 1e-12
+    assert F.margin() >= 0.05 - 1e-12
 
 
 def test_extractor_pairing_matches_witness(quad0, train):
@@ -94,28 +93,44 @@ def test_extractor_pairing_matches_witness(quad0, train):
     w, _ = train
     tube, _ = find_concentrating_tube(w, 0.2, quad0)
     wit = dual_witness(w, tube, quad0)
-    F = build_extractor(w.lattice, wit, margin_target=margin(w) - 1 / 20)
+    F = build_extractor(w.lattice, wit, margin_target=w.margin() - 1 / 20)
     sp = inner_product(w, F, t=0.0)
     td = wit.pairing_time_domain()
     assert abs(sp - td) <= 1e-6 * abs(td)
 
 
-def test_extractor_smooth_cutoff_margins(quad0, train):
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), min_margin=st.floats(1 / 20, 0.2),
+       direction=st.integers(0, 12), cell=st.tuples(st.integers(0, 39), st.integers(0, 39)))
+def test_pairings_equal_the_tube_norm(seed, min_margin, direction, cell, quad0, lat0):
+    # the time-domain pairing of the witness and the spectral pairing with
+    # the extractor both reproduce the witnessed tube norm, for a random red
+    # wave and any window tube on the search grid
+    phi = random_colored_wave(lat0, "red", 0, min_margin, seed)
+    theta = search_directions()[direction]
+    tube = Tube(0.0, (0.5 * cell[0], 0.5 * cell[1]), tuple(unit_dir(theta)), half_length=None)
+    wit = dual_witness(phi, tube, quad0)
+    F = build_extractor(lat0, wit, margin_target=0.5 * phi.margin())
+    assert abs(wit.pairing_time_domain() - wit.norm_value) <= 1e-12 * wit.norm_value
+    assert abs(inner_product(phi, F, 0.0).real - wit.norm_value) <= 1e-12 * wit.norm_value
+
+
+def test_extractor_cutoff_margins(quad0, train):
     w, _ = train
     tube, _ = find_concentrating_tube(w, 0.2, quad0)
     wit = dual_witness(w, tube, quad0)
-    lo = margin(w) - 1 / 25
-    F = build_extractor(w.lattice, wit, margin_target=lo, margin_full=margin(w))
-    assert margin(F) >= lo - 1e-12
+    lo = w.margin() - 1 / 25
+    F = build_extractor(w.lattice, wit, margin_target=lo)
+    assert F.margin() >= lo - 1e-12
     from conewave.constants import K_F
-    assert mass(F) <= K_F * math.log(1.0 / 0.2)
+    assert F.mass() <= K_F * math.log(1.0 / 0.2)
 
 
 def test_optimal_multiple_exact_cases(lat0):
     w = plane_wave(lat0, (25, 0), lat0.box)
     step = optimal_multiple(w, w)
     assert step.mu == 1.0
-    assert mass(w.sub(w, coeff=step.mu)) == pytest.approx(0.0, abs=1e-15)
+    assert w.sub(w, coeff=step.mu).mass() == pytest.approx(0.0, abs=1e-15)
     # Re<phi,F> = 1, M(F) = 2  ->  mu = 1/2, decrement = 1/2
     phi = plane_wave(lat0, (25, 0), lat0.box / math.sqrt(2.0))
     F = plane_wave(lat0, (25, 0), lat0.box * math.sqrt(2.0))
@@ -134,15 +149,14 @@ def test_optimal_multiple_rejects_antialigned(lat0):
 
 def test_extract_profile_zero_wave(quad0, lat0):
     tubes, rem, trace = extract_profile(zero_wave(lat0, color="red"), 0.2, quad0)
-    assert tubes == [] and mass(rem) == 0.0 and len(trace) == 0
+    assert tubes == [] and rem.mass() == 0.0 and len(trace) == 0
 
 
 def test_extract_profile_train(quad0, train):
     from conewave.constants import C_DEC, LAMBDA_CAP
     w, theta = train
     delta = 0.2
-    tubes, rem, trace = extract_profile(w, delta, quad0, max_iter=100,
-                                        dilation_cap=LAMBDA_CAP)
+    tubes, rem, trace = extract_profile(w, delta, quad0, max_iter=100)
     assert trace.completed
     assert len(trace) <= math.ceil(1.0 / (C_DEC * delta ** 3))
     assert abs(dir_angle(tubes[0].omega) - theta) <= 1.0 / 16.0
@@ -153,7 +167,7 @@ def test_extract_profile_train(quad0, train):
         assert s.decrement >= floor
         assert 0.0 < s.mu <= 1.0
     # consistency of the recorded masses with the actual remainder
-    assert trace.steps[-1].mass_after == pytest.approx(mass(rem), rel=1e-9)
+    assert trace.steps[-1].mass_after == pytest.approx(rem.mass(), rel=1e-9)
     # remainder concentration below the absolute threshold
     _, v = find_concentrating_tube(rem, delta, quad0, threshold=0.0)
     assert v < delta
@@ -176,7 +190,7 @@ def test_off_tube_smallness(quad0, train, small_config):
     w, theta = train
     tube, _ = find_concentrating_tube(w, 0.2, quad0)
     wit = dual_witness(w, tube, quad0)
-    F = build_extractor(w.lattice, wit, margin_target=margin(w) - 1 / 32)
+    F = build_extractor(w.lattice, wit, margin_target=w.margin() - 1 / 32)
     fat = tube.dilate(6.0)
     rng = np.random.default_rng(0)
     checked = 0
@@ -191,7 +205,7 @@ def test_off_tube_smallness(quad0, train, small_config):
             continue
         checked += 1
         worst = max(worst, l2t_linf_on_tube(F, probe, quad0))
-    assert worst <= EPS_OFF * math.sqrt(mass(F))
+    assert worst <= EPS_OFF * math.sqrt(F.mass())
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from conewave.harness import (ProfileReport, PsiSpec, fungibility_partition,
                               tube_sup_profile, universal_tube_family,
                               verify_fungibility, verify_profile)
 from conewave.norms import Quadrature, product_l2, product_slice_sums
-from conewave.waves import (make_blue_tube_wave, make_red_cube_train, mass,
-                            plane_wave, random_colored_wave, zero_wave)
+from conewave.waves import (make_blue_tube_wave, make_red_cube_train, plane_wave,
+                            random_colored_wave, zero_wave)
 from conewave.lattice import lattice_for
 
 
@@ -25,7 +25,7 @@ def train(small_config, lat0):
 def test_universal_family_zero_wave(quad0, lat0):
     tubes, rem, trace = universal_tube_family(zero_wave(lat0, color="red"),
                                               0.2, quad0)
-    assert tubes == [] and mass(rem) == 0.0
+    assert tubes == [] and rem.mass() == 0.0
 
 
 def test_universal_family_train(quad0, train):
@@ -99,7 +99,7 @@ def test_verify_fungibility_rows(small_config, quad0, train):
     quad = Quadrature(small_config, lat)
     psi = suite[0].build(small_config)
     full = product_l2(w.embed(lat), psi, None, quad)
-    denom = math.sqrt(mass(w) * mass(psi))
+    denom = math.sqrt(w.mass() * psi.mass())
     recomb = math.sqrt(sum(r["ratio"] ** 2 for r in rows)) * denom
     assert recomb == pytest.approx(full, rel=1e-9)
 
@@ -130,7 +130,7 @@ def test_fungibility_vacuous_at_ratio_ceiling(small_config, quad0, train):
     lat = lattice_for(small_config, 0)
     quad = Quadrature(small_config, lat)
     psi = suite[0].build(small_config)
-    ceiling = product_l2(w, psi, None, quad) / math.sqrt(mass(w) * mass(psi))
+    ceiling = product_l2(w, psi, None, quad) / math.sqrt(w.mass() * psi.mass())
     delta = 2.0 * ceiling
     whole = [(-small_config.half_window, small_config.half_window)]
     rows = verify_fungibility(w, whole, suite, delta, small_config)
@@ -148,7 +148,7 @@ def test_sharpness_rows_match_direct(small_config):
     tube = Tube(0.0, (6.0, 12.0), tuple(unit_dir(0.21)), half_length=1.0)
     train = make_red_cube_train(lat, tube, None, seed=3).normalize_mass(1.0)
     psi = make_blue_tube_wave(lat, 0.0, (6.0, 12.0), unit_dir(0.21), 0)
-    direct = product_l2(train, psi, None, quad) / math.sqrt(mass(train) * mass(psi))
+    direct = product_l2(train, psi, None, quad) / math.sqrt(train.mass() * psi.mass())
     assert r["rho"] == pytest.approx(direct, rel=1e-12)
     assert r["p"] == pytest.approx(5.0 / 3.0)
 

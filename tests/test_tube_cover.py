@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conewave.constants import S_MIN
 from conewave.errors import InvalidFamilyError
 from conewave.geometry import Tube, unit_dir
 from conewave.tube_cover import (CoverDiagnostics, WeightedTubeFamily,
                                  _axis_samples, _DenseResidual, _GridResidual,
-                                 greedy_tube_cover, verify_pointwise_bound)
+                                 _minimal_large_arcs, greedy_tube_cover,
+                                 verify_pointwise_bound)
 
 BOX = 20.0
 
@@ -198,6 +200,53 @@ def test_verify_pointwise_bound_trivia():
     # excluding fattened copies of every input tube leaves nothing
     exc = [t.dilate(1.5) for t in fam2.tubes]
     assert verify_pointwise_bound(fam2, exc, 0.5, 5000) == 0.0
+
+
+def _minimal_large_arcs_oracle(angles, weights, threshold, max_level):
+    """Every dyadic arc [-pi/2 + i w, -pi/2 + (i+1) w), w = pi/2^level, with
+    the weights of the angles inside it summed in order; the arcs heavier
+    than threshold that contain no deeper such arc."""
+    large = []
+    for level in range(max_level + 1):
+        w = math.pi / 2 ** level
+        for i in range(2 ** level):
+            lo, hi = -math.pi / 2 + i * w, -math.pi / 2 + (i + 1) * w
+            total = 0.0
+            for a, c in zip(angles, weights):
+                if lo <= a < hi:
+                    total += c
+            if total > threshold:
+                large.append((level, i, lo, hi))
+    return [(level, i) for level, i, lo, hi in large
+            if not any(deeper > level and lo <= lo2 and hi2 <= hi
+                       for deeper, _, lo2, hi2 in large)]
+
+
+def _arc_edge(level_index, side):
+    # an angle on (or one float beside) the arc edge -pi/2 + i pi/2^level
+    level, i = level_index
+    edge = -math.pi / 2 + i * (math.pi / 2 ** level)
+    return float(np.nextafter(edge, side * np.inf)) if side else edge
+
+
+# the e1 cone with the tolerance families accept, and the arc edges inside it
+_CONE_ANGLE = st.floats(-math.pi / 8 - 1e-3, math.pi / 8 + 1e-3)
+_EDGE_ANGLE = st.builds(
+    _arc_edge,
+    st.integers(1, 8).flatmap(lambda level: st.tuples(
+        st.just(level), st.integers(math.ceil(3 * 2 ** level / 8), 5 * 2 ** level // 8))),
+    st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles=st.lists(st.one_of(_CONE_ANGLE, _EDGE_ANGLE), min_size=1, max_size=30),
+       exponents=st.lists(st.floats(-8.0, 0.0), min_size=30, max_size=30),
+       threshold=st.one_of(st.just(0.0), st.floats(-8.0, 0.5).map(lambda e: 10.0 ** e)),
+       max_level=st.integers(0, 7))
+def test_minimal_large_arcs_match_oracle(angles, exponents, threshold, max_level):
+    weights = 10.0 ** np.array(exponents[:len(angles)])
+    got = _minimal_large_arcs(np.array(angles), weights, threshold, max_level)
+    assert got == _minimal_large_arcs_oracle(angles, weights, threshold, max_level)
 
 
 def test_grid_engine_matches_dense():
