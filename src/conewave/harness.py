@@ -20,7 +20,8 @@ from .config import RunConfig
 from .extraction import extract_profile
 from .geometry import Region, Tube, dir_angle, unit_dir
 from .lattice import lattice_for
-from .norms import Quadrature, disk_pixel_indices, product_densities
+from .norms import Quadrature, disk_pixel_indices, exact_product_quadrature, \
+    product_densities
 from .waves import SpectralWave, make_blue_tube_wave, make_red_cube_train, \
     random_colored_wave
 
@@ -229,9 +230,10 @@ def verify_fungibility(phi: SpectralWave, intervals: list, suite: list,
     m_phi = phi.mass()
     rows = []
     for quad, specs, psis in _partners_by_scale(suite, config):
+        quad = exact_product_quadrature(quad, phi, psis)
         w = quad.cell_weight()
         sums = np.zeros((len(psis), len(quad.times)))
-        for i, j, _, dens in product_densities(phi.embed(quad.lattice), psis, quad):
+        for i, j, _, dens in product_densities(phi, psis, quad):
             sums[j, i] = w * float(dens.sum())
         for spec, psi, s in zip(specs, psis, sums):
             denom = math.sqrt(m_phi * psi.mass())

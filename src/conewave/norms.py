@@ -4,6 +4,13 @@ Every norm here is *defined* as a Riemann sum: left-endpoint nodes in time
 (weight dt) and the full lattice grid in space (weight h^2).  The L^inf_x part
 of mixed norms is the max over grid points, a lower bound of the true sup that
 is adequate for the band-limited fields produced by this package.
+
+Full-window product sums (region None) are evaluated on the coarsest halving
+of the lattice grid that exceeds spread(phi) + spread(psi) points per axis
+(``exact_product_quadrature``), which is the same value up to round-off: phi
+psi is a trigonometric polynomial of that per-axis mode spread, so every
+nonzero frequency of |phi psi|^2 is below the grid size, sums to zero over
+the grid, and the Riemann sum on any such grid is the exact integral.
 """
 
 from __future__ import annotations
@@ -179,10 +186,35 @@ def product_densities(phi: SpectralWave, partners, quad: Quadrature,
         del f
 
 
+def exact_product_quadrature(quad: Quadrature, phi: SpectralWave,
+                             partners) -> Quadrature:
+    """The quadrature on the coarsest halving N / 2^j of quad's lattice that
+    is still a lattice and has more points per axis than spread(phi) plus the
+    largest spread of the partners; quad itself when no halving qualifies.
+
+    On such a grid each wave's modes are distinct mod N, so ``evaluate``
+    gives its exact point values, and the full-grid Riemann sum of
+    |phi psi|^2 equals the one on quad's grid to round-off."""
+    spread = phi.spread() + np.max([psi.spread() for psi in partners], axis=0)
+    lat = quad.lattice
+    while lat.size // 2 > spread.max():
+        try:
+            lat = FrequencyLattice(lat.dimension, lat.size // 2, lat.box)
+        except ValueError:          # odd, too small, or h above 1/4
+            break
+    return quad if lat is quad.lattice else Quadrature(quad.config, lat)
+
+
 def product_slice_sums(phi: SpectralWave, psi: SpectralWave, quad: Quadrature,
                        region: Optional[Region] = None) -> np.ndarray:
-    """Per-time-slice values of sum_x h^2 |phi psi|^2, zero outside the region."""
+    """Per-time-slice values of sum_x h^2 |phi psi|^2, zero outside the region.
+
+    Without a region the sums run on ``exact_product_quadrature``'s grid,
+    which gives the same values as quad's grid to round-off; a region's mask
+    is built on quad's grid and keeps it."""
     out = np.zeros(len(quad.times))
+    if region is None:
+        quad = exact_product_quadrature(quad, phi, (psi,))
     w = quad.cell_weight()
     for i, _, mask, dens in product_densities(phi, (psi,), quad, region):
         out[i] = w * float(dens.sum() if mask is None else dens[mask].sum())

@@ -149,12 +149,27 @@ class SpectralWave:
 
     # -- synthesis ----------------------------------------------------------
 
+    def spread(self) -> np.ndarray:
+        """Per-axis spread of the mode integers over both cone sides: max - min
+        on each axis, zeros for the zero wave."""
+        if "spread" not in self._cache:
+            modes = np.concatenate([self.modes_plus, self.modes_minus])
+            self._cache["spread"] = np.ptp(modes, axis=0) if len(modes) \
+                else np.zeros(2, dtype=np.int64)
+        return self._cache["spread"]
+
+    def _check_band(self, lattice: FrequencyLattice) -> None:
+        if "reach" not in self._cache:
+            modes = np.concatenate([self.modes_plus, self.modes_minus])
+            self._cache["reach"] = int(np.abs(modes).max()) if len(modes) else 0
+        if self._cache["reach"] > lattice.size // 2 - 1:
+            raise ValueError("wave modes not representable on this lattice")
+
     def _indices(self, side: str, lattice: FrequencyLattice):
+        """Grid indices of one side's modes: the mode integers folded mod N."""
         key = ("idx", side, lattice.size)
         if key not in self._cache:
             modes = self.modes_plus if side == "plus" else self.modes_minus
-            if np.any(np.abs(modes) > lattice.size // 2 - 1):
-                raise ValueError("wave modes not representable on this lattice")
             self._cache[key] = (modes[:, 0] % lattice.size, modes[:, 1] % lattice.size)
         return self._cache[key]
 
@@ -170,10 +185,19 @@ class SpectralWave:
         return lat
 
     def evaluate(self, t: float, lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
-        """Spatial field at time t on the lattice grid (complex N x N)."""
+        """Spatial field at time t on the lattice grid (complex N x N).
+
+        The lattice may be coarser than the wave's band: on the grid x = j h,
+        h = L / N, the mode m and the mode m mod N take the same values, so
+        folding the mode integers mod N gives the exact point values as long
+        as no two modes share a residue.  That holds when the modes spread
+        over fewer than N integers on each axis; ValueError otherwise."""
         lat = self._eval_lattice(lattice)
+        if np.any(self.spread() >= lat.size):
+            raise ValueError(f"wave modes spread over {tuple(self.spread())} integers: "
+                             f"two may share a residue mod N = {lat.size}")
         # a fresh coefficient array per call, transformed in place
-        buf = self.coefficients_at(t, lat, (lat.size / lat.box) ** 2)
+        buf = self._scatter(t, lat, (lat.size / lat.box) ** 2)
         return _fft.ifft2(buf, overwrite_x=True, workers=_FFT_WORKERS)
 
     def point_values(self, times, rows, cols,
@@ -181,6 +205,7 @@ class SpectralWave:
         """Field values at (times[i], h * (rows[i], cols[i])): the entries
         evaluate(times[i])[rows[i], cols[i]], summed over the modes directly."""
         lat = self._eval_lattice(lattice)
+        self._check_band(lat)
         n = lat.size
         out = np.zeros(len(times), dtype=np.complex128)
         for side, vals in (("plus", self.vals_plus), ("minus", self.vals_minus)):
@@ -195,8 +220,14 @@ class SpectralWave:
     def coefficients_at(self, t: float, lattice: Optional[FrequencyLattice] = None,
                         scale: float = 1.0) -> np.ndarray:
         """Dense phased coefficient array at time t, times scale (for
-        spectral pairings)."""
+        spectral pairings).  ValueError when a mode lies outside the band
+        |m| <= N/2 - 1 of the lattice."""
         lat = lattice or self.lattice
+        self._check_band(lat)
+        return self._scatter(t, lat, scale)
+
+    def _scatter(self, t: float, lat: FrequencyLattice, scale: float) -> np.ndarray:
+        """Phased coefficients scattered onto the lattice's index grid."""
         buf = lat.zeros()
         for side, vals in (("plus", self.vals_plus), ("minus", self.vals_minus)):
             if len(vals):

@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conewave
 from conewave.cli import main, read_tubes, tube_from_dict, tube_to_dict, write_tubes
@@ -42,6 +44,23 @@ def test_wave_file_roundtrip(tmp_path, small_config, lat0):
     # deterministic bytes
     save_wave(w, tmp_path / "w2.cwav")
     assert (tmp_path / "w.cwav").read_bytes() == (tmp_path / "w2.cwav").read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(color=st.sampled_from(["red", "blue"]), k=st.integers(0, 2),
+       margin=st.floats(0.0, 0.4), seed=st.integers(0, 10_000))
+def test_wave_file_roundtrip_keeps_every_coefficient(small_config, color, k, margin, seed):
+    w = random_colored_wave(lattice_for(small_config, k), color, k, margin, seed=seed)
+    with tempfile.TemporaryDirectory() as d:
+        save_wave(w, Path(d) / "w.cwav")
+        back = load_wave(Path(d) / "w.cwav")
+    assert (back.color, back.k, back.lattice) == (w.color, w.k, w.lattice)
+    for a, b in ((back.modes_plus, w.modes_plus), (back.modes_minus, w.modes_minus)):
+        assert np.array_equal(a, b)
+    for a, b in ((back.vals_plus, w.vals_plus), (back.vals_minus, w.vals_minus)):
+        # complex64 keeps each part to half a unit in the 24th bit
+        for part in (np.real, np.imag):
+            assert np.all(np.abs(part(a) - part(b)) <= 2.0 ** -24 * np.abs(part(b)))
 
 
 def test_cli_gen_wave_and_reload(tmp_path):

@@ -8,7 +8,7 @@ from conewave.harness import (ProfileReport, PsiSpec, fungibility_partition,
                               sharpness_experiment, standard_suite,
                               tube_sup_profile, universal_tube_family,
                               verify_fungibility, verify_profile)
-from conewave.norms import Quadrature, product_l2, product_slice_sums
+from conewave.norms import Quadrature, product_densities, product_l2, product_slice_sums
 from conewave.waves import (make_blue_tube_wave, make_red_cube_train, plane_wave,
                             random_colored_wave, zero_wave)
 from conewave.lattice import lattice_for
@@ -91,17 +91,21 @@ def test_verify_fungibility_rows(small_config, quad0, train):
     w, tube = train
     tubes, _, _ = universal_tube_family(w, 0.3, quad0, max_iter=100)
     intervals = fungibility_partition(w, tubes, 0.3, quad0)
-    suite = [PsiSpec("random", 0, seed=5)]
+    # at k = 2 the sums run on a halved grid: 160 points against 320
+    suite = [PsiSpec("random", 0, seed=5), PsiSpec("random", 2, seed=6),
+             PsiSpec("packet", 2, x0=(4.0, 6.0), theta=0.1)]
     rows = verify_fungibility(w, intervals, suite, 0.3, small_config)
-    assert len(rows) == len(intervals)
-    # interval squared ratios recombine to the full-window ratio
-    lat = lattice_for(small_config, 0)
-    quad = Quadrature(small_config, lat)
-    psi = suite[0].build(small_config)
-    full = product_l2(w.embed(lat), psi, None, quad)
-    denom = math.sqrt(w.mass() * psi.mass())
-    recomb = math.sqrt(sum(r["ratio"] ** 2 for r in rows)) * denom
-    assert recomb == pytest.approx(full, rel=1e-9)
+    assert len(rows) == len(suite) * len(intervals)
+    for spec in suite:
+        # interval squared ratios recombine to the full-window sum of the
+        # fine-grid definition
+        psi = spec.build(small_config)
+        quad = Quadrature(small_config, psi.lattice)
+        fine = sum(quad.cell_weight() * float(dens.sum())
+                   for _, _, _, dens in product_densities(w, (psi,), quad))
+        ratios = [r["ratio"] for r in rows if r["kind"] == spec.kind and r["k"] == spec.k]
+        recomb = sum(r * r for r in ratios) * w.mass() * psi.mass()
+        assert recomb == pytest.approx(quad.dt * fine, rel=1e-12)
 
 
 def test_composition_soundness(small_config, quad0, train):

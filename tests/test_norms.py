@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conewave.geometry import Region, Tube, unit_dir
+from conewave.lattice import lattice_for
 from conewave.norms import (Quadrature, disk_pixel_indices, l2t_linf_on_tube,
                             lp_product, product_densities, product_l2,
                             product_slice_sums, region_slice_mask)
-from conewave.waves import make_red_cube_train, plane_wave, random_colored_wave, zero_wave
+from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_red_cube_train,
+                            make_wave, plane_wave, random_colored_wave, zero_wave)
 
 
 def test_product_l2_zero_and_empty(quad0, lat0, small_config):
@@ -151,3 +153,58 @@ def test_region_mask_spans_match_pixel_scatter():
         centres += len(tubes)
         got = region_slice_mask(Region(-1.0, 1.0, tuple(tubes)), 0.0, lat)
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# full-window sums on the coarsest alias-exact grid
+
+def _sum_pair(config, kind, k, seed, theta=0.1, x=(3.0, 4.0)):
+    """(phi, psi, quad) at scale k: a random red k = 0 wave against a random
+    blue k wave, a cube bump against a blue packet, a two-sided wave against
+    a blue wave on the same modes, or the hand-built plane-wave pair whose
+    spread is exactly half the k lattice (axis 0 or 1)."""
+    lat0, lat = lattice_for(config, 0), lattice_for(config, k)
+    if kind == "random":
+        phi = random_colored_wave(lat0, "red", 0, 1 / 20, seed).embed(lat)
+        psi = random_colored_wave(lat, "blue", k, 1 / 20, seed + 1)
+    elif kind == "packet":
+        phi = make_red_cube_bump(lat0, (0.0, *x)).embed(lat)
+        psi = make_blue_tube_wave(lat, 0.5, x, unit_dir(theta), k)
+    elif kind == "shared":
+        red = random_colored_wave(lat, "red", k, 1 / 20, seed)
+        phi = red.sub(random_colored_wave(lat, "blue", k, 1 / 20, seed + 1), -1.0)
+        psi = random_colored_wave(lat, "blue", k, 1 / 20, seed + 2)
+    else:
+        # modes 20, 40 against 19, 79 on the 160 lattice: 20 + 60 = 80
+        e = np.eye(2, dtype=np.int64)[int(kind[-1])]
+        lat = lattice_for(config, 1)
+        phi = make_wave(lat, np.outer([20, 40], e), [1.0, 0.5 + 0.5j], [], [])
+        psi = make_wave(lat, np.outer([19, 79], e), [0.7, 1.0], [], [])
+        assert (phi.spread() + psi.spread()).max() * 2 == lat.size
+    return phi, psi, Quadrature(config, lat)
+
+
+@settings(max_examples=24, deadline=None)
+@given(kind=st.sampled_from(["random", "packet", "shared"]), k=st.integers(0, 3),
+       seed=st.integers(0, 10_000), theta=st.floats(-0.3, 0.3),
+       x=st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)))
+@example(kind="plane0", k=1, seed=0, theta=0.0, x=(0.0, 0.0))
+@example(kind="plane1", k=1, seed=0, theta=0.0, x=(0.0, 0.0))
+def test_full_window_sums_equal_the_fine_grid_definition(small_config, kind, k,
+                                                         seed, theta, x):
+    phi, psi, quad = _sum_pair(small_config, kind, k, seed, theta, x)
+    w = quad.cell_weight()
+    want = np.array([w * float(dens.sum())
+                     for _, _, _, dens in product_densities(phi, (psi,), quad)])
+    got = product_slice_sums(phi, psi, quad)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind,k,size", [("random", 3, 320), ("packet", 3, 80),
+                                         ("plane0", 1, 160), ("plane1", 1, 160)])
+def test_full_window_sums_synthesize_on_the_coarse_grid(small_config, evaluate_calls,
+                                                        kind, k, size):
+    phi, psi, quad = _sum_pair(small_config, kind, k, seed=5)
+    product_slice_sums(phi, psi, quad)
+    assert len(evaluate_calls) == 2 * len(quad.times)
+    assert {n for _, _, n in evaluate_calls} == {size}

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conewave.errors import InfeasibleMarginError, MarginUndefinedError
 from conewave.geometry import SECTOR_HALF_ANGLE, Tube, unit_dir
 from conewave.lattice import FrequencyLattice, lattice_for
-from conewave.waves import (SpectralWave, make_blue_tube_wave, make_red_cube_bump,
-                            make_red_cube_train, make_wave, plane_wave,
-                            random_colored_wave, sector_margin_distance, zero_wave)
+from conewave.waves import (SpectralWave, inner_product, make_blue_tube_wave,
+                            make_red_cube_bump, make_red_cube_train, make_wave,
+                            plane_wave, random_colored_wave, sector_margin_distance,
+                            zero_wave)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +248,57 @@ def test_sub_and_embed(small_config, lat0):
     # same field sampled on the finer grid at the coarse points
     step = fine.size // lat0.size
     assert np.allclose(f1[::step, ::step], f0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# synthesis on a lattice coarser than the band: modes folded mod N
+
+@settings(max_examples=40, deadline=None)
+@given(packet=st.booleans(), color=st.sampled_from(["red", "blue"]), k=st.integers(0, 3),
+       seed=st.integers(0, 10_000), theta=st.floats(-0.3, 0.3),
+       x=st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)), t=st.floats(-4.0, 4.0))
+def test_folded_evaluate_samples_the_fine_field(small_config, packet, color, k, seed,
+                                                theta, x, t):
+    lat = lattice_for(small_config, k)
+    if packet:
+        w = make_blue_tube_wave(lat, 0.0, x, unit_dir(theta), k)
+        if color == "red":
+            w = make_wave(lat, w.modes_minus, w.vals_minus, [], [], color="red", k=k)
+    else:
+        w = random_colored_wave(lat, color, k, 1 / 20, seed)
+    # the k = 0 lattice is the coarsest one (h = 1/4): compare it with k = 1
+    fine = lattice_for(small_config, max(k, 1))
+    half = FrequencyLattice(2, fine.size // 2, fine.box)
+    assume(np.all(w.spread() < half.size))
+    want = w.evaluate(t, fine)[::2, ::2]
+    got = w.evaluate(t, half)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_evaluate_rejects_modes_sharing_a_residue(small_config):
+    lat = lattice_for(small_config, 1)
+    half = lattice_for(small_config, 0)          # N = 80
+    for modes in ([[-40, 0], [40, 0]], [[30, -40], [30, 40]]):   # spread 80 on one axis
+        w = make_wave(lat, modes, [1.0, 1.0], [], [])
+        with pytest.raises(ValueError):
+            w.evaluate(0.0, half)
+    # spread 79 on both axes: every mode keeps its own residue
+    w = make_wave(lat, [[-40, -40]], [1.0], [[39, 39]], [1.0])
+    np.testing.assert_allclose(w.evaluate(0.3, half),
+                               w.evaluate(0.3, lat)[::2, ::2], rtol=0.0, atol=1e-15)
+
+
+def test_spectral_paths_keep_the_band_check(small_config):
+    lat = lattice_for(small_config, 1)
+    half = lattice_for(small_config, 0)          # band |m| <= 39
+    w = make_wave(lat, [[45, 3], [50, 3]], [1.0, 2.0], [], [])
+    w.evaluate(0.0, half)                         # spread 5: folds
+    with pytest.raises(ValueError):
+        w.coefficients_at(0.0, half)
+    with pytest.raises(ValueError):
+        inner_product(w, w, 0.0, half)
+    with pytest.raises(ValueError):
+        w.point_values([0.0], [0], [0], half)
 
 
 # ---------------------------------------------------------------------------
