@@ -23,14 +23,15 @@ from .blue_exceptional import exceptional_tubes_for_blue, find_bad_cubes
 from .config import RunConfig
 from .errors import ConewaveError
 from .extraction import extract_profile, search_cell
-from .geometry import Tube, cube_touches_tube, unit_dir
+from .geometry import Tube, cube_touches_tube, unit_dir, wrap_delta
 from .harness import (TRAIN_THETA, TRAIN_X0, fungibility_partition, sharpness_experiment,
                       standard_suite, standard_train, universal_tube_family,
                       verify_fungibility, verify_profile)
 from .lattice import FrequencyLattice, lattice_for
 from .norms import Quadrature
 from .render import field_to_ppm
-from .tube_cover import WeightedTubeFamily, greedy_tube_cover, verify_pointwise_bound
+from .tube_cover import (CoverDiagnostics, WeightedTubeFamily, greedy_tube_cover,
+                         verify_pointwise_bound)
 from .wave_io import load_wave, save_wave
 from .waves import (make_blue_tube_wave, make_red_cube_bump, make_red_cube_train,
                     random_colored_wave)
@@ -210,30 +211,34 @@ def cmd_gen_wave(cfg, args) -> int:
 
 
 def _random_family(cfg, args) -> WeightedTubeFamily:
+    """--tubes seeded tubes, each drawn until it lies S_MIN from the earlier
+    ones in the torus separation of check_separation."""
     rng = np.random.default_rng(args.seed)
     half = 2.0 ** args.k
-    xs, ws = [], []
+    xs, ws = np.zeros((0, 2)), np.zeros((0, 2))
     while len(xs) < args.tubes:
         x0 = rng.uniform(0.0, cfg.box, size=2)
         om = unit_dir(rng.uniform(-math.pi / 8, math.pi / 8))
-        if all(np.linalg.norm(x0 - x) + half * np.linalg.norm(om - w) >= 0.5
-               for x, w in zip(xs, ws)):
-            xs.append(x0)
-            ws.append(om)
+        d = wrap_delta(x0 - xs, cfg.box)
+        e = om - ws
+        if np.all(np.hypot(d[:, 0], d[:, 1]) + half * np.hypot(e[:, 0], e[:, 1]) >= C.S_MIN):
+            xs = np.vstack([xs, x0])
+            ws = np.vstack([ws, om])
     w = rng.uniform(0.2, 1.0, size=len(xs))
-    return WeightedTubeFamily.from_arrays(np.reshape(xs, (-1, 2)), np.reshape(ws, (-1, 2)),
-                                          w / w.sum(), args.k, cfg.box)
+    return WeightedTubeFamily.from_arrays(xs, ws, w / w.sum(), args.k, cfg.box)
 
 
 def cmd_cover(cfg, args) -> int:
     fam = args.family if args.family is not None else _random_family(cfg, args)
     exc = greedy_tube_cover(fam, args.delta)
+    diag = CoverDiagnostics()
     residual = verify_pointwise_bound(fam, exc, args.delta, args.samples,
-                                      seed=args.seed)
+                                      seed=args.seed, diagnostics=diag)
     write_tubes(exc, _out(args, "cover_tubes.json"))
     budget = C.K_COV * args.delta ** -3
     print(f"family={len(fam)} exceptional={len(exc)} (budget {budget:.0f}) "
-          f"residual={residual:.4f} (delta {args.delta})")
+          f"residual={residual:.4f} (delta {args.delta}) "
+          f"outside={diag.samples_outside}/{diag.samples_checked}")
     return 0 if residual <= args.delta and len(exc) <= budget else 1
 
 
@@ -362,10 +367,12 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
     delta = getattr(args, "delta", None)
     if delta is not None and not 0.0 < delta < 1.0:
         ap.error(f"--delta must lie in (0, 1), got {delta}")
-    for flag in ("k", "kmax", "margin"):
+    for flag in ("k", "kmax", "margin", "samples"):
         val = getattr(args, flag, None)
         if val is not None and val < 0:
             ap.error(f"--{flag} must be >= 0, got {val}")
+    if getattr(args, "tubes", 1) < 1:
+        ap.error(f"--tubes must be >= 1, got {args.tubes}")
     # input files are read here, so a bad file is a usage error too
     try:
         if getattr(args, "wave", None):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conewave
-from conewave.cli import main, read_tubes, tube_from_dict, tube_to_dict, write_tubes
+from conewave.cli import (_random_family, main, read_tubes, tube_from_dict, tube_to_dict,
+                          write_tubes)
+from conewave.config import RunConfig
+from conewave.constants import S_MIN
 from conewave.geometry import Tube, unit_dir
 from conewave.wave_io import load_wave, save_wave
 from conewave.waves import random_colored_wave
@@ -73,12 +77,24 @@ def test_cli_gen_wave_and_reload(tmp_path):
     assert w.mass() == pytest.approx(1.0, rel=1e-6)
 
 
-def test_cli_cover_runs(tmp_path):
+def test_cli_cover_runs(tmp_path, capsys):
     rc = main(SMALL + ["--out-dir", str(tmp_path), "--seed", "1",
                        "cover", "--delta", "0.5", "--tubes", "30", "--k", "1",
                        "--samples", "5000"])
     assert rc == 0
     assert (tmp_path / "cover_tubes.json").exists()
+    outside = capsys.readouterr().out.split("outside=")[1].split()[0]
+    n, total = map(int, outside.split("/"))
+    assert total == 5000 and 0 < n <= total
+
+
+def test_cli_random_family_is_separated():
+    # the default family of `cover`; seeds 3 and 4 gave 0.34 and 0.44 when
+    # the separation was measured without the torus wrap
+    for seed in range(6):
+        fam = _random_family(RunConfig(), argparse.Namespace(seed=seed, k=1, tubes=400))
+        assert len(fam) == 400
+        assert fam.check_separation() >= S_MIN
 
 
 def test_cli_blue_tubes(tmp_path):
@@ -158,6 +174,9 @@ def test_cli_usage_error_exit_2():
     ["gen-wave", "--margin", "-0.1"],
     ["--config", "bogus_key = 3", "gen-wave"],
     ["--config", "box_l 20", "gen-wave"],
+    ["cover", "--delta", "0.3", "--samples", "-1"],
+    ["cover", "--delta", "0.3", "--tubes", "-3"],
+    ["cover", "--delta", "0.3", "--tubes", "0"],
 ])
 def test_cli_bad_values_are_usage_errors(argv, tmp_path, capsys):
     # rejected before any work: one error line, exit status 2, no output files

@@ -8,9 +8,9 @@ from conewave.constants import S_MIN
 from conewave.errors import InvalidFamilyError
 from conewave.geometry import Tube, unit_dir
 from conewave.tube_cover import (CoverDiagnostics, WeightedTubeFamily,
-                                 _axis_samples, _DenseResidual, _GridResidual,
-                                 _minimal_large_arcs, greedy_tube_cover,
-                                 verify_pointwise_bound)
+                                 _axis_samples, _GridResidual, _incidence,
+                                 _minimal_large_arcs, _PairResidual, _verify_samples,
+                                 greedy_tube_cover, verify_pointwise_bound)
 
 BOX = 20.0
 
@@ -195,11 +195,20 @@ def test_per_class_residual_bound():
 
 def test_verify_pointwise_bound_trivia():
     fam = WeightedTubeFamily((), np.zeros(0), 1, BOX)
-    assert verify_pointwise_bound(fam, [], 0.5, 100) == 0.0
+    diag = CoverDiagnostics()
+    assert verify_pointwise_bound(fam, [], 0.5, 100, diagnostics=diag) == 0.0
+    assert (diag.samples_checked, diag.samples_outside) == (0, 0)
     fam2 = _random_separated_family(3, 10, 1)
-    # excluding fattened copies of every input tube leaves nothing
+    # excluding fattened copies of every input tube leaves no sample with a
+    # nonzero residual, but samples away from the tubes are still checked
     exc = [t.dilate(1.5) for t in fam2.tubes]
-    assert verify_pointwise_bound(fam2, exc, 0.5, 5000) == 0.0
+    assert verify_pointwise_bound(fam2, exc, 0.5, 5000, diagnostics=diag) == 0.0
+    assert diag.samples_checked == 5000 and 0 < diag.samples_outside < 5000
+    # one tube over the whole torus leaves nothing: the pass is vacuous, and
+    # the diagnostics say so
+    everything = Tube(0.0, (BOX / 2, BOX / 2), (1.0, 0.0), half_length=None, radius=BOX)
+    assert verify_pointwise_bound(fam2, [everything], 0.5, 5000, diagnostics=diag) == 0.0
+    assert (diag.samples_checked, diag.samples_outside) == (5000, 0)
 
 
 def _minimal_large_arcs_oracle(angles, weights, threshold, max_level):
@@ -249,7 +258,7 @@ def test_minimal_large_arcs_match_oracle(angles, exponents, threshold, max_level
     assert got == _minimal_large_arcs_oracle(angles, weights, threshold, max_level)
 
 
-def test_grid_engine_matches_dense():
+def test_grid_engine_matches_pair_engine():
     # grid-anchored family evaluated by both engines
     rng = np.random.default_rng(7)
     k = 2
@@ -265,19 +274,86 @@ def test_grid_engine_matches_dense():
     w = rng.uniform(0.0, 1.0, size=len(tubes))
     w /= w.sum() * 1.5
     fam = WeightedTubeFamily(tuple(tubes), w, k, BOX)
-    dense = _DenseResidual(fam)
+    pair = _PairResidual(fam)
     grid = _GridResidual(fam)
-    vd, pd = dense.max_point()
+    vp, pp = pair.max_point()
     vg, pg = grid.max_point()
     # the grid engine scans every (direction, integer anchor) pair, a strict
     # superset of the axis samples, so its max dominates
-    assert vg >= vd - 1e-12
-    for v, p in ((vd, pd), (vg, pg)):
+    assert vg >= vp - 1e-12
+    for v, p in ((vp, pp), (vg, pg)):
         inc = fam.membership(np.array([p[0]]), np.asarray(p[1]).reshape(1, 2))[0]
         assert float(inc @ fam.weights) == pytest.approx(v, rel=1e-12)
-    hits_d = sorted(dense.collect(pd))
-    hits_g = sorted(grid.collect(pd))
-    assert hits_d == hits_g
+    hits_p = sorted(pair.collect(pp))
+    hits_g = sorted(grid.collect(pp))
+    assert hits_p == hits_g
+
+
+@st.composite
+def _incidence_cases(draw):
+    """A family on box 20 or 40 at k = 0..3 with anchors at 0, at
+    box - 1e-15 and at -1e-17 (whose centre at t = 0 folds to box itself
+    under %) and two same-direction tubes exactly 1 apart across the seam,
+    plus random tubes; a subset of tubes marked inactive; and random
+    spacetime points, some beyond the tubes' time span."""
+    box = draw(st.sampled_from([20.0, 40.0]))
+    k = draw(st.integers(0, 3))
+    half = 2.0 ** k
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 30))
+    seam = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    y = draw(st.floats(0.0, box, exclude_max=True))
+    anchors = np.vstack([[[-1e-17, -1e-17], [box - 1e-15, box - 1e-15], [0.0, box - 1e-15],
+                          [box - seam, y], [1.0 - seam, y]],
+                         rng.uniform(0.0, box, (n, 2))])
+    thetas = rng.uniform(-math.pi / 8, math.pi / 8, len(anchors))
+    thetas[4] = thetas[3]
+    weights = rng.uniform(0.0, 1.0, len(anchors))
+    fam = WeightedTubeFamily.from_arrays(anchors, [unit_dir(t) for t in thetas],
+                                         weights / weights.sum(), k, box)
+    active = rng.random(len(fam)) < draw(st.sampled_from([1.0, 0.5]))
+    m = draw(st.integers(0, 400))
+    times = rng.uniform(-half - 0.5, half + 0.5, m)
+    near = fam.anchors[rng.integers(0, len(fam), m)] + \
+        fam.directions[rng.integers(0, len(fam), m)] * times[:, None]
+    points = (near + rng.uniform(-1.5, 1.5, (m, 2))) % box
+    return fam, active, times, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_incidence_cases())
+def test_pair_engine_matches_membership(case):
+    fam, active, times, points = case
+    engine = _PairResidual(fam)
+    inc = fam.membership(engine.points[:, 0], engine.points[:, 1:])
+    rows, cols = np.nonzero(inc)
+    assert np.array_equal(engine.rows, rows) and np.array_equal(engine.cols, cols)
+    engine.active = active
+    np.testing.assert_allclose(engine.residual(), inc[:, active] @ fam.weights[active],
+                               rtol=1e-12, atol=0.0)
+    # points off the witness times, as the verifier samples them
+    rows, cols = _incidence(fam, times, points)
+    want = np.nonzero(fam.membership(times, points))
+    assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+
+
+@pytest.mark.parametrize("k, delta, drop", [(0, 0.25, False), (1, 0.1, False),
+                                            (2, 0.25, True), (3, 0.25, True)])
+def test_verifier_equals_dense_reference(k, delta, drop):
+    fam = _bundle_family(3, k, 120)
+    diag = CoverDiagnostics()
+    out = greedy_tube_cover(fam, delta, diagnostics=diag)
+    if drop:                    # leave a heavy point uncovered
+        out = [t for t in out if t not in diag.class_tubes[0]]
+    got = verify_pointwise_bound(fam, out, delta, 20000, seed=4, diagnostics=diag)
+    pts = _verify_samples(fam, 20000, 4)
+    keep = np.ones(len(pts), dtype=bool)
+    for tube in out:
+        keep &= ~tube.contains(pts[:, 0], pts[:, 1:], fam.box)
+    want = float((fam.membership(pts[keep, 0], pts[keep, 1:]) @ fam.weights).max())
+    assert want > 0.0
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert (diag.samples_checked, diag.samples_outside) == (20000, int(keep.sum()))
 
 
 # ---------------------------------------------------------------------------
