@@ -59,12 +59,20 @@ def unit_cell_sums(lattice: FrequencyLattice, modes: np.ndarray,
     lo = modes.min(axis=0)
     spread = modes.max(axis=0) - lo
     shape = tuple(box * -(-(2 * int(s) + 1) // box) for s in spread)
-    # shifting every mode by lo leaves |u|^2 unchanged
-    spec = np.zeros(shape, dtype=np.complex128)
-    np.add.at(spec, ((modes[:, 0] - lo[0]) % shape[0], (modes[:, 1] - lo[1]) % shape[1]),
-              coeffs)
+    # shifting every mode by lo leaves |u|^2 unchanged; bincount adds
+    # repeated modes in input order, as np.add.at would
+    flat = (modes[:, 0] - lo[0]) * shape[1] + (modes[:, 1] - lo[1])
+    coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
+    spec = np.empty(shape, dtype=np.complex128)
+    size = shape[0] * shape[1]
+    spec.real = np.bincount(flat, coeffs.real, minlength=size).reshape(shape)
+    spec.imag = np.bincount(flat, coeffs.imag, minlength=size).reshape(shape)
+    # each grid is freed once used: the largest of them set the peak memory
+    # of a blue-wave scan
     field = _fft.ifft2(spec, norm="forward", workers=_FFT_WORKERS)
+    del spec
     dens = np.square(field.real) + np.square(field.imag)
+    del field
     spectrum = _fft.fft2(dens, norm="forward", workers=_FFT_WORKERS)
     spectrum *= _dirichlet(shape[0], n, cell)[:, None]
     spectrum *= _dirichlet(shape[1], n, cell)[None, :]

@@ -25,12 +25,15 @@ as ``WeightedTubeFamily.membership``.  Residual evaluation has two engines:
   reduces the pairs of its samples the same way.
 * ``_GridResidual``: families of more than ``_GRID_ENGINE_MIN_TUBES`` tubes
   whose anchors sit on the integer grid (the shape produced by the blue-wave
-  sector weights).  Per time sample the residual on a whole anchor grid is a
-  few np.rolls, which beats the pairs once a family has millions of them.
+  sector weights).  The residual on a whole anchor grid at one witness time
+  is a sum of shifted windows of one wrap-padded stack of the per-direction
+  weight images, with the (time, direction pair) stencils built once per
+  engine; this beats the pairs once a family has millions of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -273,16 +276,34 @@ class _PairResidual:
         return hit
 
 
+@functools.lru_cache(maxsize=4096)
+def _stencil(s1: float, s2: float) -> tuple:
+    """Integer offsets d with |d - s| <= 1; exact because both the observed
+    anchors and the observing anchors sit on integers.  Cached: the families
+    of one blue wave share their directions and witness times."""
+    return tuple((d1, d2)
+                 for d1 in range(int(math.floor(s1 - 1.0)), int(math.ceil(s1 + 1.0)) + 1)
+                 for d2 in range(int(math.floor(s2 - 1.0)), int(math.ceil(s2 + 1.0)) + 1)
+                 if (d1 - s1) ** 2 + (d2 - s2) ** 2 <= 1.0 + 1e-12)
+
+
 class _GridResidual:
     """Residual on grid-anchored families: per direction group the anchor
     weights live on the integer torus grid, and the residual at the axis
     sample points of group g' at time t is a fixed small-stencil correlation
-    of every group's weight image."""
+    of every group's weight image.  The stencils depend only on the
+    directions and times, so they are built once; each ``max_point`` wraps
+    the current images into one padded stack and adds shifted windows of it."""
 
     def __init__(self, family: WeightedTubeFamily):
         self.family = family
         self.box_i = int(round(family.box))
-        uniq, inv = np.unique(np.round(family.directions, 9), axis=0, return_inverse=True)
+        # direction groups in the lexicographic order of np.unique(axis=0),
+        # found by viewing each rounded row as one complex number (complex
+        # numbers sort lexicographically, and much faster than rows)
+        rows = np.ascontiguousarray(np.round(family.directions, 9))
+        uniq, inv = np.unique(rows.view(np.complex128).ravel(), return_inverse=True)
+        uniq = uniq.view(np.float64).reshape(-1, 2)
         self.group_dirs = uniq
         # per direction group: the weight and the tube index at each integer anchor
         cells = (inv.ravel(), *(np.round(family.anchors).astype(int) % self.box_i).T)
@@ -291,43 +312,39 @@ class _GridResidual:
         self.index_img = np.full(self.images.shape, -1, dtype=np.int64)
         self.index_img[cells] = np.arange(len(family))
         self.times = _axis_times(family.k)
+        # stencils[i][g'][g]: offsets of group g's anchors seen from the axis
+        # points of group g' at times[i]
+        self.stencils = [[[_stencil(*(uniq[gp] * t - uniq[g] * t).tolist())
+                           for g in range(len(uniq))] for gp in range(len(uniq))]
+                         for t in self.times]
+        self.reach = max(abs(d) for per_t in self.stencils for per_gp in per_t
+                         for offs in per_gp for off in offs for d in off)
 
-    @staticmethod
-    def _stencil(shift):
-        """Integer offsets d with |d - shift| <= 1; exact because both the
-        observed anchors and the observing anchors sit on integers."""
-        offs = []
-        for d1 in range(int(math.floor(shift[0] - 1.0)), int(math.ceil(shift[0] + 1.0)) + 1):
-            for d2 in range(int(math.floor(shift[1] - 1.0)), int(math.ceil(shift[1] + 1.0)) + 1):
-                if (d1 - shift[0]) ** 2 + (d2 - shift[1]) ** 2 <= 1.0 + 1e-12:
-                    offs.append((d1, d2))
-        return offs
-
-    def _residual_fields(self, t: float):
-        """For each observing group g', the residual at points a + omega_g' t
-        for every integer anchor a, as a (box, box) field."""
-        fields = []
-        for gp in range(len(self.group_dirs)):
-            total = np.zeros((self.box_i, self.box_i))
-            base = self.group_dirs[gp] * t
-            for g in range(len(self.group_dirs)):
-                shift = base - self.group_dirs[g] * t
-                img = self.images[g]
-                for d1, d2 in self._stencil(shift):
-                    total += np.roll(img, shift=(-d1, -d2), axis=(0, 1))
-            fields.append(total)
-        return fields
+    def _fields(self):
+        """(t, g', field) for every witness time t and observing group g',
+        time by time: the field holds the residual at a + omega_g' t for
+        every integer anchor a.  The current images are wrapped around by
+        ``reach`` cells once, and at anchor a the window of that stack at
+        offset d holds the image at a + d on the torus."""
+        n, r = self.box_i, self.reach
+        padded = np.pad(self.images, ((0, 0), (r, r), (r, r)), mode="wrap")
+        for t, per_t in zip(self.times, self.stencils):
+            for gp, per_gp in enumerate(per_t):
+                total = np.zeros((n, n))
+                for g, offs in enumerate(per_gp):
+                    for d1, d2 in offs:
+                        total += padded[g, r + d1:r + d1 + n, r + d2:r + d2 + n]
+                yield t, gp, total
 
     def max_point(self):
         best = (0.0, None)
-        for t in self.times:
-            for gp, fld in enumerate(self._residual_fields(t)):
-                j = int(np.argmax(fld))
-                v = float(fld.flat[j])
-                if v > best[0] + 1e-15:
-                    a = np.array([j // self.box_i, j % self.box_i], dtype=float)
-                    x = (a + self.group_dirs[gp] * t) % self.family.box
-                    best = (v, (t, x))
+        for t, gp, fld in self._fields():
+            j = int(np.argmax(fld))
+            v = float(fld.flat[j])
+            if v > best[0] + 1e-15:
+                a = np.array([j // self.box_i, j % self.box_i], dtype=float)
+                x = (a + self.group_dirs[gp] * t) % self.family.box
+                best = (v, (t, x))
         return best
 
     def collect(self, point):
@@ -466,13 +483,12 @@ def verify_pointwise_bound(family: WeightedTubeFamily, exceptional: list,
     Returns 0.0 when no sample lies outside the exceptional tubes; the
     diagnostics, when given, record how many samples were checked and how
     many lay outside, so such a pass shows as vacuous."""
-    pts = _verify_samples(family, samples, seed) if len(family) else np.zeros((0, 3))
-    keep = np.ones(len(pts), dtype=bool)
-    for tube in exceptional:
-        keep &= ~tube.contains(pts[:, 0], pts[:, 1:], family.box)
-    p = pts[keep]
+    p = _verify_samples(family, samples, seed) if len(family) else np.zeros((0, 3))
+    checked = len(p)
+    for tube in exceptional:        # each tube sees only the samples outside the earlier ones
+        p = p[~tube.contains(p[:, 0], p[:, 1:], family.box)]
     if diagnostics is not None:
-        diagnostics.samples_checked = len(pts)
+        diagnostics.samples_checked = checked
         diagnostics.samples_outside = len(p)
     rows, cols = _incidence(family, p[:, 0], p[:, 1:])
     residual = np.bincount(rows, family.weights[cols], minlength=len(p))

@@ -3,19 +3,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as _fft
 from hypothesis import given, settings, strategies as st
 
 from conewave.blue_exceptional import (exceptional_tubes_for_blue, find_bad_cubes,
                                        frequency_cells, sector_weights,
                                        unit_cell_sums, unit_cube_masses, _cell_window,
-                                       _profile_kernel)
+                                       _dirichlet, _profile_kernel)
 from conewave.config import RunConfig
 from conewave.geometry import Tube, cube_touches_tube, unit_dir, wrap_delta
 from conewave.lattice import FrequencyLattice, lattice_for
 from conewave.norms import Quadrature
 from conewave.tube_cover import WeightedTubeFamily
 from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_wave,
-                            random_colored_wave, zero_wave)
+                            _FFT_WORKERS, random_colored_wave, zero_wave)
 
 
 def test_cell_window_partition_of_unity():
@@ -239,6 +240,42 @@ def test_unit_cell_sums_widest_spread(small_config):
     psi = make_wave(lat, modes, vals, [], [])
     for t in (-1.3, 0.0, 2.7):
         _assert_cell_sums_match(psi, t, lat)
+
+
+def _unit_cell_sums_add_at(lattice, modes, coeffs):
+    # unit_cell_sums with the spectrum scattered by np.add.at
+    box, n = int(round(lattice.box)), lattice.size
+    modes = np.asarray(modes, dtype=np.int64).reshape(-1, 2)
+    lo = modes.min(axis=0)
+    shape = tuple(box * -(-(2 * int(s) + 1) // box) for s in modes.max(axis=0) - lo)
+    spec = np.zeros(shape, dtype=np.complex128)
+    np.add.at(spec, ((modes[:, 0] - lo[0]) % shape[0], (modes[:, 1] - lo[1]) % shape[1]),
+              coeffs)
+    field = _fft.ifft2(spec, norm="forward", workers=_FFT_WORKERS)
+    dens = np.square(field.real) + np.square(field.imag)
+    spectrum = _fft.fft2(dens, norm="forward", workers=_FFT_WORKERS)
+    spectrum *= _dirichlet(shape[0], n, n // box)[:, None]
+    spectrum *= _dirichlet(shape[1], n, n // box)[None, :]
+    folded = spectrum.reshape(shape[0] // box, box, shape[1] // box, box).sum(axis=(0, 2))
+    return lattice.spacing ** 2 / lattice.box ** 4 * _fft.ifft2(folded, norm="forward").real
+
+
+@pytest.mark.parametrize("k, seed", [(0, 1), (1, 2), (2, 3)])
+def test_unit_cell_sums_repeated_modes_match_add_at(small_config, k, seed):
+    # few distinct modes, each repeated several times in shuffled order with
+    # values of very different sizes, so the order of the additions shows
+    lat = lattice_for(small_config, k)
+    rng = np.random.default_rng(seed)
+    half = lat.size // 2
+    distinct = rng.integers(-half + 1, half, size=(6, 2))
+    modes = distinct[rng.integers(0, len(distinct), size=60)]
+    vals = (rng.standard_normal(60) + 1j * rng.standard_normal(60)) \
+        * 10.0 ** rng.integers(-8, 9, size=60)
+    vals[::7] = -0.0 - 0.0j
+    assert len(np.unique(modes, axis=0)) < len(modes)
+    got = unit_cell_sums(lat, modes, vals)
+    want = _unit_cell_sums_add_at(lat, modes, vals)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_unit_cell_sums_rejects_bad_input(lat0):

@@ -250,16 +250,33 @@ def test_cli_bad_input_files_are_usage_errors(tmp_path, lat0, capsys):
         assert not out.exists()
 
 
-def test_cli_cover_reads_family(tmp_path):
+def test_cli_cover_reads_family(tmp_path, capsys):
     tubes = [Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=2.0),
              Tube(0.0, (12.0, 9.0), tuple(unit_dir(0.2)), half_length=2.0)]
-    fam = tmp_path / "family.json"
-    fam.write_text(json.dumps({"tubes": [tube_to_dict(t) for t in tubes],
-                               "weights": [0.5, 0.5]}))
-    rc = main(SMALL + ["--out-dir", str(tmp_path), "cover", "--delta", "0.3",
-                       "--k", "1", "--samples", "2000", "--family", str(fam)])
-    assert rc == 0
-    assert len(read_tubes(tmp_path / "cover_tubes.json")) > 0
+
+    def cover(name, weights):
+        fam = tmp_path / f"{name}.json"
+        fam.write_text(json.dumps({"tubes": [tube_to_dict(t) for t in tubes],
+                                   "weights": weights}))
+        out = tmp_path / name
+        rc = main(SMALL + ["--out-dir", str(out), "cover", "--delta", "0.3",
+                           "--k", "1", "--samples", "2000", "--family", str(fam)])
+        assert rc == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        return read_tubes(out / "cover_tubes.json"), dict(
+            f.split("=") for f in line.split() if "=" in f)
+
+    # weights above delta/2: the greedy cover emits tubes
+    exc, _ = cover("heavy", [0.5, 0.5])
+    assert len(exc) > 0
+    # weights below delta/2 = 0.15: no round runs and no sample is excluded,
+    # so the bound is checked at every sample and the residual is the heavier
+    # weight, found on that tube's axis
+    exc, printed = cover("light", [0.1, 0.13])
+    assert exc == []
+    outside, checked = map(int, printed["outside"].split("/"))
+    assert 0 < outside == checked == 2000
+    assert float(printed["residual"]) == 0.13
 
 
 def _family_file(tmp_path, tube_changes=None, weight=0.5):

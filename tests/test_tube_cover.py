@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conewave import tube_cover
 from conewave.constants import S_MIN
 from conewave.errors import InvalidFamilyError
 from conewave.geometry import Tube, unit_dir
@@ -287,6 +289,104 @@ def test_grid_engine_matches_pair_engine():
     hits_p = sorted(pair.collect(pp))
     hits_g = sorted(grid.collect(pp))
     assert hits_p == hits_g
+
+
+def _roll_fields(engine, t):
+    """Reference for the grid engine's fields at time t: every stencil
+    offset found afresh and each image shifted by np.roll."""
+    fields = []
+    dirs = engine.group_dirs
+    for gp in range(len(dirs)):
+        total = np.zeros((engine.box_i, engine.box_i))
+        base = dirs[gp] * t
+        for g in range(len(dirs)):
+            s = base - dirs[g] * t
+            for d1 in range(math.floor(s[0] - 1.0), math.ceil(s[0] + 1.0) + 1):
+                for d2 in range(math.floor(s[1] - 1.0), math.ceil(s[1] + 1.0) + 1):
+                    if (d1 - s[0]) ** 2 + (d2 - s[1]) ** 2 <= 1.0 + 1e-12:
+                        total += np.roll(engine.images[g], shift=(-d1, -d2), axis=(0, 1))
+        fields.append(total)
+    return fields
+
+
+def _roll_max_point(engine):
+    # the grid engine's max_point on _roll_fields: time, then g', then the
+    # first argmax, and a later field wins only by more than 1e-15
+    best = (0.0, None)
+    for t in engine.times:
+        for gp, fld in enumerate(_roll_fields(engine, t)):
+            j = int(np.argmax(fld))
+            v = float(fld.flat[j])
+            if v > best[0] + 1e-15:
+                a = np.array([j // engine.box_i, j % engine.box_i], dtype=float)
+                best = (v, (t, (a + engine.group_dirs[gp] * t) % engine.family.box))
+    return best
+
+
+# nine angles across the e1 cone, its edges left out: an emitted arc tube
+# through a direction on the edge can point outside the cone
+_GRID_ANGLES = list(np.linspace(-math.pi / 8 + 0.01, math.pi / 8 - 0.01, 9))
+
+
+@st.composite
+def _grid_cases(draw):
+    """A grid-anchored family on box 20 at k = 0..3 with 1 to 4 direction
+    groups out of _GRID_ANGLES (at k = 3 the two outermost give the widest
+    stencil shifts); every group holds the anchors (0, 0), (box - 1, 0),
+    (0, box - 1) and (box - 1, box - 1) across the seam plus random integer
+    anchors, with a few heavy weights; and a greedy delta."""
+    k = draw(st.integers(0, 3))
+    thetas = draw(st.lists(st.sampled_from(_GRID_ANGLES), min_size=1, max_size=4,
+                           unique=True))
+    if draw(st.booleans()):         # the two outermost directions
+        edges = [_GRID_ANGLES[0], _GRID_ANGLES[-1]]
+        thetas = edges + [th for th in thetas if th not in edges][:2]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    side = int(BOX)
+    corners = [0, side - 1, (side - 1) * side, side * side - 1]
+    rest = np.setdiff1d(np.arange(side * side), corners)
+    anchors, dirs = [], []
+    for th in thetas:
+        cells = np.concatenate([corners, rng.choice(rest, draw(st.integers(4, 30)),
+                                                    replace=False)])
+        anchors.append(np.column_stack([cells // side, cells % side]).astype(float))
+        dirs.append(np.tile(unit_dir(th), (len(cells), 1)))
+    w = rng.pareto(1.0, sum(len(a) for a in anchors)) + 0.1
+    fam = WeightedTubeFamily.from_arrays(np.concatenate(anchors), np.concatenate(dirs),
+                                         w / (1.1 * w.sum()), k, BOX)
+    return fam, draw(st.sampled_from([0.1, 0.2, 0.3]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_grid_cases())
+def test_grid_engine_fields_match_roll_reference(case):
+    fam, delta = case
+    engine = _GridResidual(fam)
+    assert len(engine.group_dirs) == len(np.unique(fam.directions, axis=0))
+    rounds = 0
+    while rounds < 4:
+        fields = list(engine._fields())
+        want = [(t, gp, fld) for t in engine.times
+                for gp, fld in enumerate(_roll_fields(engine, t))]
+        assert [(t, gp) for t, gp, _ in fields] == [(t, gp) for t, gp, _ in want]
+        assert all(np.array_equal(got, ref) for (_, _, got), (_, _, ref) in zip(fields, want))
+        value, point = engine.max_point()
+        ref_value, ref_point = _roll_max_point(engine)
+        assert value == ref_value
+        if point is None:
+            break
+        assert point[0] == ref_point[0] and point[1].tobytes() == ref_point[1].tobytes()
+        assert len(engine.collect(point)) > 0
+        rounds += 1
+    assert rounds >= 3
+    # the greedy cover on either max_point
+    diag, ref_diag = CoverDiagnostics(), CoverDiagnostics()
+    with mock.patch.object(tube_cover, "_GRID_ENGINE_MIN_TUBES", 0):
+        out = greedy_tube_cover(fam, delta, diagnostics=diag)
+        with mock.patch.object(_GridResidual, "max_point", _roll_max_point):
+            ref = greedy_tube_cover(fam, delta, diagnostics=ref_diag)
+    assert diag.rounds > 0
+    assert repr(out) == repr(ref) and repr(diag) == repr(ref_diag)
 
 
 @st.composite
