@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.fft as _fft
 
-from .geometry import SECTOR_HALF_ANGLE, Cube, unit_dir
+from .geometry import SECTOR_HALF_ANGLE, Cube, disk_spans, span_pixels, unit_dir
 from .lattice import FrequencyLattice
 from .norms import Quadrature
 from .tube_cover import WeightedTubeFamily, greedy_tube_cover
@@ -177,12 +177,10 @@ def _snapped_direction(alpha, k: int) -> float:
 
 def _profile_kernel(box_i: int) -> np.ndarray:
     k = np.zeros((box_i, box_i))
-    r = int(PROFILE_RADIUS)
-    for d1 in range(-r, r + 1):
-        for d2 in range(-r, r + 1):
-            d = math.sqrt(d1 * d1 + d2 * d2)
-            if d <= PROFILE_RADIUS:
-                k[d1 % box_i, d2 % box_i] = (1.0 + d * d) ** (-PROFILE_POWER)
+    rows, cols, _ = span_pixels(*disk_spans((0.0, 0.0), PROFILE_RADIUS, 1.0))
+    for d1, d2 in zip(rows.tolist(), cols.tolist()):
+        d = math.sqrt(d1 * d1 + d2 * d2)
+        k[d1 % box_i, d2 % box_i] = (1.0 + d * d) ** (-PROFILE_POWER)
     return k
 
 

@@ -20,7 +20,7 @@ from .harness import (TRAIN_THETA, TRAIN_X0, fungibility_partition,
                       sharpness_experiment, standard_suite, standard_train,
                       tube_sup_profile, universal_tube_family, verify_profile)
 from .lattice import lattice_for
-from .norms import Quadrature, l2t_linf_on_tube, product_l2
+from .norms import Quadrature, disk_pixel_indices, l2t_linf_on_tube, product_l2
 from .waves import make_blue_tube_wave, make_red_cube_bump, random_colored_wave
 
 
@@ -56,11 +56,8 @@ def calibrate(config: RunConfig = None, verbose: bool = True):
         psi = make_blue_tube_wave(lat, 0.0, (10.0, 20.0), om, k)
         for s in (0.0, 2.0 ** (k - 1), -2.0 ** (k - 1)):
             f2 = np.abs(psi.evaluate(s)) ** 2
-            c = np.array([10.0, 20.0]) + om * s
-            ax = lat.x_axis()
-            d1 = lat.wrap(ax - c[0])
-            d2 = lat.wrap(ax - c[1])
-            m = (d1 * d1)[:, None] + (d2 * d2)[None, :] <= 1.0
+            m = np.zeros(f2.shape, dtype=bool)
+            m[disk_pixel_indices(lat, np.array([10.0, 20.0]) + om * s, 1.0)] = True
             kt.append(float((f2 * m).sum()) * lat.spacing ** 2)
     report("kappa_tube(min over k,t)", min(kt))
 

@@ -43,9 +43,9 @@ import numpy as np
 
 from . import constants as C
 from .errors import NoDecrementError
-from .geometry import SECTOR_HALF_ANGLE, Tube
+from .geometry import SECTOR_HALF_ANGLE, Tube, disk_spans, span_pixels
 from .lattice import FrequencyLattice
-from .norms import Quadrature, _disk_offsets, disk_pixel_indices
+from .norms import Quadrature, tube_slice_pixels
 from .waves import SpectralWave, _sector_modes, inner_product, make_wave
 
 DIRECTION_SPACING = 1.0 / 16.0
@@ -133,25 +133,23 @@ class _DiskStencils:
 
 def _disk_stencils(quad: Quadrature) -> _DiskStencils:
     """The search's disk stencils on this quadrature, built once per
-    quadrature; the inside test is the one of ``disk_pixel_indices``."""
+    quadrature from one ``disk_spans`` call over every (time, direction)."""
     if "disk_stencils" not in quad._cache:
         h = quad.h
         pad = int(math.ceil(1.0 / h)) + 1
         width = quad.lattice.size + 2 * pad
         thetas = search_directions()
-        o1, o2 = _disk_offsets(1.0, h)
         c1 = np.cos(thetas)[None, :] * quad.times[:, None]     # (T, D)
         c2 = np.sin(thetas)[None, :] * quad.times[:, None]
-        b1 = np.round(c1 / h).astype(np.int64)
-        b2 = np.round(c2 / h).astype(np.int64)
-        d1 = (b1[..., None] + o1) * h - c1[..., None]
-        d2 = (b2[..., None] + o2) * h - c2[..., None]
-        inside = d1 * d1 + d2 * d2 <= 1.0 + 1e-12
-        count = inside.sum(axis=-1)
+        shift = np.round(np.stack([c1, c2]) / h).astype(np.int64)
+        rows, cols, disk = span_pixels(*disk_spans(np.stack([c1, c2], axis=-1), 1.0, h))
+        offsets = (rows - shift[0].ravel()[disk]) * width + cols - shift[1].ravel()[disk]
+        count = np.bincount(disk, minlength=c1.size)
         kmax = int(count.max())
-        flat = (o1 * width + o2)[np.argsort(~inside, axis=-1, kind="stable")[..., :kmax]]
-        flat = np.where(np.arange(kmax) < count[..., None], flat, flat[..., :1])
-        quad._cache["disk_stencils"] = _DiskStencils(thetas, pad, np.stack([b1, b2]), flat)
+        k = np.arange(kmax)
+        take = (np.cumsum(count) - count)[:, None] + np.where(k < count[:, None], k, 0)
+        flat = offsets[take].reshape(*c1.shape, kmax)
+        quad._cache["disk_stencils"] = _DiskStencils(thetas, pad, shift, flat)
     return quad._cache["disk_stencils"]
 
 
@@ -301,12 +299,7 @@ def dual_witness(phi: SpectralWave, tube: Tube, quad: Quadrature,
     search = search or _TubeSearch(phi, quad)
     lat = quad.lattice
     idx, rows, cols = [], [], []
-    for i, t in enumerate(quad.times):
-        if not tube.time_active(t):
-            continue
-        r, c = disk_pixel_indices(lat, tube.axis_at(t), tube.eff_radius)
-        if len(r) == 0:
-            continue
+    for i, r, c in tube_slice_pixels(tube, quad):
         j = int(np.argmax(search.slices[i][r, c]))
         idx.append(i)
         rows.append(r[j])

@@ -5,6 +5,12 @@ A tube is a cylinder of radius r around the ray x = x0 + omega (t - t0) with
 Finite tubes additionally satisfy |t - t0| <= half_length; window-spanning
 tubes (half_length None) run the whole time window.  Cross-sections are
 measured in the torus metric.
+
+On a grid of step h, a tube's cross-section disk of centre c and radius r
+holds the grid points p with |p h - c|^2 <= r^2 + 1e-12.  ``disk_spans``
+alone decides this, for many disks at once; every grid consumer (region
+masks, tube norms, dual witnesses, the tube search's stencils, the greedy
+cover's grid engine) reads its disks from it.
 """
 
 from __future__ import annotations
@@ -30,6 +36,55 @@ def dir_angle(omega) -> float:
 
 def wrap_delta(delta, box: float):
     return delta - box * np.round(np.asarray(delta) / box)
+
+
+def disk_spans(centers, radii, h: float):
+    """Row spans of m disks on the grid of step h, all disks at once.
+
+    The grid point p = (row, col) lies in the disk of centre c and radius r
+    when |p h - c|^2 <= r^2 + 1e-12; this is the only place that decides it.
+    Returns flat arrays (disk, rows, lo, hi), disk by disk and row by row:
+    for every row within reach of a disk its unwrapped index and the
+    inclusive unwrapped column bounds of its points, with hi < lo on a row
+    that holds none.  On each row the test holds on one interval of columns;
+    its ends are estimated from a square root and then moved in until the
+    test itself holds."""
+    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    r = np.broadcast_to(np.asarray(radii, dtype=float), len(c))
+    reach = np.ceil(r / h).astype(np.int64) + 1
+    count = 2 * reach + 1
+    disk = np.repeat(np.arange(len(c)), count)
+    # rows round(c1 / h) - reach .. + reach of each disk, laid end to end
+    first = np.round(c[:, 0] / h).astype(np.int64) - reach - (np.cumsum(count) - count)
+    rows = first[disk] + np.arange(len(disk))
+    d1 = rows * h - c[disk, 0]
+    d1 *= d1
+    limit = (r * r + 1e-12)[disk]
+    c2 = c[disk, 1]
+    mid = c2 / h
+    half = np.sqrt(np.maximum(limit - d1, 0.0)) / h
+    # one column beyond the estimate on each side: the true ends lie within
+    lo = np.ceil(mid - half).astype(np.int64) - 1
+    hi = np.floor(mid + half).astype(np.int64) + 1
+
+    def inside(cols):
+        d2 = cols * h - c2
+        return d1 + d2 * d2 <= limit
+
+    while (step := (hi >= lo) & ~inside(hi)).any():
+        hi -= step
+    while (step := (lo <= hi) & ~inside(lo)).any():
+        lo += step
+    return disk, rows, lo, hi
+
+
+def span_pixels(disk, rows, lo, hi):
+    """The grid points (rows, cols, disk) of ``disk_spans``' spans,
+    unwrapped, disk by disk and row-major within each disk."""
+    length = np.maximum(hi - lo + 1, 0)
+    span = np.repeat(np.arange(len(rows)), length)
+    cols = np.arange(len(span)) + (lo - (np.cumsum(length) - length))[span]
+    return rows[span], cols, disk[span]
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ import numpy as np
 
 from .config import RunConfig
 from .extraction import extract_profile
-from .geometry import Region, Tube, dir_angle, unit_dir
+from .geometry import Region, Tube, dir_angle, disk_spans, span_pixels, unit_dir
 from .lattice import lattice_for
-from .norms import Quadrature, disk_pixel_indices, exact_product_quadrature, \
-    product_densities
+from .norms import Quadrature, exact_product_quadrature, product_densities
 from .waves import SpectralWave, make_blue_tube_wave, make_red_cube_train, \
     random_colored_wave
 
@@ -186,19 +185,27 @@ def interval_ratios_from_report(report: ProfileReport, intervals: list,
 # fungibility
 
 def tube_sup_profile(phi: SpectralWave, tubes: list, quad: Quadrature) -> np.ndarray:
-    """g(t) = sum over tubes of (max over the tube's t-slice of |phi|)^2."""
+    """g(t) = sum over tubes of (max over the tube's t-slice of |phi|)^2.
+
+    The disks of all tubes active at one slice come from one ``disk_spans``
+    call; batching per tube instead would hold every slice's |phi| or every
+    tube's pixels at once."""
     lat = quad.lattice
+    n = lat.size
     g = np.zeros(len(quad.times))
     for i, t in enumerate(quad.times):
-        a = None
-        for tube in tubes:
-            if not tube.time_active(t):
-                continue
-            if a is None:
-                a = np.abs(phi.evaluate(t, lat))
-            rows, cols = disk_pixel_indices(lat, tube.axis_at(t), tube.eff_radius)
-            if len(rows):
-                m = float(a[rows, cols].max())
+        active = [tube for tube in tubes if tube.time_active(t)]
+        if not active:
+            continue
+        a = np.abs(phi.evaluate(t, lat))
+        rows, cols, disk = span_pixels(*disk_spans([tube.axis_at(t) for tube in active],
+                                                   [tube.eff_radius for tube in active],
+                                                   lat.spacing))
+        vals = a[rows % n, cols % n]
+        ends = np.searchsorted(disk, np.arange(len(active) + 1))
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            if hi > lo:
+                m = float(vals[lo:hi].max())
                 g[i] += m * m
     return g
 

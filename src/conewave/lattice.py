@@ -7,7 +7,7 @@ grid is x = j * h with h = L / N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ class FrequencyLattice:
     dimension: int
     size: int          # points per axis N (even)
     box: float         # torus side L
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension != 2:
@@ -31,18 +30,6 @@ class FrequencyLattice:
     def spacing(self) -> float:
         """Spatial step h."""
         return self.box / self.size
-
-    def _cached(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    def x_axis(self) -> np.ndarray:
-        return self._cached("x_axis", lambda: self.spacing * np.arange(self.size))
-
-    def wrap(self, delta):
-        """Shortest representative of a coordinate difference on the torus."""
-        return delta - self.box * np.round(np.asarray(delta) / self.box)
 
     def zeros(self) -> np.ndarray:
         return np.zeros((self.size, self.size), dtype=np.complex128)

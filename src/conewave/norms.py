@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig
-from .geometry import Region, Tube
+from .geometry import Region, Tube, disk_spans, span_pixels
 from .lattice import FrequencyLattice
 from .waves import SpectralWave
 
@@ -66,82 +66,41 @@ def region_slice_mask(region: Optional[Region], t: float,
         return None
     if not (region.t_lo - 1e-12 <= t < region.t_hi - 1e-12):
         return False
-    spans = [_disk_row_spans(lattice, tube.axis_at(t), tube.eff_radius)
-             for tube in region.excluded if tube.time_active(t)]
-    return ~_paint_spans(lattice.size, spans) if spans else None
-
-
-_DISK_OFFSETS_CACHE: dict = {}
-
-
-def _disk_offsets(radius: float, h: float):
-    """Pixel offsets (o1, o2) reaching every pixel within `radius` of a point
-    whose nearest pixel has offset (0, 0)."""
-    key = (round(radius / h * 16), round(1.0 / h))
-    if key not in _DISK_OFFSETS_CACHE:
-        reach = int(math.ceil(radius / h)) + 1
-        r = np.arange(-reach, reach + 1)
-        o1, o2 = np.meshgrid(r, r, indexing="ij")
-        keep = o1 * o1 + o2 * o2 <= (radius / h + 1.0) ** 2
-        _DISK_OFFSETS_CACHE[key] = (o1[keep], o2[keep])
-    return _DISK_OFFSETS_CACHE[key]
+    active = [tube for tube in region.excluded if tube.time_active(t)]
+    if not active:
+        return None
+    _, rows, lo, hi = disk_spans([tube.axis_at(t) for tube in active],
+                                 [tube.eff_radius for tube in active], lattice.spacing)
+    return ~_paint_spans(lattice.size, rows, lo, hi)
 
 
 def disk_pixel_indices(lattice: FrequencyLattice, center, radius: float):
-    """Grid indices (rows, cols) of pixels within torus distance radius; a
-    pixel appears more than once when the disk wraps onto itself."""
-    h = lattice.spacing
-    n = lattice.size
-    o1, o2 = _disk_offsets(radius, h)
-    b1 = int(round(center[0] / h))
-    b2 = int(round(center[1] / h))
-    d1 = (b1 + o1) * h - center[0]
-    d2 = (b2 + o2) * h - center[1]
-    d1 *= d1                   # in place: this runs once per tube and slice
-    d2 *= d2
-    d1 += d2
-    keep = d1 <= radius * radius + 1e-12
-    rows = b1 + o1[keep]
+    """Grid indices (rows, cols) of the pixels of ``disk_spans``' disk,
+    row-major and wrapped onto the torus; a pixel appears more than once
+    when the disk wraps onto itself."""
+    rows, cols, _ = span_pixels(*disk_spans(center, radius, lattice.spacing))
+    return rows % lattice.size, cols % lattice.size
+
+
+def tube_slice_pixels(tube: Tube, quad: Quadrature) -> list:
+    """(i, rows, cols) for every time slice i where the tube is active and
+    its disk holds a pixel: the disk's grid indices as ``disk_pixel_indices``
+    gives them, from one ``disk_spans`` call over all the slices."""
+    live = np.flatnonzero(tube.time_active(quad.times))
+    rows, cols, disk = span_pixels(*disk_spans(tube.axis_at(quad.times[live]),
+                                               tube.eff_radius, quad.h))
+    n = quad.lattice.size
     rows %= n
-    cols = b2 + o2[keep]
     cols %= n
-    return rows, cols
+    ends = np.searchsorted(disk, np.arange(len(live) + 1))
+    return [(i, rows[a:b], cols[a:b])
+            for i, a, b in zip(live.tolist(), ends[:-1], ends[1:]) if b > a]
 
 
-def _disk_row_spans(lattice: FrequencyLattice, center, radius: float):
-    """The pixels of ``disk_pixel_indices`` as row spans: unwrapped grid rows
-    and inclusive unwrapped column bounds (lo, hi), with hi < lo on a row
-    that holds none.  On each row the inside test holds on one interval of
-    columns; its ends are estimated from a square root and then moved in
-    until the test itself holds, so the spans hold exactly the same pixels."""
-    h = lattice.spacing
-    reach = int(math.ceil(radius / h)) + 1
-    rows = int(round(center[0] / h)) + np.arange(-reach, reach + 1)
-    d1 = rows * h - center[0]
-    d1 *= d1
-    limit = radius * radius + 1e-12
-    mid = center[1] / h
-    half = np.sqrt(np.maximum(limit - d1, 0.0)) / h
-    # one column beyond the estimate on each side: the true ends lie within
-    lo = np.ceil(mid - half).astype(np.int64) - 1
-    hi = np.floor(mid + half).astype(np.int64) + 1
-
-    def inside(cols):
-        d2 = cols * h - center[1]
-        return d1 + d2 * d2 <= limit
-
-    while (step := (hi >= lo) & ~inside(hi)).any():
-        hi -= step
-    while (step := (lo <= hi) & ~inside(lo)).any():
-        lo += step
-    return rows, lo, hi
-
-
-def _paint_spans(n: int, spans) -> np.ndarray:
+def _paint_spans(n: int, rows, lo, hi) -> np.ndarray:
     """Boolean n x n mask of the union of (rows, lo, hi) spans, wrapped onto
     the torus: +1 at each span's first column and -1 past its last in a
     difference array, summed along the rows."""
-    rows, lo, hi = (np.concatenate(a) for a in zip(*spans))
     length = np.minimum(hi - lo + 1, n)            # n: the whole row
     keep = length > 0
     rows, lo, length = rows[keep] % n, lo[keep] % n, length[keep]
@@ -251,12 +210,7 @@ def l2t_linf_on_tube(phi: SpectralWave, tube: Tube, quad: Quadrature) -> float:
     Empty slices contribute zero."""
     lat = quad.lattice
     total = 0.0
-    for t in quad.times:
-        if not tube.time_active(t):
-            continue
-        rows, cols = disk_pixel_indices(lat, tube.axis_at(t), tube.eff_radius)
-        if len(rows) == 0:
-            continue
-        m = float(np.abs(phi.evaluate(t, lat))[rows, cols].max())
+    for i, rows, cols in tube_slice_pixels(tube, quad):
+        m = float(np.abs(phi.evaluate(quad.times[i], lat))[rows, cols].max())
         total += m * m
     return math.sqrt(quad.dt * total)

@@ -27,13 +27,13 @@ as ``WeightedTubeFamily.membership``.  Residual evaluation has two engines:
   whose anchors sit on the integer grid (the shape produced by the blue-wave
   sector weights).  The residual on a whole anchor grid at one witness time
   is a sum of shifted windows of one wrap-padded stack of the per-direction
-  weight images, with the (time, direction pair) stencils built once per
-  engine; this beats the pairs once a family has millions of them.
+  weight images, with the (time, direction pair) stencils, unit disks of
+  ``geometry.disk_spans`` at step 1, built once per engine; this beats the
+  pairs once a family has millions of them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,7 +42,8 @@ import numpy as np
 
 from . import constants as C
 from .errors import InvalidFamilyError
-from .geometry import SECTOR_HALF_ANGLE, Tube, dir_angle, unit_dir, wrap_delta
+from .geometry import (SECTOR_HALF_ANGLE, Tube, dir_angle, disk_spans, span_pixels,
+                       unit_dir, wrap_delta)
 
 LARGE_SQUARE_FACTOR = 1.0 / 16.0   # delta' = factor * delta^2
 COVER_C = 8.0                      # emitted tube fatness
@@ -276,17 +277,6 @@ class _PairResidual:
         return hit
 
 
-@functools.lru_cache(maxsize=4096)
-def _stencil(s1: float, s2: float) -> tuple:
-    """Integer offsets d with |d - s| <= 1; exact because both the observed
-    anchors and the observing anchors sit on integers.  Cached: the families
-    of one blue wave share their directions and witness times."""
-    return tuple((d1, d2)
-                 for d1 in range(int(math.floor(s1 - 1.0)), int(math.ceil(s1 + 1.0)) + 1)
-                 for d2 in range(int(math.floor(s2 - 1.0)), int(math.ceil(s2 + 1.0)) + 1)
-                 if (d1 - s1) ** 2 + (d2 - s2) ** 2 <= 1.0 + 1e-12)
-
-
 class _GridResidual:
     """Residual on grid-anchored families: per direction group the anchor
     weights live on the integer torus grid, and the residual at the axis
@@ -312,13 +302,19 @@ class _GridResidual:
         self.index_img = np.full(self.images.shape, -1, dtype=np.int64)
         self.index_img[cells] = np.arange(len(family))
         self.times = _axis_times(family.k)
-        # stencils[i][g'][g]: offsets of group g's anchors seen from the axis
-        # points of group g' at times[i]
-        self.stencils = [[[_stencil(*(uniq[gp] * t - uniq[g] * t).tolist())
-                           for g in range(len(uniq))] for gp in range(len(uniq))]
-                         for t in self.times]
-        self.reach = max(abs(d) for per_t in self.stencils for per_gp in per_t
-                         for offs in per_gp for off in offs for d in off)
+        # stencils[i][g'] lists (g, d1, d2): the integer offsets d of group
+        # g's anchors within distance 1 of (omega_g' - omega_g) times[i], the
+        # axis point of group g' at times[i] seen from anchor 0 (exact: both
+        # anchors sit on integers); one unit disk per (time, g', g)
+        ng = len(uniq)
+        t = self.times[:, None, None, None]
+        shift = uniq[None, :, None, :] * t - uniq[None, None, :, :] * t
+        rows, cols, disk = span_pixels(*disk_spans(shift.reshape(-1, 2), 1.0, 1.0))
+        offs = np.column_stack([disk % ng, rows, cols]).tolist()
+        ends = np.searchsorted(disk // ng, np.arange(len(self.times) * ng + 1)).tolist()
+        self.stencils = [[offs[ends[i * ng + gp]:ends[i * ng + gp + 1]] for gp in range(ng)]
+                         for i in range(len(self.times))]
+        self.reach = int(max(np.abs(rows).max(), np.abs(cols).max()))
 
     def _fields(self):
         """(t, g', field) for every witness time t and observing group g',
@@ -331,9 +327,8 @@ class _GridResidual:
         for t, per_t in zip(self.times, self.stencils):
             for gp, per_gp in enumerate(per_t):
                 total = np.zeros((n, n))
-                for g, offs in enumerate(per_gp):
-                    for d1, d2 in offs:
-                        total += padded[g, r + d1:r + d1 + n, r + d2:r + d2 + n]
+                for g, d1, d2 in per_gp:
+                    total += padded[g, r + d1:r + d1 + n, r + d2:r + d2 + n]
                 yield t, gp, total
 
     def max_point(self):
@@ -349,21 +344,12 @@ class _GridResidual:
 
     def collect(self, point):
         t, x = point
-        hits = []
-        for g in range(len(self.group_dirs)):
-            q = x - self.group_dirs[g] * t
-            lo1 = int(math.floor(q[0] - 1.0))
-            lo2 = int(math.floor(q[1] - 1.0))
-            for d1 in range(lo1, lo1 + 4):
-                for d2 in range(lo2, lo2 + 4):
-                    if (d1 - q[0]) ** 2 + (d2 - q[1]) ** 2 > 1.0 + 1e-12:
-                        continue
-                    i1, i2 = d1 % self.box_i, d2 % self.box_i
-                    idx = self.index_img[g][i1, i2]
-                    if idx >= 0 and self.images[g][i1, i2] != 0.0:
-                        hits.append(idx)
-                        self.images[g][i1, i2] = 0.0
-        return np.array(sorted(hits), dtype=np.int64)
+        rows, cols, g = span_pixels(*disk_spans(x - self.group_dirs * t, 1.0, 1.0))
+        cells = (g, rows % self.box_i, cols % self.box_i)
+        idx = self.index_img[cells]
+        hit = (idx >= 0) & (self.images[cells] != 0.0)
+        self.images[tuple(c[hit] for c in cells)] = 0.0
+        return np.unique(idx[hit])
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +431,11 @@ def _emit_class_tubes(family: WeightedTubeFamily, t_j: float, x_j: np.ndarray,
         width = math.pi / 2 ** level
         lo = -math.pi / 2 + i * width
         hi = lo + width
-        omega = unit_dir(0.5 * (lo + hi))
+        # an arc just past a cone edge (its members within the family's
+        # 1e-3 tolerance of the edge) is centred outside the cone; its
+        # members stay within half an arc of the edge itself
+        centre = min(max(0.5 * (lo + hi), -SECTOR_HALF_ANGLE), SECTOR_HALF_ANGLE)
+        omega = unit_dir(centre)
         tubes.append(Tube(t_j, tuple(x_j), tuple(omega), half_length=half,
                           radius=1.0, lam=COVER_C))
     heaviest = idx[int(np.argmax(weights))]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conewave.geometry import Region, Tube, unit_dir
+from conewave.geometry import Region, Tube, disk_spans, span_pixels, unit_dir, wrap_delta
 from conewave.lattice import lattice_for
 from conewave.norms import (Quadrature, disk_pixel_indices, l2t_linf_on_tube,
                             lp_product, product_densities, product_l2,
@@ -111,22 +111,35 @@ def test_product_densities_one_synthesis_per_field_and_slice(quad0, lat0,
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([16, 40, 80, 160]), box=st.sampled_from([4.0, 10.0, 20.0]),
-       c1=st.floats(-30.0, 60.0), c2=st.floats(-30.0, 60.0),
-       frac=st.floats(0.0, 0.8))
-def test_disk_pixel_indices_match_wrapped_distance(n, box, c1, c2, frac):
+       disks=st.lists(st.tuples(st.floats(-30.0, 60.0), st.floats(-30.0, 60.0),
+                                st.floats(0.0, 0.8)), min_size=1, max_size=4))
+def test_disk_pixel_indices_match_wrapped_distance(n, box, disks):
+    # one disk_spans call over several centres with mixed radii: each disk
+    # holds the pixels within its radius in the wrapped distance, row-major,
+    # and alone through disk_pixel_indices gives the same pixels in order
     from conewave.lattice import FrequencyLattice
     assume(box / n <= 0.25)
     lat = FrequencyLattice(2, n, box)
-    radius = frac * box
-    got = np.zeros((n, n), dtype=bool)
-    got[disk_pixel_indices(lat, (c1, c2), radius)] = True
-    d1 = lat.wrap(lat.x_axis() - c1)
-    d2 = lat.wrap(lat.x_axis() - c2)
-    dist2 = (d1 * d1)[:, None] + (d2 * d2)[None, :]
-    # pixels clear of the boundary by more than round-off agree exactly
-    clear = np.abs(dist2 - radius * radius) > 1e-9 * max(1.0, box * box)
-    want = dist2 <= radius * radius
-    assert np.array_equal(got[clear], want[clear])
+    centres = np.array([(c1, c2) for c1, c2, _ in disks])
+    radii = np.array([frac * box for _, _, frac in disks])
+    rows, cols, disk = span_pixels(*disk_spans(centres, radii, lat.spacing))
+    assert np.all(np.diff(disk) >= 0)
+    ax = lat.spacing * np.arange(n)
+    for j, (c, radius) in enumerate(zip(centres, radii)):
+        r, q = rows[disk == j], cols[disk == j]
+        step = np.diff(r)
+        assert np.all(step >= 0) and np.all(np.diff(q)[step == 0] > 0)
+        alone = disk_pixel_indices(lat, c, radius)
+        assert np.array_equal(alone[0], r % n) and np.array_equal(alone[1], q % n)
+        got = np.zeros((n, n), dtype=bool)
+        got[r % n, q % n] = True
+        d1 = wrap_delta(ax - c[0], box)
+        d2 = wrap_delta(ax - c[1], box)
+        dist2 = (d1 * d1)[:, None] + (d2 * d2)[None, :]
+        # pixels clear of the boundary by more than round-off agree exactly
+        clear = np.abs(dist2 - radius * radius) > 1e-9 * max(1.0, box * box)
+        want = dist2 <= radius * radius
+        assert np.array_equal(got[clear], want[clear])
 
 
 def test_region_mask_spans_match_pixel_scatter():

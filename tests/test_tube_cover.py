@@ -289,6 +289,8 @@ def test_grid_engine_matches_pair_engine():
     hits_p = sorted(pair.collect(pp))
     hits_g = sorted(grid.collect(pp))
     assert hits_p == hits_g
+    # a collected tube is not collected again
+    assert len(pair.collect(pp)) == 0 and len(grid.collect(pp)) == 0
 
 
 def _roll_fields(engine, t):
@@ -323,22 +325,22 @@ def _roll_max_point(engine):
     return best
 
 
-# nine angles across the e1 cone, its edges left out: an emitted arc tube
-# through a direction on the edge can point outside the cone
-_GRID_ANGLES = list(np.linspace(-math.pi / 8 + 0.01, math.pi / 8 - 0.01, 9))
+# nine angles across the e1 cone, its edges included
+_GRID_ANGLES = list(np.linspace(-math.pi / 8, math.pi / 8, 9))
 
 
 @st.composite
 def _grid_cases(draw):
     """A grid-anchored family on box 20 at k = 0..3 with 1 to 4 direction
-    groups out of _GRID_ANGLES (at k = 3 the two outermost give the widest
+    groups out of _GRID_ANGLES (at k = 3 the two cone edges give the widest
     stencil shifts); every group holds the anchors (0, 0), (box - 1, 0),
     (0, box - 1) and (box - 1, box - 1) across the seam plus random integer
-    anchors, with a few heavy weights; and a greedy delta."""
+    anchors, with heavy-tailed weights and one tube of at least 3/10 of
+    the weight; and a greedy delta."""
     k = draw(st.integers(0, 3))
     thetas = draw(st.lists(st.sampled_from(_GRID_ANGLES), min_size=1, max_size=4,
                            unique=True))
-    if draw(st.booleans()):         # the two outermost directions
+    if draw(st.booleans()):         # the two cone edges
         edges = [_GRID_ANGLES[0], _GRID_ANGLES[-1]]
         thetas = edges + [th for th in thetas if th not in edges][:2]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -352,6 +354,8 @@ def _grid_cases(draw):
         anchors.append(np.column_stack([cells // side, cells % side]).astype(float))
         dirs.append(np.tile(unit_dir(th), (len(cells), 1)))
     w = rng.pareto(1.0, sum(len(a) for a in anchors)) + 0.1
+    # one tube holds at least 3/10 of the weight, so every delta forces a round
+    w[rng.integers(len(w))] = 0.5 * w.sum()
     fam = WeightedTubeFamily.from_arrays(np.concatenate(anchors), np.concatenate(dirs),
                                          w / (1.1 * w.sum()), k, BOX)
     return fam, draw(st.sampled_from([0.1, 0.2, 0.3]))
@@ -387,6 +391,20 @@ def test_grid_engine_fields_match_roll_reference(case):
             ref = greedy_tube_cover(fam, delta, diagnostics=ref_diag)
     assert diag.rounds > 0
     assert repr(out) == repr(ref) and repr(diag) == repr(ref_diag)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("theta", [-math.pi / 8, math.pi / 8, math.pi / 8 + 5e-4])
+def test_cover_of_a_cone_edge_tube(theta, k):
+    # a direction on the cone edge, or just past it within the family's
+    # tolerance, falls in a dyadic arc centred outside the cone; the emitted
+    # arc tube takes the nearest cone direction and alone still covers the tube
+    fam = WeightedTubeFamily.from_arrays([[3.0, 4.0]], [unit_dir(theta)], [0.8], k, 40.0)
+    out = greedy_tube_cover(fam, 0.1)
+    arc = out[0]                    # then the stout tube along the tube itself
+    assert len(out) == 2 and abs(math.atan2(arc.omega[1], arc.omega[0])) <= math.pi / 8 + 1e-12
+    assert verify_pointwise_bound(fam, out, 0.1, samples=4000) <= 0.1
+    assert verify_pointwise_bound(fam, out[:1], 0.1, samples=4000) <= 0.1
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conewave.errors import InfeasibleMarginError, MarginUndefinedError
-from conewave.geometry import SECTOR_HALF_ANGLE, Tube, unit_dir
+from conewave.geometry import SECTOR_HALF_ANGLE, Tube, unit_dir, wrap_delta
 from conewave.lattice import FrequencyLattice, lattice_for
 from conewave.waves import (SpectralWave, inner_product, make_blue_tube_wave,
                             make_red_cube_bump, make_red_cube_train, make_wave,
@@ -166,9 +166,9 @@ def test_blue_packet_concentration(small_config):
         for s in (0.0, 2.0 ** (k - 1), -2.0 ** (k - 1)):
             f2 = np.abs(psi.evaluate(s)) ** 2
             c = np.array([4.0, 9.0]) + om * s
-            ax = lat.x_axis()
-            d1 = lat.wrap(ax - c[0])
-            d2 = lat.wrap(ax - c[1])
+            ax = lat.spacing * np.arange(lat.size)
+            d1 = wrap_delta(ax - c[0], lat.box)
+            d2 = wrap_delta(ax - c[1], lat.box)
             m = (d1 * d1)[:, None] + (d2 * d2)[None, :] <= 1.0
             assert float((f2 * m).sum()) * lat.spacing ** 2 >= KAPPA_TUBE
 
@@ -183,9 +183,9 @@ def test_packet_localization_ball(small_config):
     t = 1.0
     f2 = np.abs(psi.evaluate(t)) ** 2
     c = np.array([10.0, 3.0]) + om * t
-    ax = lat.x_axis()
-    d1 = lat.wrap(ax - c[0])
-    d2 = lat.wrap(ax - c[1])
+    ax = lat.spacing * np.arange(lat.size)
+    d1 = wrap_delta(ax - c[0], lat.box)
+    d2 = wrap_delta(ax - c[1], lat.box)
     m = (d1 * d1)[:, None] + (d2 * d2)[None, :] <= C_LOC ** 2
     assert float((f2 * m).sum()) >= 0.5 * float(f2.sum())
 
