@@ -175,12 +175,16 @@ def _snapped_direction(alpha, k: int) -> float:
     return i * spacing
 
 
+@functools.lru_cache(maxsize=None)
 def _profile_kernel(box_i: int) -> np.ndarray:
+    """The cross-section profile on the integer grid of the side-box_i
+    torus, read-only: one kernel per box."""
     k = np.zeros((box_i, box_i))
     rows, cols, _ = span_pixels(*disk_spans((0.0, 0.0), PROFILE_RADIUS, 1.0))
     for d1, d2 in zip(rows.tolist(), cols.tolist()):
         d = math.sqrt(d1 * d1 + d2 * d2)
         k[d1 % box_i, d2 % box_i] = (1.0 + d * d) ** (-PROFILE_POWER)
+    k.flags.writeable = False
     return k
 
 

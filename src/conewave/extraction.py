@@ -6,16 +6,20 @@ One round, for a red wave phi of mass at most 1:
 
 1. ``find_concentrating_tube`` maximizes the L^2_t L^inf_x norm over
    window-spanning tubes with directions on a 1/16-spaced angular grid inside
-   the pi/8 cone and offsets on a half-unit spatial grid.  The search is a
-   two-stage argmax: a cell-max upper bound over all candidates, then exact
-   evaluation in decreasing bound order until the bound drops below the best
-   exact value, so the returned tube is the exact argmax over the grid.
-   The half-unit offset grid lies on the pixel grid, so for each (direction,
-   time) pair the axis pixel's shift and the set of pixels within distance 1
-   of the axis point are the same for every candidate.  These disk stencils
-   are built once per quadrature, and an exact norm is one flat gather per
-   time slice from a wrap-padded magnitude stack; candidates off the grid
-   are rejected, since the stencils are exact only there.
+   the pi/8 cone and offsets on a half-unit spatial grid.  The half-unit
+   offset grid lies on the pixel grid, so for each (direction, time) pair
+   the axis pixel's shift and the set of pixels within distance 1 of the
+   axis point are the same for every candidate.  These disk stencils are
+   built once per quadrature.  The search is a two-stage argmax.  First
+   every candidate gets an upper bound: per time slice the max of the
+   half-unit cell maxima over the window of cells that the stencils reach
+   around the axis pixel's cell.  Then the candidates whose bound reaches
+   the threshold are evaluated exactly in decreasing bound order, in
+   chunks of 64 growing to 512, until the bound drops below the best exact
+   value, so the returned tube is the exact argmax over the grid.  An
+   exact norm is one flat gather per time slice from a wrap-padded
+   magnitude stack; candidates off the grid are rejected, since the
+   stencils are exact only there.
 2. ``dual_witness`` realizes the tube norm as a pairing: x(t) is the grid
    argmax of |phi(t, .)| over the tube cross-section and f the normalized
    trace of phi along (t, x(t)).
@@ -124,11 +128,18 @@ class _DiskStencils:
     the set of pixel offsets within distance 1 of the axis point do not
     depend on the anchor.  ``flat`` holds those offsets as flat indices into
     one slice wrap-padded by ``pad`` pixels, each row padded to a common
-    length by repeating its first offset (a repeat leaves a max unchanged)."""
+    length by repeating its first offset (a repeat leaves a max unchanged).
+
+    For the bound: with ``cell`` pixels per half-unit cell, the axis pixel
+    of an anchor in cell a lies in cell a + ``cell_shift``, and on each axis
+    every disk pixel lies ``window[0]`` to ``window[1]`` cells from that
+    cell."""
     thetas: np.ndarray      # (D,) search directions
     pad: int                # wrap padding of a magnitude slice, in pixels
     shift: np.ndarray       # (2, T, D) axis pixel of the anchor-0 tube
     flat: np.ndarray        # (T, D, K) flat disk offsets in a padded slice
+    cell_shift: np.ndarray  # (2, T, D) shift // cell
+    window: np.ndarray      # (2, 2) per axis: lowest and highest cell offset
 
 
 def _disk_stencils(quad: Quadrature) -> _DiskStencils:
@@ -136,20 +147,31 @@ def _disk_stencils(quad: Quadrature) -> _DiskStencils:
     quadrature from one ``disk_spans`` call over every (time, direction)."""
     if "disk_stencils" not in quad._cache:
         h = quad.h
+        cell = search_cell(quad.lattice)
         pad = int(math.ceil(1.0 / h)) + 1
         width = quad.lattice.size + 2 * pad
         thetas = search_directions()
         c1 = np.cos(thetas)[None, :] * quad.times[:, None]     # (T, D)
         c2 = np.sin(thetas)[None, :] * quad.times[:, None]
         shift = np.round(np.stack([c1, c2]) / h).astype(np.int64)
-        rows, cols, disk = span_pixels(*disk_spans(np.stack([c1, c2], axis=-1), 1.0, h))
+        spans = disk_spans(np.stack([c1, c2], axis=-1), 1.0, h)
+        rows, cols, disk = span_pixels(*spans)
         offsets = (rows - shift[0].ravel()[disk]) * width + cols - shift[1].ravel()[disk]
+        # the cells of each span's ends relative to the axis pixel's cell
+        d, r, lo, hi = spans
+        held = hi >= lo
+        cell_shift = shift // cell
+        q = cell_shift.reshape(2, -1)[:, d[held]]
+        near = np.stack([r[held], lo[held]]) // cell - q
+        far = np.stack([r[held], hi[held]]) // cell - q
+        window = np.stack([near.min(axis=1), far.max(axis=1)], axis=1)
         count = np.bincount(disk, minlength=c1.size)
         kmax = int(count.max())
         k = np.arange(kmax)
         take = (np.cumsum(count) - count)[:, None] + np.where(k < count[:, None], k, 0)
         flat = offsets[take].reshape(*c1.shape, kmax)
-        quad._cache["disk_stencils"] = _DiskStencils(thetas, pad, shift, flat)
+        quad._cache["disk_stencils"] = _DiskStencils(thetas, pad, shift, flat,
+                                                     cell_shift, window)
     return quad._cache["disk_stencils"]
 
 
@@ -184,38 +206,54 @@ class _TubeSearch:
             for b in range(cell):
                 np.maximum(self.cellmax, self.slices[:, a::cell, b::cell], out=self.cellmax)
 
-    def upper_bounds(self, thetas: np.ndarray, radius: float) -> np.ndarray:
+    def _directions(self, thetas) -> np.ndarray:
+        """Stencil indices of directions on the search grid; ValueError for
+        any other direction."""
+        st = self.stencils
+        thetas = np.asarray(thetas, dtype=float)
+        dirs = np.minimum(np.searchsorted(st.thetas, thetas), len(st.thetas) - 1)
+        if not np.array_equal(st.thetas[dirs], thetas):
+            raise ValueError("tube directions must lie on the search grid")
+        return dirs
+
+    def upper_bounds(self, thetas: np.ndarray) -> np.ndarray:
         """Upper bound of the tube norm for every (direction, half-unit
-        offset).  A pixel within `radius` of the axis point lies in a
-        half-unit cell whose index differs from the axis cell by at most
-        2*radius + sqrt(2), so a dilated cell-max dominates the exact disk
-        max; for candidates on the cell grid the axis cell is a pure shift.
-        Each slice's cell max is wrap-padded once; the dilation and the
-        per-direction shifts are slices of it.  Shape (n_dirs, 2*box, 2*box)."""
-        times = self.quad.times
-        dt = self.quad.dt
+        offset), shape (n_dirs, 2*box, 2*box).
+
+        The disk of a candidate anchored at pixel a * cell holds the pixels
+        a * cell + p, p a pixel of the anchor-0 disk, and a * cell + p lies
+        in cell a + p // cell.  The stencils' window holds p // cell -
+        cell_shift for every pixel p of every anchor-0 disk, so the max of
+        the cell max over the window around cell a + cell_shift dominates
+        the disk max at every time, and the squares, summed over the times
+        in the order of exact_norms, dominate its sum in floating point too.
+        Per slice the window max is two running maxima over one wrapped
+        copy of the cell max, squared once; each direction adds one shifted
+        view of it."""
+        st = self.stencils
+        dirs = self._directions(thetas)
         nc = self.nc
-        reach = 2.0 * radius + 1.5
-        r = int(math.ceil(reach))
-        offs = [(d1, d2) for d1 in range(-r, r + 1) for d2 in range(-r, r + 1)
-                if d1 * d1 + d2 * d2 <= reach * reach and (d1, d2) != (0, 0)]
-        inv = 1.0 / OFFSET_SPACING
-        s1 = np.floor(np.cos(thetas)[:, None] * times * inv).astype(np.int64)
-        s2 = np.floor(np.sin(thetas)[:, None] * times * inv).astype(np.int64)
-        smax = int(max(np.abs(s1).max(initial=0), np.abs(s2).max(initial=0)))
-        span = nc + 2 * smax              # the dilated cell max, wrapped by smax
-        wrap = np.arange(-smax - r, nc + smax + r) % nc
-        bounds = np.zeros((len(thetas), nc, nc))
-        for i in range(len(times)):
-            cm = self.cellmax[i][np.ix_(wrap, wrap)]
-            dil = cm[r:r + span, r:r + span].copy()
-            for d1, d2 in offs:
-                np.maximum(dil, cm[r + d1:r + d1 + span, r + d2:r + d2 + span], out=dil)
-            for di in range(len(thetas)):
-                a, b = smax + s1[di, i], smax + s2[di, i]
-                v = dil[a:a + nc, b:b + nc]
-                bounds[di] += dt * v * v
-        return np.sqrt(bounds)
+        (lo1, hi1), (lo2, hi2) = st.window
+        bounds = np.zeros((len(dirs), nc, nc))
+        for i in range(len(self.cellmax)):
+            q1, q2 = st.cell_shift[0, i, dirs], st.cell_shift[1, i, dirs]
+            b1, b2 = q1.min(), q2.min()
+            m1 = nc + q1.max() - b1
+            m2 = nc + q2.max() - b2
+            ext = self.cellmax[i][np.ix_(np.arange(b1 + lo1, b1 + hi1 + m1) % nc,
+                                         np.arange(b2 + lo2, b2 + hi2 + m2) % nc)]
+            rows = ext[:m1].copy()
+            for d in range(1, hi1 - lo1 + 1):
+                np.maximum(rows, ext[d:d + m1], out=rows)
+            win = rows[:, :m2].copy()
+            for d in range(1, hi2 - lo2 + 1):
+                np.maximum(win, rows[:, d:d + m2], out=win)
+            np.square(win, out=win)
+            for j in range(len(dirs)):
+                a, b = q1[j] - b1, q2[j] - b2
+                bounds[j] += win[a:a + nc, b:b + nc]
+        bounds *= self.quad.dt
+        return np.sqrt(bounds, out=bounds)
 
     def exact_norms(self, thetas: np.ndarray, x0s: np.ndarray) -> np.ndarray:
         """Exact grid tube norms for a batch of window-spanning unit tubes
@@ -224,10 +262,7 @@ class _TubeSearch:
         Per time slice the disk maxima of the whole batch are one flat
         gather from the padded slice and a row max."""
         st = self.stencils
-        thetas = np.asarray(thetas, dtype=float)
-        dirs = np.minimum(np.searchsorted(st.thetas, thetas), len(st.thetas) - 1)
-        if not np.array_equal(st.thetas[dirs], thetas):
-            raise ValueError("tube directions must lie on the search grid")
+        dirs = self._directions(thetas)
         cells = np.asarray(x0s, dtype=float).reshape(-1, 2) / OFFSET_SPACING
         if not np.array_equal(cells, np.round(cells)):
             raise ValueError("tube anchors must lie on the half-unit grid")
@@ -258,18 +293,23 @@ def find_concentrating_tube(phi: SpectralWave, delta: float, quad: Quadrature,
         return None, 0.0
     search = search or _TubeSearch(phi, quad)
     thetas = search_directions()
-    bounds = search.upper_bounds(thetas, 1.0)
+    bounds = search.upper_bounds(thetas)
     flat = bounds.ravel()
-    order = np.argsort(-flat, kind="stable")
+    # candidates whose bound reaches the threshold, by decreasing bound
+    # (ties in index order, as a stable sort of every candidate would give)
+    floor = threshold * (1.0 - 1e-12)
+    order = np.flatnonzero(flat > floor)
+    order = order[np.argsort(-flat[order], kind="stable")]
     best_val = -1.0
     best_tube = None
-    chunk = 512
-    for lo in range(0, len(order), chunk):
-        cut = max(best_val, threshold * (1.0 - 1e-12))
+    lo, chunk = 0, 64
+    while lo < len(order):
+        cut = max(best_val, floor)
         take = order[lo:lo + chunk]
         take = take[flat[take] > cut]
         if not len(take):
             break
+        lo, chunk = lo + chunk, min(2 * chunk, 512)
         di, a, b = np.unravel_index(take, bounds.shape)
         ths = thetas[di]
         xs = np.stack([a, b], axis=1) * OFFSET_SPACING
@@ -385,6 +425,9 @@ def extract_profile(phi: SpectralWave, delta: float, quad: Quadrature,
         if tube is None:
             return tubes, current, trace
         witness = dual_witness(current, tube, quad, search)
+        # free the magnitude stack: held until the next search is built, two
+        # stacks would be alive at once
+        del search
         extractor = build_extractor(current.lattice, witness, margin_target)
         step = optimal_multiple(current, extractor)
         mass_before = current.mass()

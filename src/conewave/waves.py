@@ -21,6 +21,7 @@ of S_0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -191,14 +192,38 @@ class SpectralWave:
         h = L / N, the mode m and the mode m mod N take the same values, so
         folding the mode integers mod N gives the exact point values as long
         as no two modes share a residue.  That holds when the modes spread
-        over fewer than N integers on each axis; ValueError otherwise."""
+        over fewer than N integers on each axis; ValueError otherwise.
+
+        The transform skips the columns that hold no modes: each run of
+        columns that hold modes is transformed along axis 0 in place and
+        multiplied by 1/N^2, then the whole array along axis 1.  This gives
+        the bits of ifft2, because pocketfft transforms axis 0 first and
+        multiplies each entry of that pass's output by its factor 1/N^2
+        (the double 1.0 / N**2 for every even N below 5000), while a column
+        without modes only adds zeros to the rows of the second pass."""
         lat = self._eval_lattice(lattice)
         if np.any(self.spread() >= lat.size):
             raise ValueError(f"wave modes spread over {tuple(self.spread())} integers: "
                              f"two may share a residue mod N = {lat.size}")
         # a fresh coefficient array per call, transformed in place
         buf = self._scatter(t, lat, (lat.size / lat.box) ** 2)
-        return _fft.ifft2(buf, overwrite_x=True, workers=_FFT_WORKERS)
+        fct = 1.0 / lat.size ** 2
+        for a, b in self._column_runs(lat):
+            cols = buf[:, a:b]
+            out = _fft.ifft(cols, axis=0, norm="forward", overwrite_x=True,
+                            workers=_FFT_WORKERS)
+            np.multiply(out.view(np.float64), fct, out=cols.view(np.float64))
+        return _fft.ifft(buf, axis=1, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+
+    def _column_runs(self, lattice: FrequencyLattice) -> list:
+        """[start, stop) runs of the grid columns that hold modes."""
+        key = ("runs", lattice.size)
+        if key not in self._cache:
+            cols = np.unique(np.concatenate([self._indices(side, lattice)[1]
+                                             for side in ("plus", "minus")]))
+            runs = np.split(cols, np.flatnonzero(np.diff(cols) != 1) + 1)
+            self._cache[key] = [(int(r[0]), int(r[-1]) + 1) for r in runs if len(r)]
+        return self._cache[key]
 
     def point_values(self, times, rows, cols,
                      lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
@@ -208,12 +233,13 @@ class SpectralWave:
         self._check_band(lat)
         n = lat.size
         out = np.zeros(len(times), dtype=np.complex128)
+        roots = _roots_of_unity(n)
         for side, vals in (("plus", self.vals_plus), ("minus", self.vals_minus)):
             if not len(vals):
                 continue
             i1, i2 = self._indices(side, lat)
             for j, (t, r, c) in enumerate(zip(times, rows, cols)):
-                kernel = np.exp((2j * np.pi / n) * ((r * i1 + c * i2) % n))
+                kernel = roots[(r * i1 + c * i2) % n]
                 out[j] += self.phased(side, t, lat.box ** -2) @ kernel
         return out
 
@@ -266,6 +292,14 @@ class SpectralWave:
                             self.modes_minus, self.vals_minus, self.color, self.k)
 
 
+@functools.lru_cache(maxsize=None)
+def _roots_of_unity(n: int) -> np.ndarray:
+    """e^{2 pi i j / n} for j < n, read-only: the kernels of point_values."""
+    out = np.exp((2j * np.pi / n) * np.arange(n))
+    out.flags.writeable = False
+    return out
+
+
 def _canonical(modes: np.ndarray, vals: np.ndarray):
     if len(vals) == 0:
         return modes.reshape(0, 2).astype(np.int64), vals.astype(np.complex128)
@@ -278,12 +312,21 @@ def _merge(m1, v1, m2, v2):
         return _prune(*_canonical(m2, v2))
     if len(v2) == 0:
         return _prune(*_canonical(m1, v1))
+    if np.array_equal(m1, m2) and _strictly_sorted(m1):
+        # np.unique would return m1 and np.add.at would add v1, then v2, to zeros
+        return _prune(m1, (0j + v1) + v2)
     modes = np.concatenate([m1, m2])
     vals = np.concatenate([v1, v2])
     uniq, inv = np.unique(modes, axis=0, return_inverse=True)
     merged = np.zeros(len(uniq), dtype=np.complex128)
     np.add.at(merged, inv, vals)
     return _prune(uniq, merged)
+
+
+def _strictly_sorted(modes) -> bool:
+    """Rows in strictly increasing lexicographic order: sorted, no repeats."""
+    d0 = np.diff(modes[:, 0])
+    return bool(np.all((d0 > 0) | ((d0 == 0) & (np.diff(modes[:, 1]) > 0))))
 
 
 def _prune(modes, vals):

@@ -250,6 +250,52 @@ def test_sub_and_embed(small_config, lat0):
     assert np.allclose(f1[::step, ::step], f0, atol=1e-9)
 
 
+def _merge_by_unique(m1, v1, m2, v2):
+    """The general merge: unique modes, values added in order with np.add.at."""
+    uniq, inv = np.unique(np.concatenate([m1, m2]), axis=0, return_inverse=True)
+    merged = np.zeros(len(uniq), dtype=np.complex128)
+    np.add.at(merged, inv.ravel(), np.concatenate([v1, v2]))
+    keep = np.abs(merged) > 0.0
+    return uniq[keep], merged[keep]
+
+
+def test_sub_of_equal_supports_matches_the_general_merge(lat0):
+    from conewave.waves import _merge
+    w = random_colored_wave(lat0, "red", 0, 1 / 20, seed=8)
+    v = w.scaled(0.5 - 0.25j)
+    # exact cancellations and signed zeros in both operands
+    v1, v2 = w.vals_plus.copy(), v.vals_plus.copy()
+    v1[:4] = [complex(-0.0, 1.0), complex(-0.0, -0.0), 2.0 + 0j, complex(1.0, -0.0)]
+    v2[:4] = [complex(-0.0, 0.0), complex(-0.0, -0.0), -2.0 + 0j, complex(-1.0, 0.0)]
+    m = w.modes_plus
+    for a, b in ((v1, v2), (w.vals_plus, -0.3 * v.vals_plus)):
+        got, want = _merge(m, a, m, b), _merge_by_unique(m, a, m, b)
+        assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
+    d = w.sub(v)
+    want = _merge_by_unique(m, w.vals_plus, m, -1.0 * v.vals_plus)
+    assert np.array_equal(d.modes_plus, want[0])
+    assert d.vals_plus.tobytes() == want[1].tobytes()
+    # equal arrays with a repeated row, or out of order, take the general path
+    rep = np.array([[1, 2], [1, 2], [3, 0]])
+    unsorted = np.array([[3, 0], [1, 2], [2, 5]])
+    for mm in (rep, unsorted):
+        a, b = np.array([1.0, 2.0, 3.0j]), np.array([0.5, -3.0, 1.0])
+        got, want = _merge(mm, a, mm, b), _merge_by_unique(mm, a, mm, b)
+        assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 160, 640, 1280])
+def test_roots_of_unity_match_the_exp_kernels(n):
+    from conewave.waves import _roots_of_unity
+    rng = np.random.default_rng(n)
+    r, c = rng.integers(0, n, 2)
+    i1, i2 = rng.integers(0, n, (2, 500))
+    phase = (r * i1 + c * i2) % n
+    want = np.exp((2j * np.pi / n) * phase)
+    assert _roots_of_unity(n)[phase].tobytes() == want.tobytes()
+    assert np.array_equal(_roots_of_unity(n), np.exp((2j * np.pi / n) * np.arange(n)))
+
+
 # ---------------------------------------------------------------------------
 # synthesis on a lattice coarser than the band: modes folded mod N
 
@@ -302,6 +348,48 @@ def test_spectral_paths_keep_the_band_check(small_config):
 
 
 # ---------------------------------------------------------------------------
+# the column-pruned transform against ifft2, bit for bit
+
+def _ifft2_field(w, t, lat):
+    """The field as one full ifft2 of the scattered coefficients."""
+    import scipy.fft
+    return scipy.fft.ifft2(w._scatter(t, lat, (lat.size / lat.box) ** 2))
+
+
+def _bit_cases(config):
+    lat0 = lattice_for(config, 0)
+    for k in range(4):
+        lat = lattice_for(config, k)
+        for color in ("red", "blue"):
+            yield random_colored_wave(lat, color, k, 1 / 20, seed=40 + k), (lat,)
+    lat1 = lattice_for(config, 1)
+    packet = make_blue_tube_wave(lat1, 0.5, (3.0, 7.0), unit_dir(0.2), 1)
+    yield packet, (lat1,)
+    red = random_colored_wave(lat1, "red", 1, 1 / 20, seed=50)
+    yield red.sub(packet, 0.3 - 0.2j), (lat1,)
+    # embedded on the k = 2 lattice, then folded onto coarser ones
+    lat2 = lattice_for(config, 2)
+    embedded = random_colored_wave(lat0, "red", 0, 1 / 20, seed=51).embed(lat2)
+    yield embedded, (lat2, lat1, lat0)
+    yield zero_wave(lat0), (lat0,)
+    yield plane_wave(lat1, (7, -3), 1.5 - 0.5j, side="minus"), (lat1, lat0)
+
+
+@pytest.mark.parametrize("default", [False, True])
+def test_evaluate_equals_ifft2_bit_for_bit(small_config, default):
+    from conewave.config import RunConfig
+    config = RunConfig() if default else small_config
+    cases = 0
+    for w, lattices in _bit_cases(config):
+        for lat in lattices:
+            for t in (-config.half_window, -1.25, 0.0, 0.3, 2.75):
+                got = w.evaluate(t, lat)
+                assert got.tobytes() == _ifft2_field(w, t, lat).tobytes()
+                cases += 1
+    assert cases == 5 * 16
+
+
+# ---------------------------------------------------------------------------
 # synthesis: no state shared across failures or threads
 
 def test_evaluate_after_failed_transform_is_clean(small_config, monkeypatch):
@@ -309,16 +397,16 @@ def test_evaluate_after_failed_transform_is_clean(small_config, monkeypatch):
     lat = lattice_for(small_config, 1)
     red = random_colored_wave(lat, "red", 1, 1 / 20, seed=11)
     blue = random_colored_wave(lat, "blue", 1, 1 / 20, seed=12)
-    real_ifft2 = waves_mod._fft.ifft2
+    real_ifft = waves_mod._fft.ifft
     calls = []
 
     def failing_once(*args, **kwargs):
         calls.append(1)
         if len(calls) == 1:
             raise RuntimeError("injected transform failure")
-        return real_ifft2(*args, **kwargs)
+        return real_ifft(*args, **kwargs)
 
-    monkeypatch.setattr(waves_mod._fft, "ifft2", failing_once)
+    monkeypatch.setattr(waves_mod._fft, "ifft", failing_once)
     with pytest.raises(RuntimeError):
         red.evaluate(0.3, lat)
     got = blue.evaluate(0.7, lat)
