@@ -16,9 +16,9 @@ from .config import RunConfig
 from .extraction import (build_extractor, dual_witness, extract_profile,
                          find_concentrating_tube)
 from .geometry import Tube, unit_dir
-from .harness import (TRAIN_THETA, TRAIN_X0, fungibility_partition,
-                      sharpness_experiment, standard_suite, standard_train,
-                      tube_sup_profile, universal_tube_family, verify_profile)
+from .harness import (fungibility_partition, sharpness_experiment, standard_suite,
+                      standard_train, tube_sup_profile, universal_tube_family,
+                      verify_profile)
 from .lattice import lattice_for
 from .norms import Quadrature, disk_pixel_indices, l2t_linf_on_tube, product_l2
 from .waves import make_blue_tube_wave, make_red_cube_bump, random_colored_wave
@@ -122,8 +122,7 @@ def calibrate(config: RunConfig = None, verbose: bool = True):
     report("universal(time s)", round(time.time() - t1, 1))
     report("universal(maxM(F))", max(s.mass_extractor for s in trace.steps))
     report("universal(min dec)", min(s.decrement for s in trace.steps))
-    suite = standard_suite(seeds_per_k=10, base_seed=1000,
-                           adversarial_axis=(0.0, TRAIN_X0, TRAIN_THETA))
+    suite = standard_suite(seeds_per_k=10, base_seed=1000)
     t1 = time.time()
     rep = verify_profile(train, tubes, 0.2, suite, config)
     report("profile(time s)", round(time.time() - t1, 1))

@@ -54,10 +54,6 @@ def write_tubes(tubes, path) -> None:
     Path(path).write_text(json.dumps([tube_to_dict(t) for t in tubes], indent=1))
 
 
-def read_tubes(path) -> list:
-    return [tube_from_dict(d) for d in json.loads(Path(path).read_text())]
-
-
 def read_family(path, k: int, box: float) -> WeightedTubeFamily:
     """Weighted family from a {"tubes": [...], "weights": [...]} JSON file;
     its tubes must be S_MIN-separated, as the covering lemma assumes."""
@@ -297,8 +293,7 @@ def cmd_profile(cfg, args) -> int:
     phi = _red_wave(cfg, args)
     quad = Quadrature(cfg, phi.lattice)
     tubes, remainder, trace = universal_tube_family(phi, args.delta, quad)
-    suite = standard_suite(seeds_per_k=args.suite_size, base_seed=args.seed,
-                           adversarial_axis=(0.0, TRAIN_X0, TRAIN_THETA))
+    suite = standard_suite(seeds_per_k=args.suite_size, base_seed=args.seed)
     report = verify_profile(phi, tubes, args.delta, suite, cfg)
     write_tubes(tubes, _out(args, "universal_tubes.json"))
     rows = [{"kind": r.kind, "k": r.k, "seed": r.seed,
@@ -321,8 +316,7 @@ def cmd_fungibility(cfg, args) -> int:
     quad = Quadrature(cfg, phi.lattice)
     tubes, _, _ = universal_tube_family(phi, args.delta, quad)
     intervals = fungibility_partition(phi, tubes, args.delta, quad)
-    suite = standard_suite(seeds_per_k=args.suite_size, base_seed=args.seed,
-                           adversarial_axis=(0.0, TRAIN_X0, TRAIN_THETA))
+    suite = standard_suite(seeds_per_k=args.suite_size, base_seed=args.seed)
     rows = verify_fungibility(phi, intervals, suite, args.delta, cfg)
     _write_csv(_out(args, "fungibility.csv"), rows,
                ["k", "seed", "kind", "t_lo", "t_hi", "ratio"])

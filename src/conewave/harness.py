@@ -60,17 +60,15 @@ class PsiSpec:
         raise ValueError(f"unknown psi kind {self.kind!r}")
 
 
-def standard_suite(ks=DEFAULT_KS, seeds_per_k: int = 10, base_seed: int = 1000,
-                   adversarial_axis: Optional[tuple] = None) -> list:
-    """Random partners per frequency scale plus one aimed packet per scale."""
+def standard_suite(ks=DEFAULT_KS, seeds_per_k: int = 10, base_seed: int = 1000) -> list:
+    """Random partners per frequency scale plus one packet per scale aimed
+    along the standard train."""
     suite = []
     for k in ks:
         for j in range(seeds_per_k):
             suite.append(PsiSpec("random", k, seed=base_seed + 97 * k + j))
-    if adversarial_axis is not None:
-        t0, x0, theta = adversarial_axis
-        for k in ks:
-            suite.append(PsiSpec("packet", k, t0=t0, x0=tuple(x0), theta=theta))
+    for k in ks:
+        suite.append(PsiSpec("packet", k, t0=0.0, x0=TRAIN_X0, theta=TRAIN_THETA))
     return suite
 
 
@@ -165,6 +163,19 @@ def verify_profile(phi: SpectralWave, tubes: list, delta: float, suite: list,
     return report
 
 
+def _interval_rows(part, slice_sums: np.ndarray, denom: float, times: np.ndarray,
+                   dt: float, intervals: list) -> list:
+    """One row per interval [lo, hi) of the bilinear ratio of one partner
+    (a PsiSpec or ProfileRecord) over the slices that the interval holds."""
+    rows = []
+    for lo, hi in intervals:
+        sel = (times >= lo - 1e-12) & (times < hi - 1e-12)
+        ratio = math.sqrt(dt * float(slice_sums[sel].sum())) / denom
+        rows.append({"k": part.k, "seed": part.seed, "kind": part.kind,
+                     "t_lo": lo, "t_hi": hi, "ratio": ratio})
+    return rows
+
+
 def interval_ratios_from_report(report: ProfileReport, intervals: list,
                                 config: RunConfig) -> list:
     """Per (interval, record) ratios from slice sums kept by verify_profile."""
@@ -173,11 +184,7 @@ def interval_ratios_from_report(report: ProfileReport, intervals: list,
     for r in report.records:
         if r.slice_sums is None:
             raise ValueError("verify_profile must be run with keep_slice_sums")
-        for lo, hi in intervals:
-            sel = (times >= lo - 1e-12) & (times < hi - 1e-12)
-            ratio = math.sqrt(config.dt * float(r.slice_sums[sel].sum())) / r.denom
-            rows.append({"k": r.k, "seed": r.seed, "kind": r.kind,
-                         "t_lo": lo, "t_hi": hi, "ratio": ratio})
+        rows += _interval_rows(r, r.slice_sums, r.denom, times, config.dt, intervals)
     return rows
 
 
@@ -243,12 +250,8 @@ def verify_fungibility(phi: SpectralWave, intervals: list, suite: list,
         for i, j, _, dens in product_densities(phi, psis, quad):
             sums[j, i] = w * float(dens.sum())
         for spec, psi, s in zip(specs, psis, sums):
-            denom = math.sqrt(m_phi * psi.mass())
-            for lo, hi in intervals:
-                sel = (quad.times >= lo - 1e-12) & (quad.times < hi - 1e-12)
-                ratio = math.sqrt(quad.dt * float(s[sel].sum())) / denom
-                rows.append({"k": spec.k, "seed": spec.seed, "kind": spec.kind,
-                             "t_lo": lo, "t_hi": hi, "ratio": ratio})
+            rows += _interval_rows(spec, s, math.sqrt(m_phi * psi.mass()), quad.times,
+                                   quad.dt, intervals)
     return rows
 
 

@@ -18,18 +18,26 @@ weighted indicator sum stays below delta:
 Point-tube incidence is found as (point, tube) pairs (``_incidence``): each
 point goes to its nearest witness time, the tube centres at that time sit in
 one periodic k-d tree, and the candidates it returns are kept by the same test
-as ``WeightedTubeFamily.membership``.  Residual evaluation has two engines:
+as ``WeightedTubeFamily.membership``.
 
-* ``_PairResidual`` (the default): the pairs of the axis samples, with the
-  residual of a round one ``np.bincount`` over them.  The pointwise verifier
-  reduces the pairs of its samples the same way.
-* ``_GridResidual``: families of more than ``_GRID_ENGINE_MIN_TUBES`` tubes
-  whose anchors sit on the integer grid (the shape produced by the blue-wave
-  sector weights).  The residual on a whole anchor grid at one witness time
-  is a sum of shifted windows of one wrap-padded stack of the per-direction
-  weight images, with the (time, direction pair) stencils, unit disks of
-  ``geometry.disk_spans`` at step 1, built once per engine; this beats the
-  pairs once a family has millions of them.
+The greedy loop holds the active tubes and does the only collect: the row of
+``membership`` at the witness point, restricted to the active tubes.  An
+engine only gives ``max_point(active)``, the largest residual of the active
+tubes over its witness set and a point reaching it, ties going to the
+earliest witness time:
+
+* ``_PairResidual``, the definition: the witness set is the axis samples, and
+  a round's residual is one ``np.bincount`` over their pairs (the verifier
+  reduces its samples' pairs the same way).
+* ``_GridResidual``, its fast path for families of more than
+  ``_GRID_ENGINE_MIN_TUBES`` tubes on integer anchors (the blue-wave sector
+  weights).  Its witness set is a + omega t for every integer anchor a of
+  each direction group; on a family with a tube at every integer anchor of
+  each group (as the sector weights have) that is the pair engine's, and
+  both return the same point bit for bit.  The residual on a whole anchor
+  grid at one witness time is a sum of shifted windows of one wrap-padded
+  stack of the per-direction weight images, with (time, direction pair)
+  stencils of ``geometry.disk_spans`` unit disks built once.
 """
 
 from __future__ import annotations
@@ -113,10 +121,6 @@ class WeightedTubeFamily:
     def __len__(self):
         return len(self.weights)
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
     def check_separation(self, s_min: float = C.S_MIN) -> float:
         """Smallest pairwise |x_b - x_b'| + 2^k |omega_b - omega_b'|; raises
         below s_min.
@@ -169,10 +173,9 @@ class WeightedTubeFamily:
         return out
 
     def grid_anchored(self) -> bool:
+        """Every anchor an exact integer (the shape the grid engine takes)."""
         xs = self.anchors
-        if len(xs) == 0:
-            return False
-        return bool(np.all(np.abs(xs - np.round(xs)) < 1e-9))
+        return len(xs) > 0 and bool(np.all(xs == np.round(xs)))
 
 
 def _axis_times(k: int) -> np.ndarray:
@@ -256,25 +259,15 @@ class _PairResidual:
         order = np.lexsort((allp[:, 2], allp[:, 1], allp[:, 0]))
         self.points = allp[order]
         self.rows, self.cols = _incidence(family, self.points[:, 0], self.points[:, 1:])
-        self.active = np.ones(len(family), dtype=bool)
 
-    def residual(self) -> np.ndarray:
-        return np.bincount(self.rows, (self.family.weights * self.active)[self.cols],
+    def residual(self, active: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, (self.family.weights * active)[self.cols],
                            minlength=len(self.points))
 
-    def max_point(self):
-        if not self.active.any():
-            return 0.0, None
-        residual = self.residual()
+    def max_point(self, active: np.ndarray):
+        residual = self.residual(active)
         j = int(np.argmax(residual))
         return float(residual[j]), (self.points[j, 0], self.points[j, 1:].copy())
-
-    def collect(self, point):
-        t, x = point
-        inc = self.family.membership(np.array([t]), x.reshape(1, 2))[0]
-        hit = np.where(inc & self.active)[0]
-        self.active[hit] = False
-        return hit
 
 
 class _GridResidual:
@@ -282,33 +275,34 @@ class _GridResidual:
     weights live on the integer torus grid, and the residual at the axis
     sample points of group g' at time t is a fixed small-stencil correlation
     of every group's weight image.  The stencils depend only on the
-    directions and times, so they are built once; each ``max_point`` wraps
-    the current images into one padded stack and adds shifted windows of it."""
+    directions and times, so they are built once; each ``max_point`` fills
+    the images with the active weights, wraps them into one padded stack and
+    adds shifted windows of it.  A group's direction is its first tube's, so
+    a witness point is formed as the pair engine forms its axis sample."""
 
     def __init__(self, family: WeightedTubeFamily):
         self.family = family
         self.box_i = int(round(family.box))
         # direction groups in the lexicographic order of np.unique(axis=0),
         # found by viewing each rounded row as one complex number (complex
-        # numbers sort lexicographically, and much faster than rows)
+        # numbers sort lexicographically, and much faster than rows); the
+        # rounding only forms the groups
         rows = np.ascontiguousarray(np.round(family.directions, 9))
-        uniq, inv = np.unique(rows.view(np.complex128).ravel(), return_inverse=True)
-        uniq = uniq.view(np.float64).reshape(-1, 2)
-        self.group_dirs = uniq
-        # per direction group: the weight and the tube index at each integer anchor
-        cells = (inv.ravel(), *(np.round(family.anchors).astype(int) % self.box_i).T)
-        self.images = np.zeros((len(uniq), self.box_i, self.box_i))
-        self.images[cells] = family.weights
-        self.index_img = np.full(self.images.shape, -1, dtype=np.int64)
-        self.index_img[cells] = np.arange(len(family))
+        _, first, inv = np.unique(rows.view(np.complex128).ravel(), return_index=True,
+                                  return_inverse=True)
+        self.group_dirs = family.directions[first]
+        # per direction group: the weight image cell of each tube
+        self.cells = (inv.ravel(), *(family.anchors.astype(int) % self.box_i).T)
+        self.images = np.zeros((len(first), self.box_i, self.box_i))
         self.times = _axis_times(family.k)
         # stencils[i][g'] lists (g, d1, d2): the integer offsets d of group
         # g's anchors within distance 1 of (omega_g' - omega_g) times[i], the
         # axis point of group g' at times[i] seen from anchor 0 (exact: both
         # anchors sit on integers); one unit disk per (time, g', g)
-        ng = len(uniq)
+        ng = len(first)
+        dirs = self.group_dirs
         t = self.times[:, None, None, None]
-        shift = uniq[None, :, None, :] * t - uniq[None, None, :, :] * t
+        shift = dirs[None, :, None, :] * t - dirs[None, None, :, :] * t
         rows, cols, disk = span_pixels(*disk_spans(shift.reshape(-1, 2), 1.0, 1.0))
         offs = np.column_stack([disk % ng, rows, cols]).tolist()
         ends = np.searchsorted(disk // ng, np.arange(len(self.times) * ng + 1)).tolist()
@@ -316,12 +310,13 @@ class _GridResidual:
                          for i in range(len(self.times))]
         self.reach = int(max(np.abs(rows).max(), np.abs(cols).max()))
 
-    def _fields(self):
+    def _fields(self, active: np.ndarray):
         """(t, g', field) for every witness time t and observing group g',
-        time by time: the field holds the residual at a + omega_g' t for
-        every integer anchor a.  The current images are wrapped around by
-        ``reach`` cells once, and at anchor a the window of that stack at
-        offset d holds the image at a + d on the torus."""
+        time by time: the field holds the residual of the active tubes at
+        a + omega_g' t for every integer anchor a.  The images are wrapped
+        around by ``reach`` cells once, and at anchor a the window of that
+        stack at offset d holds the image at a + d on the torus."""
+        self.images[self.cells] = self.family.weights * active
         n, r = self.box_i, self.reach
         padded = np.pad(self.images, ((0, 0), (r, r), (r, r)), mode="wrap")
         for t, per_t in zip(self.times, self.stencils):
@@ -331,9 +326,9 @@ class _GridResidual:
                     total += padded[g, r + d1:r + d1 + n, r + d2:r + d2 + n]
                 yield t, gp, total
 
-    def max_point(self):
+    def max_point(self, active: np.ndarray):
         best = (0.0, None)
-        for t, gp, fld in self._fields():
+        for t, gp, fld in self._fields(active):
             j = int(np.argmax(fld))
             v = float(fld.flat[j])
             if v > best[0] + 1e-15:
@@ -342,21 +337,16 @@ class _GridResidual:
                 best = (v, (t, x))
         return best
 
-    def collect(self, point):
-        t, x = point
-        rows, cols, g = span_pixels(*disk_spans(x - self.group_dirs * t, 1.0, 1.0))
-        cells = (g, rows % self.box_i, cols % self.box_i)
-        idx = self.index_img[cells]
-        hit = (idx >= 0) & (self.images[cells] != 0.0)
-        self.images[tuple(c[hit] for c in cells)] = 0.0
-        return np.unique(idx[hit])
-
 
 # ---------------------------------------------------------------------------
 
 def greedy_tube_cover(family: WeightedTubeFamily, delta: float, *,
                       diagnostics: CoverDiagnostics | None = None) -> list:
-    """Exceptional tubes outside of which sum c_b 1_{T_b} <= delta."""
+    """Exceptional tubes outside of which sum c_b 1_{T_b} <= delta.
+
+    Each round asks the engine for the largest residual of the active tubes
+    over its witness set, and collects the active tubes that hold that point
+    by ``family.membership`` (the test ``_incidence`` and the verifier use)."""
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     if len(family) == 0:
@@ -366,16 +356,19 @@ def greedy_tube_cover(family: WeightedTubeFamily, delta: float, *,
     else:
         engine = _PairResidual(family)
 
+    active = np.ones(len(family), dtype=bool)
     classes = []
     max_rounds = int(math.ceil(2.0 / delta))
     for _ in range(max_rounds):
-        value, point = engine.max_point()
+        value, point = engine.max_point(active)
         if point is None or value <= delta / 2.0 + 1e-12:
             break
-        hit = engine.collect(point)
-        classes.append((point[0], point[1], hit))
+        t, x = point
+        hit = np.flatnonzero(family.membership(np.array([t]), x.reshape(1, 2))[0] & active)
+        active[hit] = False
+        classes.append((t, x, hit))
     else:
-        value, _ = engine.max_point()
+        value, _ = engine.max_point(active)
         if value > delta / 2.0 + 1e-12:
             warnings.warn("residual above delta/2 after the 2/delta round budget")
 

@@ -21,7 +21,7 @@ from conewave.config import RunConfig
 from conewave.extraction import (build_extractor, dual_witness, extract_profile,
                                  find_concentrating_tube, optimal_multiple)
 from conewave.geometry import Tube, cube_touches_tube, dir_angle, unit_dir
-from conewave.harness import (TRAIN_THETA, TRAIN_X0, PsiSpec, fungibility_partition,
+from conewave.harness import (TRAIN_THETA, PsiSpec, fungibility_partition,
                               interval_ratios_from_report, sharpness_experiment,
                               standard_suite, standard_train, tube_sup_profile,
                               universal_tube_family, verify_profile)
@@ -68,8 +68,7 @@ def universal(train, quad0):
 def profile_report(train, universal, config):
     w, _ = train
     tubes, _, _ = universal
-    suite = standard_suite(seeds_per_k=10, base_seed=1000,
-                           adversarial_axis=(0.0, TRAIN_X0, TRAIN_THETA))
+    suite = standard_suite(seeds_per_k=10, base_seed=1000)
     return verify_profile(w, tubes, DELTA, suite, config, keep_slice_sums=True)
 
 

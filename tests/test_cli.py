@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conewave
-from conewave.cli import (_random_family, main, read_tubes, tube_from_dict, tube_to_dict,
+from conewave.cli import (_random_family, main, tube_from_dict, tube_to_dict,
                           write_tubes)
 from conewave.config import RunConfig
 from conewave.constants import S_MIN
@@ -29,7 +29,7 @@ def test_tube_json_roundtrip(tmp_path):
              Tube(0.0, (3.0, 4.0), (1.0, 0.0), half_length=None, radius=2.0)]
     path = tmp_path / "tubes.json"
     write_tubes(tubes, path)
-    back = read_tubes(path)
+    back = [tube_from_dict(d) for d in json.loads(path.read_text())]
     assert back[0].lam == 3.0
     assert back[1].half_length is None
     assert tube_to_dict(back[0]) == tube_to_dict(tubes[0])
@@ -263,7 +263,8 @@ def test_cli_cover_reads_family(tmp_path, capsys):
                            "--k", "1", "--samples", "2000", "--family", str(fam)])
         assert rc == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
-        return read_tubes(out / "cover_tubes.json"), dict(
+        emitted = json.loads((out / "cover_tubes.json").read_text())
+        return [tube_from_dict(d) for d in emitted], dict(
             f.split("=") for f in line.split() if "=" in f)
 
     # weights above delta/2: the greedy cover emits tubes

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conewave.geometry import Region, Tube, unit_dir
-from conewave.harness import (ProfileReport, PsiSpec, fungibility_partition,
-                              sharpness_experiment, standard_suite,
+from conewave.harness import (TRAIN_THETA, TRAIN_X0, ProfileReport, PsiSpec,
+                              fungibility_partition, sharpness_experiment, standard_suite,
                               tube_sup_profile, universal_tube_family,
                               verify_fungibility, verify_profile)
 from conewave.norms import Quadrature, product_densities, product_l2, product_slice_sums
@@ -158,13 +158,15 @@ def test_sharpness_rows_match_direct(small_config):
 
 
 def test_standard_suite_shapes():
-    suite = standard_suite(ks=(0, 1), seeds_per_k=2, base_seed=7,
-                           adversarial_axis=(0.0, (1.0, 2.0), 0.1))
+    suite = standard_suite(ks=(0, 1), seeds_per_k=2, base_seed=7)
     kinds = [s.kind for s in suite]
     assert kinds.count("random") == 4 and kinds.count("packet") == 2
+    # one packet per scale, aimed along the standard train
+    packets = [s for s in suite if s.kind == "packet"]
+    assert [s.k for s in packets] == [0, 1]
+    assert all((s.t0, s.x0, s.theta) == (0.0, TRAIN_X0, TRAIN_THETA) for s in packets)
     # deterministic seeds
-    suite2 = standard_suite(ks=(0, 1), seeds_per_k=2, base_seed=7,
-                            adversarial_axis=(0.0, (1.0, 2.0), 0.1))
+    suite2 = standard_suite(ks=(0, 1), seeds_per_k=2, base_seed=7)
     assert [s.seed for s in suite] == [s.seed for s in suite2]
 
 

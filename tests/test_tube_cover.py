@@ -261,7 +261,8 @@ def test_minimal_large_arcs_match_oracle(angles, exponents, threshold, max_level
 
 
 def test_grid_engine_matches_pair_engine():
-    # grid-anchored family evaluated by both engines
+    # grid-anchored family, with some anchors left empty, evaluated by both
+    # engines on all tubes and on a third of them retired
     rng = np.random.default_rng(7)
     k = 2
     tubes = []
@@ -276,28 +277,38 @@ def test_grid_engine_matches_pair_engine():
     w = rng.uniform(0.0, 1.0, size=len(tubes))
     w /= w.sum() * 1.5
     fam = WeightedTubeFamily(tuple(tubes), w, k, BOX)
+    assert fam.grid_anchored()
     pair = _PairResidual(fam)
     grid = _GridResidual(fam)
-    vp, pp = pair.max_point()
-    vg, pg = grid.max_point()
-    # the grid engine scans every (direction, integer anchor) pair, a strict
-    # superset of the axis samples, so its max dominates
-    assert vg >= vp - 1e-12
-    for v, p in ((vp, pp), (vg, pg)):
-        inc = fam.membership(np.array([p[0]]), np.asarray(p[1]).reshape(1, 2))[0]
-        assert float(inc @ fam.weights) == pytest.approx(v, rel=1e-12)
-    hits_p = sorted(pair.collect(pp))
-    hits_g = sorted(grid.collect(pp))
-    assert hits_p == hits_g
-    # a collected tube is not collected again
-    assert len(pair.collect(pp)) == 0 and len(grid.collect(pp)) == 0
+    for active in (np.ones(len(fam), dtype=bool), np.arange(len(fam)) % 3 != 0):
+        vp, pp = pair.max_point(active)
+        vg, pg = grid.max_point(active)
+        # the grid engine scans every (direction, integer anchor) pair, a
+        # superset of the axis samples, so its max dominates; both are the
+        # residual of the active tubes at their point
+        assert vg >= vp - 1e-12
+        for v, p in ((vp, pp), (vg, pg)):
+            inc = fam.membership(np.array([p[0]]), np.asarray(p[1]).reshape(1, 2))[0]
+            assert float((inc & active) @ fam.weights) == pytest.approx(v, rel=1e-12)
 
 
-def _roll_fields(engine, t):
+def _roll_images(engine, active):
+    """The weight image of each direction group, built tube by tube."""
+    images = np.zeros((len(engine.group_dirs), engine.box_i, engine.box_i))
+    groups = np.round(engine.group_dirs, 9)
+    for (a1, a2), d, w in zip(engine.family.anchors, engine.family.directions,
+                              engine.family.weights * active):
+        g = int(np.flatnonzero((groups == np.round(d, 9)).all(axis=1))[0])
+        images[g, int(a1) % engine.box_i, int(a2) % engine.box_i] = w
+    return images
+
+
+def _roll_fields(engine, active, t):
     """Reference for the grid engine's fields at time t: every stencil
     offset found afresh and each image shifted by np.roll."""
     fields = []
     dirs = engine.group_dirs
+    images = _roll_images(engine, active)
     for gp in range(len(dirs)):
         total = np.zeros((engine.box_i, engine.box_i))
         base = dirs[gp] * t
@@ -306,17 +317,17 @@ def _roll_fields(engine, t):
             for d1 in range(math.floor(s[0] - 1.0), math.ceil(s[0] + 1.0) + 1):
                 for d2 in range(math.floor(s[1] - 1.0), math.ceil(s[1] + 1.0) + 1):
                     if (d1 - s[0]) ** 2 + (d2 - s[1]) ** 2 <= 1.0 + 1e-12:
-                        total += np.roll(engine.images[g], shift=(-d1, -d2), axis=(0, 1))
+                        total += np.roll(images[g], shift=(-d1, -d2), axis=(0, 1))
         fields.append(total)
     return fields
 
 
-def _roll_max_point(engine):
+def _roll_max_point(engine, active):
     # the grid engine's max_point on _roll_fields: time, then g', then the
     # first argmax, and a later field wins only by more than 1e-15
     best = (0.0, None)
     for t in engine.times:
-        for gp, fld in enumerate(_roll_fields(engine, t)):
+        for gp, fld in enumerate(_roll_fields(engine, active, t)):
             j = int(np.argmax(fld))
             v = float(fld.flat[j])
             if v > best[0] + 1e-15:
@@ -367,20 +378,25 @@ def test_grid_engine_fields_match_roll_reference(case):
     fam, delta = case
     engine = _GridResidual(fam)
     assert len(engine.group_dirs) == len(np.unique(fam.directions, axis=0))
+    # each group's direction is one of the family's, not a rounding of it
+    assert {d.tobytes() for d in engine.group_dirs} == {d.tobytes() for d in fam.directions}
+    active = np.ones(len(fam), dtype=bool)
     rounds = 0
     while rounds < 4:
-        fields = list(engine._fields())
+        fields = list(engine._fields(active))
         want = [(t, gp, fld) for t in engine.times
-                for gp, fld in enumerate(_roll_fields(engine, t))]
+                for gp, fld in enumerate(_roll_fields(engine, active, t))]
         assert [(t, gp) for t, gp, _ in fields] == [(t, gp) for t, gp, _ in want]
         assert all(np.array_equal(got, ref) for (_, _, got), (_, _, ref) in zip(fields, want))
-        value, point = engine.max_point()
-        ref_value, ref_point = _roll_max_point(engine)
+        value, point = engine.max_point(active)
+        ref_value, ref_point = _roll_max_point(engine, active)
         assert value == ref_value
         if point is None:
             break
         assert point[0] == ref_point[0] and point[1].tobytes() == ref_point[1].tobytes()
-        assert len(engine.collect(point)) > 0
+        hit = fam.membership(np.array([point[0]]), point[1].reshape(1, 2))[0] & active
+        assert hit.any()
+        active &= ~hit
         rounds += 1
     assert rounds >= 3
     # the greedy cover on either max_point
@@ -391,6 +407,66 @@ def test_grid_engine_fields_match_roll_reference(case):
             ref = greedy_tube_cover(fam, delta, diagnostics=ref_diag)
     assert diag.rounds > 0
     assert repr(out) == repr(ref) and repr(diag) == repr(ref_diag)
+
+
+@st.composite
+def _full_grid_cases(draw):
+    """A full grid family, the shape of every sector-weights family: box 20,
+    k = 0..3, 1 to 3 direction groups out of _GRID_ANGLES (the two cone
+    edges among them when drawn) with a tube at every integer anchor of each
+    group, heavy-tailed weights with one tube of at least 3/10 of the
+    weight; and a greedy delta."""
+    k = draw(st.integers(0, 3))
+    thetas = draw(st.lists(st.sampled_from(_GRID_ANGLES), min_size=1, max_size=3,
+                           unique=True))
+    if draw(st.booleans()):         # the cone edges
+        edges = [_GRID_ANGLES[0], _GRID_ANGLES[-1]][:draw(st.integers(1, 2))]
+        thetas = edges + [th for th in thetas if th not in edges][:3 - len(edges)]
+    side = int(BOX)
+    cells = np.arange(side * side)
+    anchors = np.tile(np.column_stack([cells // side, cells % side]).astype(float),
+                      (len(thetas), 1))
+    dirs = np.repeat([unit_dir(th) for th in thetas], len(cells), axis=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.pareto(1.0, len(anchors))
+    w[rng.integers(len(w))] = 0.5 * w.sum()
+    fam = WeightedTubeFamily.from_arrays(anchors, dirs, w / (1.1 * w.sum()), k, BOX)
+    return fam, draw(st.sampled_from([0.05, 0.1, 0.2, 0.3]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_full_grid_cases())
+def test_grid_engine_cover_equals_pair_engine_on_full_families(case):
+    # on a full family the grid engine's witness set is the pair engine's
+    # axis samples, so the greedy cover is the same bit for bit
+    fam, delta = case
+    assert fam.grid_anchored()
+    diag, pair_diag = CoverDiagnostics(), CoverDiagnostics()
+    with mock.patch.object(tube_cover, "_GRID_ENGINE_MIN_TUBES", 0), \
+            mock.patch.object(_PairResidual, "max_point", side_effect=AssertionError):
+        out = greedy_tube_cover(fam, delta, diagnostics=diag)
+    with mock.patch.object(tube_cover, "_GRID_ENGINE_MIN_TUBES", len(fam)), \
+            mock.patch.object(_GridResidual, "max_point", side_effect=AssertionError):
+        pair_out = greedy_tube_cover(fam, delta, diagnostics=pair_diag)
+    assert diag.rounds > 0
+    assert repr(out) == repr(pair_out) and repr(diag) == repr(pair_diag)
+    # each collected tube holds its witness point, and none is collected twice
+    for (t, x), members in zip(diag.witness_points, diag.class_members):
+        assert members and all(fam.tubes[i].contains(t, np.array(x), fam.box) for i in members)
+    collected = [i for members in diag.class_members for i in members]
+    assert len(collected) == len(set(collected))
+
+
+def test_grid_anchored_needs_exact_integers():
+    anchors = np.array([[1.0, 2.0], [19.0, 0.0], [-3.0, 7.0]])
+    dirs = np.tile([1.0, 0.0], (3, 1))
+    w = np.full(3, 0.1)
+    assert WeightedTubeFamily.from_arrays(anchors, dirs, w, 1, BOX).grid_anchored()
+    for off in (1e-10, -1e-10):
+        near = anchors + np.array([[0.0, 0.0], [0.0, off], [0.0, 0.0]])
+        assert not WeightedTubeFamily.from_arrays(near, dirs, w, 1, BOX).grid_anchored()
+    assert not WeightedTubeFamily.from_arrays(np.zeros((0, 2)), np.zeros((0, 2)),
+                                              np.zeros(0), 1, BOX).grid_anchored()
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -446,8 +522,7 @@ def test_pair_engine_matches_membership(case):
     inc = fam.membership(engine.points[:, 0], engine.points[:, 1:])
     rows, cols = np.nonzero(inc)
     assert np.array_equal(engine.rows, rows) and np.array_equal(engine.cols, cols)
-    engine.active = active
-    np.testing.assert_allclose(engine.residual(), inc[:, active] @ fam.weights[active],
+    np.testing.assert_allclose(engine.residual(active), inc[:, active] @ fam.weights[active],
                                rtol=1e-12, atol=0.0)
     # points off the witness times, as the verifier samples them
     rows, cols = _incidence(fam, times, points)
