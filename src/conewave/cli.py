@@ -24,17 +24,16 @@ from .config import RunConfig
 from .errors import ConewaveError
 from .extraction import extract_profile, search_cell
 from .geometry import Tube, cube_touches_tube, unit_dir, wrap_delta
-from .harness import (TRAIN_THETA, TRAIN_X0, fungibility_partition, sharpness_experiment,
-                      standard_suite, standard_train, universal_tube_family,
-                      verify_fungibility, verify_profile)
+from .harness import (TRAIN_THETA, TRAIN_X0, fungibility_partition, matched_train,
+                      sharpness_experiment, standard_suite, standard_train,
+                      universal_tube_family, verify_fungibility, verify_profile)
 from .lattice import FrequencyLattice, lattice_for
 from .norms import Quadrature
 from .render import field_to_ppm
 from .tube_cover import (CoverDiagnostics, WeightedTubeFamily, greedy_tube_cover,
                          verify_pointwise_bound)
 from .wave_io import load_wave, save_wave
-from .waves import (make_blue_tube_wave, make_red_cube_bump, make_red_cube_train,
-                    random_colored_wave)
+from .waves import make_blue_tube_wave, make_red_cube_bump, random_colored_wave
 
 
 def tube_to_dict(t: Tube) -> dict:
@@ -155,10 +154,11 @@ def _merge_config(args) -> RunConfig:
             return cast(val)
         return default
 
-    n = pick(args.n, "n", int, 2)
-    box = pick(args.box_L, "box_l", float, 40.0)
-    window = pick(args.window, "window", float, 8.0)
-    dt = pick(args.dt, "dt", float, 0.25)
+    # the dataclass's class attributes are its field defaults
+    n = pick(args.n, "n", int, RunConfig.dimension)
+    box = pick(args.box_L, "box_l", float, RunConfig.box)
+    window = pick(args.window, "window", float, RunConfig.half_window)
+    dt = pick(args.dt, "dt", float, RunConfig.dt)
     args.seed = pick(args.seed, "seed", int, 42)
     args.out_dir = pick(args.out_dir, "out_dir", str, ".")
     args.grid_N = pick(args.grid_N, "grid_n", int, None)
@@ -196,10 +196,8 @@ def cmd_gen_wave(cfg, args) -> int:
         w = make_blue_tube_wave(lat, args.t0, tuple(args.x0),
                                 unit_dir(args.theta), args.k)
     else:
-        half = min(2.0 ** args.k, cfg.half_window)
-        tube = Tube(0.0, tuple(args.x0), tuple(unit_dir(args.theta)), half_length=half)
-        lat0 = _lattice(cfg, args, 0)
-        w = make_red_cube_train(lat0, tube, None, seed=args.seed)
+        w, _ = matched_train(cfg, args.k, args.seed, _lattice(cfg, args, 0),
+                             args.theta, args.x0)
     out = _out(args, args.out)
     save_wave(w, out)
     print(f"wrote {out}  mass={w.mass():.6f} modes={w.num_modes}")

@@ -21,8 +21,8 @@ One round, for a red wave phi of mass at most 1:
    magnitude stack; candidates off the grid are rejected, since the
    stencils are exact only there.
 2. ``dual_witness`` realizes the tube norm as a pairing: x(t) is the grid
-   argmax of |phi(t, .)| over the tube cross-section and f the normalized
-   trace of phi along (t, x(t)).
+   argmax of |phi(t, .)| over the tube cross-section, gathered through the
+   exact norm's stencils, and f the normalized trace of phi along (t, x(t)).
 3. ``build_extractor`` synthesizes the red wave whose t=0 pairing with phi
    reproduces that tube norm exactly: coefficients are the windowed exponential
    sums of the witness, cut off to the sector sub-region of prescribed margin.
@@ -47,9 +47,9 @@ import numpy as np
 
 from . import constants as C
 from .errors import NoDecrementError
-from .geometry import SECTOR_HALF_ANGLE, Tube, disk_spans, span_pixels
+from .geometry import SECTOR_HALF_ANGLE, Tube, disk_spans, span_pixels, unit_dir
 from .lattice import FrequencyLattice
-from .norms import Quadrature, tube_slice_pixels
+from .norms import Quadrature
 from .waves import SpectralWave, _sector_modes, inner_product, make_wave
 
 DIRECTION_SPACING = 1.0 / 16.0
@@ -177,7 +177,7 @@ def _disk_stencils(quad: Quadrature) -> _DiskStencils:
 
 class _TubeSearch:
     """Shared machinery of one wave's search: magnitude slices, cell-max
-    bounds and exact disk norms of tubes on the search grid.
+    bounds, and exact disk norms and witness pixels of search-grid tubes.
 
     The magnitude slices are held as one stack wrap-padded by the stencils'
     padding, so every disk of an on-grid tube lies inside one padded slice
@@ -186,7 +186,6 @@ class _TubeSearch:
     def __init__(self, phi: SpectralWave, quad: Quadrature):
         self.quad = quad
         self.lat = quad.lattice
-        self.box = quad.config.box
         self.stencils = _disk_stencils(quad)
         n = self.lat.size
         self.cell = cell = search_cell(self.lat)
@@ -255,12 +254,11 @@ class _TubeSearch:
         bounds *= self.quad.dt
         return np.sqrt(bounds, out=bounds)
 
-    def exact_norms(self, thetas: np.ndarray, x0s: np.ndarray) -> np.ndarray:
-        """Exact grid tube norms for a batch of window-spanning unit tubes
-        with directions on the search grid and anchors on the half-unit grid
-        (the stencils are exact only there; anything else is a ValueError).
-        Per time slice the disk maxima of the whole batch are one flat
-        gather from the padded slice and a row max."""
+    def _disk_index(self, thetas, x0s):
+        """(dirs, base): tube j's disk at time slice i is the flat indices
+        base[i, j] + stencils.flat[i, dirs[j]] into ``padded``.  For window
+        unit tubes on the search grid only, where the stencils are exact;
+        anything else is a ValueError."""
         st = self.stencils
         dirs = self._directions(thetas)
         cells = np.asarray(x0s, dtype=float).reshape(-1, 2) / OFFSET_SPACING
@@ -271,11 +269,18 @@ class _TubeSearch:
         width = self.padded.shape[-1]
         rows = (pix[:, 0] + st.shift[0][:, dirs]) % n + st.pad    # (T, batch)
         cols = (pix[:, 1] + st.shift[1][:, dirs]) % n + st.pad
-        base = rows * width + cols
-        flat = self.padded.reshape(len(self.padded), -1)
+        return dirs, (np.arange(len(rows))[:, None] * width + rows) * width + cols
+
+    def exact_norms(self, thetas: np.ndarray, x0s: np.ndarray) -> np.ndarray:
+        """Exact grid tube norms for a batch of window unit tubes on the
+        search grid.  Per time slice the disk maxima of the whole batch are
+        one flat gather from the padded stack and a row max."""
+        st = self.stencils
+        dirs, base = self._disk_index(thetas, x0s)
+        flat = self.padded.ravel()
         acc = np.zeros(len(dirs))
-        for i in range(len(flat)):
-            m = flat[i][st.flat[i, dirs] + base[i][:, None]].max(axis=1)
+        for i in range(len(base)):
+            m = flat[st.flat[i, dirs] + base[i][:, None]].max(axis=1)
             acc += m * m
         return np.sqrt(self.quad.dt * acc)
 
@@ -318,9 +323,7 @@ def find_concentrating_tube(phi: SpectralWave, delta: float, quad: Quadrature,
         for j in np.flatnonzero(vals > best_val + 1e-15):
             if vals[j] > best_val + 1e-15:
                 best_val = float(vals[j])
-                best_tube = Tube(0.0, tuple(xs[j]),
-                                 (math.cos(ths[j]), math.sin(ths[j])),
-                                 half_length=None)
+                best_tube = Tube(0.0, tuple(xs[j]), tuple(unit_dir(ths[j])), half_length=None)
     if best_tube is not None and best_val >= threshold:
         return best_tube, best_val
     return None, max(best_val, 0.0)
@@ -333,24 +336,29 @@ def dual_witness(phi: SpectralWave, tube: Tube, quad: Quadrature,
                  search: Optional[_TubeSearch] = None) -> DualWitness:
     """Trajectory/coefficient pair realizing the tube norm as a pairing.
 
-    x(t) is the argmax pixel of the search's magnitude slice over the tube
-    cross-section (a search of phi is built when none is given); the values
+    For window unit tubes on the search grid only (a ValueError otherwise).
+    x(t) is the first argmax pixel in row-major order of the search's
+    magnitude slice over the tube cross-section, all slices in one stencil
+    gather (a search of phi is built when none is given); the values
     phi(t, x(t)) are summed from the spectrum at those pixels."""
+    if tube.half_length is not None or tube.t0 != 0.0 or tube.eff_radius != 1.0:
+        raise ValueError("the dual witness needs a window tube of radius 1 at t0 = 0")
+    # match unit vectors: atan2 of (cos theta, sin theta) need not give theta
+    thetas = [th for th in search_directions() if tuple(unit_dir(th)) == tube.omega]
+    if not thetas:
+        raise ValueError("tube directions must lie on the search grid")
     search = search or _TubeSearch(phi, quad)
-    lat = quad.lattice
-    idx, rows, cols = [], [], []
-    for i, r, c in tube_slice_pixels(tube, quad):
-        j = int(np.argmax(search.slices[i][r, c]))
-        idx.append(i)
-        rows.append(r[j])
-        cols.append(c[j])
-    times = quad.times[idx]
-    pts = np.stack([rows, cols], axis=1) * lat.spacing
-    vals = phi.point_values(times, rows, cols, lat)
+    dirs, base = search._disk_index(thetas, [tube.x0])
+    disk = search.stencils.flat[:, dirs[0]] + base                 # (T, K)
+    best = disk[np.arange(len(disk)), search.padded.ravel()[disk].argmax(axis=1)]
+    _, rows, cols = np.unravel_index(best, search.padded.shape)
+    pix = (np.stack([rows, cols], axis=1) - search.stencils.pad) % quad.lattice.size
+    times = quad.times.copy()
+    vals = phi.point_values(times, pix[:, 0], pix[:, 1], quad.lattice)
     norm = math.sqrt(quad.dt * float(np.sum(np.abs(vals) ** 2)))
     if norm == 0.0:
         raise NoDecrementError("zero tube norm: no witness")
-    return DualWitness(tube, times, pts, vals, vals / norm, quad.dt, norm)
+    return DualWitness(tube, times, pix * quad.h, vals, vals / norm, quad.dt, norm)
 
 
 def build_extractor(lattice: FrequencyLattice, witness: DualWitness,

@@ -9,8 +9,8 @@ measured in the torus metric.
 On a grid of step h, a tube's cross-section disk of centre c and radius r
 holds the grid points p with |p h - c|^2 <= r^2 + 1e-12.  ``disk_spans``
 alone decides this, for many disks at once; every grid consumer (region
-masks, tube norms, dual witnesses, the tube search's stencils, the greedy
-cover's grid engine) reads its disks from it.
+masks and tube maxima per time slice, the tube search's stencils, which
+the dual witness reads too, the greedy cover's grid engine) reads it.
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ import numpy as np
 
 from .config import RunConfig
 from .extraction import extract_profile
-from .geometry import Region, Tube, dir_angle, disk_spans, span_pixels, unit_dir
+from .geometry import Region, Tube, dir_angle, unit_dir
 from .lattice import lattice_for
-from .norms import Quadrature, exact_product_quadrature, product_densities
+from .norms import Quadrature, exact_product_quadrature, product_densities, \
+    tube_slice_maxima
 from .waves import SpectralWave, make_blue_tube_wave, make_red_cube_train, \
     random_colored_wave
 
@@ -30,15 +31,20 @@ TRAIN_THETA = math.radians(12.0)     # axis of the standard cube train
 TRAIN_X0 = (10.0, 20.0)
 
 
-def standard_train(config: RunConfig, seed: int = 42, lattice=None):
-    """The standard cube train (unit mass) along its axis tube of half length
-    min(8, window), on the k=0 lattice unless another is given."""
-    tube = Tube(0.0, TRAIN_X0, tuple(unit_dir(TRAIN_THETA)),
-                half_length=min(8.0, config.half_window))
+def matched_train(config: RunConfig, k: int, seed: int = 42, lattice=None,
+                  theta: float = TRAIN_THETA, x0=TRAIN_X0):
+    """(train, tube): the unit-mass cube train along the tube of half length
+    min(2^k, window) from x0 at angle theta, the train matched to the scale-k
+    packet, on the k=0 lattice unless another is given."""
+    tube = Tube(0.0, tuple(x0), tuple(unit_dir(theta)),
+                half_length=min(2.0 ** k, config.half_window))
     lat = lattice if lattice is not None else lattice_for(config, 0)
-    train = make_red_cube_train(lat, tube, None, seed=seed,
-                                half_window=config.half_window)
-    return train.normalize_mass(1.0), tube
+    return make_red_cube_train(lat, tube, None, seed=seed).normalize_mass(1.0), tube
+
+
+def standard_train(config: RunConfig, seed: int = 42, lattice=None):
+    """The standard cube train: the scale-3 matched train (half length 8)."""
+    return matched_train(config, 3, seed, lattice)
 
 
 @dataclass(frozen=True)
@@ -192,28 +198,11 @@ def interval_ratios_from_report(report: ProfileReport, intervals: list,
 # fungibility
 
 def tube_sup_profile(phi: SpectralWave, tubes: list, quad: Quadrature) -> np.ndarray:
-    """g(t) = sum over tubes of (max over the tube's t-slice of |phi|)^2.
-
-    The disks of all tubes active at one slice come from one ``disk_spans``
-    call; batching per tube instead would hold every slice's |phi| or every
-    tube's pixels at once."""
-    lat = quad.lattice
-    n = lat.size
+    """g(t) = sum over tubes of (max over the tube's t-slice of |phi|)^2:
+    the squared columns of ``tube_slice_maxima``, added in tube order."""
     g = np.zeros(len(quad.times))
-    for i, t in enumerate(quad.times):
-        active = [tube for tube in tubes if tube.time_active(t)]
-        if not active:
-            continue
-        a = np.abs(phi.evaluate(t, lat))
-        rows, cols, disk = span_pixels(*disk_spans([tube.axis_at(t) for tube in active],
-                                                   [tube.eff_radius for tube in active],
-                                                   lat.spacing))
-        vals = a[rows % n, cols % n]
-        ends = np.searchsorted(disk, np.arange(len(active) + 1))
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            if hi > lo:
-                m = float(vals[lo:hi].max())
-                g[i] += m * m
+    for m in tube_slice_maxima(phi, tubes, quad).T:
+        g += m * m
     return g
 
 
@@ -268,11 +257,8 @@ def sharpness_experiment(config: RunConfig, ks=DEFAULT_KS, seeds=(42,),
     for k in ks:
         lat = lattice_for(config, k)
         quad = Quadrature(config, lat)
-        half = min(2.0 ** k, config.half_window)
-        tube = Tube(0.0, tuple(x0), tuple(unit_dir(theta)), half_length=half)
         for seed in seeds:
-            lat0 = lattice_for(config, 0)
-            train = make_red_cube_train(lat0, tube, None, seed=seed).normalize_mass(1.0)
+            train, _ = matched_train(config, k, seed, theta=theta, x0=x0)
             psi = make_blue_tube_wave(lat, 0.0, x0, unit_dir(theta), k)
             tr = train.embed(lat)
             denom = math.sqrt(train.mass() * psi.mass())

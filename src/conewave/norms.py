@@ -58,6 +58,14 @@ class Quadrature:
 # ---------------------------------------------------------------------------
 # region masks on the lattice grid
 
+def _active_disk_spans(tubes, t: float, h: float):
+    """The indices of the tubes active at time t and, when there are any,
+    ``disk_spans`` of their cross-section disks on the grid of step h."""
+    active = [j for j, tube in enumerate(tubes) if tube.time_active(t)]
+    return active, (disk_spans([tubes[j].axis_at(t) for j in active],
+                               [tubes[j].eff_radius for j in active], h) if active else None)
+
+
 def region_slice_mask(region: Optional[Region], t: float,
                       lattice: FrequencyLattice) -> Optional[np.ndarray]:
     """Boolean spatial mask of the region at time t; None means all-inside.
@@ -66,12 +74,8 @@ def region_slice_mask(region: Optional[Region], t: float,
         return None
     if not (region.t_lo - 1e-12 <= t < region.t_hi - 1e-12):
         return False
-    active = [tube for tube in region.excluded if tube.time_active(t)]
-    if not active:
-        return None
-    _, rows, lo, hi = disk_spans([tube.axis_at(t) for tube in active],
-                                 [tube.eff_radius for tube in active], lattice.spacing)
-    return ~_paint_spans(lattice.size, rows, lo, hi)
+    active, spans = _active_disk_spans(region.excluded, t, lattice.spacing)
+    return ~_paint_spans(lattice.size, *spans[1:]) if active else None
 
 
 def disk_pixel_indices(lattice: FrequencyLattice, center, radius: float):
@@ -80,21 +84,6 @@ def disk_pixel_indices(lattice: FrequencyLattice, center, radius: float):
     when the disk wraps onto itself."""
     rows, cols, _ = span_pixels(*disk_spans(center, radius, lattice.spacing))
     return rows % lattice.size, cols % lattice.size
-
-
-def tube_slice_pixels(tube: Tube, quad: Quadrature) -> list:
-    """(i, rows, cols) for every time slice i where the tube is active and
-    its disk holds a pixel: the disk's grid indices as ``disk_pixel_indices``
-    gives them, from one ``disk_spans`` call over all the slices."""
-    live = np.flatnonzero(tube.time_active(quad.times))
-    rows, cols, disk = span_pixels(*disk_spans(tube.axis_at(quad.times[live]),
-                                               tube.eff_radius, quad.h))
-    n = quad.lattice.size
-    rows %= n
-    cols %= n
-    ends = np.searchsorted(disk, np.arange(len(live) + 1))
-    return [(i, rows[a:b], cols[a:b])
-            for i, a, b in zip(live.tolist(), ends[:-1], ends[1:]) if b > a]
 
 
 def _paint_spans(n: int, rows, lo, hi) -> np.ndarray:
@@ -204,13 +193,29 @@ def lp_product(phi: SpectralWave, psi: SpectralWave, p: float,
 # ---------------------------------------------------------------------------
 # tube norms
 
+def tube_slice_maxima(phi: SpectralWave, tubes, quad: Quadrature) -> np.ndarray:
+    """(T, m) array: the max of |phi| at each time slice over each tube's
+    cross-section disk, zero where the tube is inactive.  One synthesis and
+    one ``disk_spans`` call per slice that has an active tube."""
+    n = quad.lattice.size
+    out = np.zeros((len(quad.times), len(tubes)))
+    for i, t in enumerate(quad.times):
+        active, spans = _active_disk_spans(tubes, t, quad.h)
+        if active:
+            # every disk holds a grid point: its radius is at least 1 > h
+            rows, cols, disk = span_pixels(*spans)
+            a = np.abs(phi.evaluate(t, quad.lattice))
+            out[i, active] = np.maximum.reduceat(
+                a[rows % n, cols % n], np.searchsorted(disk, np.arange(len(active))))
+    return out
+
+
 def l2t_linf_on_tube(phi: SpectralWave, tube: Tube, quad: Quadrature) -> float:
     """( sum_t dt * (max over grid x with (t,x) in tube |phi|)^2 )^1/2.
 
-    Empty slices contribute zero."""
-    lat = quad.lattice
+    Empty slices contribute zero.  The squares are summed in time order,
+    as the tube search's exact norms sum them."""
     total = 0.0
-    for i, rows, cols in tube_slice_pixels(tube, quad):
-        m = float(np.abs(phi.evaluate(quad.times[i], lat))[rows, cols].max())
+    for m in tube_slice_maxima(phi, (tube,), quad)[:, 0]:
         total += m * m
     return math.sqrt(quad.dt * total)

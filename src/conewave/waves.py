@@ -243,14 +243,14 @@ class SpectralWave:
                 out[j] += self.phased(side, t, lat.box ** -2) @ kernel
         return out
 
-    def coefficients_at(self, t: float, lattice: Optional[FrequencyLattice] = None,
-                        scale: float = 1.0) -> np.ndarray:
-        """Dense phased coefficient array at time t, times scale (for
-        spectral pairings).  ValueError when a mode lies outside the band
-        |m| <= N/2 - 1 of the lattice."""
+    def coefficients_at(self, t: float,
+                        lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
+        """Dense phased coefficient array at time t (for spectral pairings).
+        ValueError when a mode lies outside the band |m| <= N/2 - 1 of the
+        lattice."""
         lat = lattice or self.lattice
         self._check_band(lat)
-        return self._scatter(t, lat, scale)
+        return self._scatter(t, lat, 1.0)
 
     def _scatter(self, t: float, lat: FrequencyLattice, scale: float) -> np.ndarray:
         """Phased coefficients scattered onto the lattice's index grid."""
@@ -398,26 +398,32 @@ def _modulate(modes: np.ndarray, vals: np.ndarray, box: float, sign: int,
     return vals * np.exp(1j * phase)
 
 
-def make_red_cube_bump(lattice: FrequencyLattice, center, min_margin: float = BUMP_MARGIN,
-                       sigma: float = BUMP_SIGMA) -> SpectralWave:
-    """Unit-mass red wave concentrated on the unit cube at the given spacetime
-    center; frequency support is a truncated Gaussian well inside the sector."""
-    if min_margin < 1.0 / 20.0 - 1e-12:
-        raise ValueError("bump margin must be at least 1/20")
-    modes, dmarg = _sector_modes(lattice, 0, min_margin)
+def _bump_envelope(lattice: FrequencyLattice, min_margin: float):
+    """(modes, env): the k=0 sector modes of margin >= min_margin and the
+    cube bumps' Gaussian envelope on them, well inside the sector."""
+    modes, _ = _sector_modes(lattice, 0, min_margin)
     if len(modes) == 0:
         raise InfeasibleMarginError(f"margin {min_margin} leaves no lattice modes")
     xi = modes / lattice.box
-    env = np.exp(-((xi[:, 0] - BUMP_CENTER_RADIUS) ** 2 + xi[:, 1] ** 2) / (2.0 * sigma ** 2))
-    vals = env.astype(np.complex128)
+    env = np.exp(-((xi[:, 0] - BUMP_CENTER_RADIUS) ** 2 + xi[:, 1] ** 2)
+                 / (2.0 * BUMP_SIGMA ** 2))
+    return modes, env
+
+
+def make_red_cube_bump(lattice: FrequencyLattice, center,
+                       min_margin: float = BUMP_MARGIN) -> SpectralWave:
+    """Unit-mass red wave concentrated on the unit cube at the given spacetime
+    center, with the envelope of ``_bump_envelope``."""
+    if min_margin < 1.0 / 20.0 - 1e-12:
+        raise ValueError("bump margin must be at least 1/20")
+    modes, env = _bump_envelope(lattice, min_margin)
     t0, x1, x2 = center
-    vals = _modulate(modes, vals, lattice.box, +1, t0, (x1, x2))
-    w = make_wave(lattice, modes, vals, [], [], color="red", k=0)
-    return w.normalize_mass(1.0)
+    vals = _modulate(modes, env.astype(np.complex128), lattice.box, +1, t0, (x1, x2))
+    return make_wave(lattice, modes, vals, [], [], color="red", k=0).normalize_mass(1.0)
 
 
-def make_blue_tube_wave(lattice: FrequencyLattice, t0: float, x0, omega, k: int,
-                        sigma_radial: float = PACKET_SIGMA_RADIAL) -> SpectralWave:
+def make_blue_tube_wave(lattice: FrequencyLattice, t0: float, x0, omega,
+                        k: int) -> SpectralWave:
     """Unit-mass blue wave of frequency 2^k concentrated along the ray
     x = x0 + omega (t - t0): support in the sector of angular width 2^-k about
     omega and radial width 1 above 2^k, so the packet stays coherent for times
@@ -441,7 +447,7 @@ def make_blue_tube_wave(lattice: FrequencyLattice, t0: float, x0, omega, k: int,
         raise SectorResolutionError("packet sector contains no lattice modes")
     modes = np.stack([m1[sel], m2[sel]], axis=1)
     sig_th = ang_half / 3.0
-    env = np.exp(-((r[sel] - (lo + 0.5)) ** 2) / (2.0 * sigma_radial ** 2)
+    env = np.exp(-((r[sel] - (lo + 0.5)) ** 2) / (2.0 * PACKET_SIGMA_RADIAL ** 2)
                  - (theta[sel] - theta0) ** 2 / (2.0 * sig_th ** 2))
     vals = _modulate(modes, env.astype(np.complex128), lattice.box, -1, t0, x0)
     w = make_wave(lattice, [], [], modes, vals, color="blue", k=k)
@@ -449,7 +455,7 @@ def make_blue_tube_wave(lattice: FrequencyLattice, t0: float, x0, omega, k: int,
 
 
 def make_red_cube_train(lattice: FrequencyLattice, tube: Tube, coeffs, seed: int,
-                        min_margin: float = BUMP_MARGIN, sigma: float = BUMP_SIGMA,
+                        min_margin: float = BUMP_MARGIN,
                         half_window: Optional[float] = None) -> SpectralWave:
     """Signed sum of unit cube bumps along the unit-cube cover of a tube.
 
@@ -468,11 +474,7 @@ def make_red_cube_train(lattice: FrequencyLattice, tube: Tube, coeffs, seed: int
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=len(cubes)) * 2 - 1
 
-    modes, _ = _sector_modes(lattice, 0, min_margin)
-    if len(modes) == 0:
-        raise InfeasibleMarginError(f"margin {min_margin} leaves no lattice modes")
-    xi = modes / lattice.box
-    env = np.exp(-((xi[:, 0] - BUMP_CENTER_RADIUS) ** 2 + xi[:, 1] ** 2) / (2.0 * sigma ** 2))
+    modes, env = _bump_envelope(lattice, min_margin)
     norm = math.sqrt(float(np.sum(env * env)) / lattice.box ** 2)
     env = env / norm                      # each bump has unit mass
     vals = np.zeros(len(modes), dtype=np.complex128)

@@ -77,6 +77,27 @@ def test_cli_gen_wave_and_reload(tmp_path):
     assert w.mass() == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("k", [0, 2])
+def test_cli_gen_wave_train_is_the_sharpness_train(tmp_path, monkeypatch, k):
+    # gen-wave --kind train writes, like every other kind, a unit-mass wave,
+    # and it is the train that sharpness_experiment pairs with the scale-k
+    # packet, coefficient for coefficient
+    import conewave.cli as cli
+    import conewave.harness as harness
+    written, paired = [], []
+    monkeypatch.setattr(cli, "save_wave", lambda w, path: written.append(w))
+    real = harness.product_densities
+    monkeypatch.setattr(harness, "product_densities",
+                        lambda phi, *a: paired.append(phi) or real(phi, *a))
+    assert main(SMALL + ["--out-dir", str(tmp_path), "--seed", "43", "gen-wave",
+                         "--kind", "train", "--k", str(k)]) == 0
+    harness.sharpness_experiment(RunConfig(box=20.0, half_window=4.0), ks=(k,), seeds=(43,))
+    (w,), (tr,) = written, paired
+    assert abs(w.mass() - 1.0) <= 1e-12
+    assert np.array_equal(w.modes_plus, tr.modes_plus)
+    assert np.array_equal(w.vals_plus, tr.vals_plus)
+
+
 def test_cli_cover_runs(tmp_path, capsys):
     rc = main(SMALL + ["--out-dir", str(tmp_path), "--seed", "1",
                        "cover", "--delta", "0.5", "--tubes", "30", "--k", "1",

@@ -8,7 +8,7 @@ from conewave.errors import NoDecrementError
 from conewave.extraction import (build_extractor, dual_witness, extract_profile,
                                  find_concentrating_tube, optimal_multiple,
                                  search_directions)
-from conewave.geometry import Tube, dir_angle, unit_dir
+from conewave.geometry import Tube, dir_angle, disk_spans, span_pixels, unit_dir
 from conewave.norms import l2t_linf_on_tube
 from conewave.waves import (inner_product, make_red_cube_bump, make_red_cube_train,
                             make_wave, plane_wave, random_colored_wave, zero_wave)
@@ -228,6 +228,63 @@ def test_dual_witness_with_search_synthesizes_nothing(quad0, train, evaluate_cal
         f = w.evaluate(t, quad0.lattice)
         want = f[int(round(x[0] / h)), int(round(x[1] / h))]
         assert abs(v - want) <= 1e-13 * np.abs(f).max()
+
+
+def _disk_argmax_pixels(search, tube, quad):
+    """Per time slice, the first pixel of the tube's disk in row-major order
+    (from ``disk_spans`` of the tube's own axis point, wrapped) where the
+    search's magnitude slice is largest.  Shape (T, 2)."""
+    n = quad.lattice.size
+    out = []
+    for i, t in enumerate(quad.times):
+        rows, cols, _ = span_pixels(*disk_spans(tube.axis_at(t), tube.eff_radius, quad.h))
+        rows, cols = rows % n, cols % n
+        j = int(np.argmax(search.slices[i][rows, cols]))
+        out.append((rows[j], cols[j]))
+    return np.array(out)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), min_margin=st.floats(1 / 20, 0.2),
+       direction=st.integers(0, 12), cell=st.tuples(st.integers(-10, 49), st.integers(-10, 49)))
+def test_witness_pixels_are_the_stencil_argmax(seed, min_margin, direction, cell, quad0, lat0):
+    # for a random red wave and a window tube on the search grid (anchors
+    # beyond the torus included): the witness takes, at every slice, the
+    # first argmax pixel of the disk in row-major order, and the squares of
+    # the magnitudes there, summed in time order, are the search's exact
+    # norm and the tube norm bit for bit
+    from conewave.extraction import _TubeSearch
+    phi = random_colored_wave(lat0, "red", 0, min_margin, seed)
+    theta = search_directions()[direction]
+    x0 = (0.5 * cell[0], 0.5 * cell[1])
+    tube = Tube(0.0, x0, tuple(unit_dir(theta)), half_length=None)
+    search = _TubeSearch(phi, quad0)
+    wit = dual_witness(phi, tube, quad0, search)
+    pix = _disk_argmax_pixels(search, tube, quad0)
+    assert np.array_equal(wit.times, quad0.times)
+    assert np.array_equal(wit.points, pix * quad0.h)
+    acc = 0.0
+    for m in search.slices[np.arange(len(pix)), pix[:, 0], pix[:, 1]]:
+        acc += m * m
+    exact = search.exact_norms(np.array([theta]), np.array([x0]))[0]
+    assert math.sqrt(quad0.dt * acc) == exact
+    assert l2t_linf_on_tube(phi, tube, quad0) == exact
+
+
+def test_dual_witness_takes_only_tubes_on_the_search_grid(quad0, train, evaluate_calls):
+    w, _ = train
+    om = tuple(unit_dir(search_directions()[3]))
+    cases = [(Tube(0.0, (1.0, 1.5), om, half_length=2.0), "window tube"),
+             (Tube(0.5, (1.0, 1.5), om, half_length=None), "window tube"),
+             (Tube(0.0, (1.0, 1.5), om, half_length=None, radius=2.0), "window tube"),
+             (Tube(0.0, (1.0, 1.5), om, half_length=None, lam=2.0), "window tube"),
+             (Tube(0.0, (1.0, 1.25), om, half_length=None), "half-unit grid"),
+             (Tube(0.0, (1.0, 1.5), tuple(unit_dir(0.2)), half_length=None), "search grid")]
+    for tube, match in cases:
+        with pytest.raises(ValueError, match=match):
+            dual_witness(w, tube, quad0)
+    # only the anchor check needs the search's synthesis
+    assert len(evaluate_calls) == len(quad0.times)
 
 
 @pytest.mark.parametrize("k", [0, 1])

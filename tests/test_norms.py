@@ -6,9 +6,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conewave.geometry import Region, Tube, disk_spans, span_pixels, unit_dir, wrap_delta
 from conewave.lattice import lattice_for
+from conewave.harness import tube_sup_profile
 from conewave.norms import (Quadrature, disk_pixel_indices, l2t_linf_on_tube,
                             lp_product, product_densities, product_l2,
-                            product_slice_sums, region_slice_mask)
+                            product_slice_sums, region_slice_mask, tube_slice_maxima)
 from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_red_cube_train,
                             make_wave, plane_wave, random_colored_wave, zero_wave)
 
@@ -86,6 +87,71 @@ def test_tube_norm_on_train_axis(quad0, lat0, small_config):
                                 half_window=small_config.half_window)
     axis = Tube(0.0, (6.0, 12.0), tuple(om), half_length=None)
     assert l2t_linf_on_tube(train, axis, quad0) >= 0.5 * KAPPA_CUBE
+
+
+_TUBE = st.tuples(st.floats(-25.0, 45.0), st.floats(-25.0, 45.0), st.floats(-0.39, 0.39),
+                  st.floats(1.0, 3.0), st.one_of(st.none(), st.floats(0.25, 2.0)),
+                  st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), specs=st.lists(_TUBE, min_size=1, max_size=4))
+def test_tube_slice_maxima_match_wrapped_distance(quad0, lat0, seed, specs):
+    # each entry is the max of |phi| over the grid points within the tube's
+    # radius of its axis point in the wrapped distance, and zero where the
+    # tube is inactive; the family always holds a finite tube and two tubes
+    # whose disks overlap
+    phi = random_colored_wave(lat0, "red", 0, 1 / 20, seed)
+    tubes = [Tube(t0, (a, b), tuple(unit_dir(th)), half_length=hl, radius=r)
+             for a, b, th, r, hl, t0 in specs]
+    tubes += [Tube(1.0, tubes[0].x0, (1.0, 0.0), half_length=1.5, radius=2.0),
+              Tube(0.0, (tubes[0].x0[0] + 1.0, tubes[0].x0[1]), tubes[0].omega,
+                   half_length=None, radius=1.5)]
+    got = tube_slice_maxima(phi, tubes, quad0)
+    assert got.shape == (len(quad0.times), len(tubes))
+    box = lat0.box
+    ax = quad0.h * np.arange(lat0.size)
+    for i, t in enumerate(quad0.times):
+        mag = np.abs(phi.evaluate(t, lat0))
+        for j, tube in enumerate(tubes):
+            if not tube.time_active(t):
+                assert got[i, j] == 0.0
+                continue
+            c = tube.axis_at(t)
+            d1, d2 = wrap_delta(ax - c[0], box), wrap_delta(ax - c[1], box)
+            dist2 = (d1 * d1)[:, None] + (d2 * d2)[None, :]
+            r2 = tube.eff_radius ** 2
+            # pixels within round-off of the circle may go either way
+            inner = mag[dist2 <= r2 - 1e-9].max()
+            outer = mag[dist2 <= r2 + 1e-9].max()
+            assert inner <= got[i, j] <= outer
+
+
+def test_tube_norms_read_one_synthesis_per_active_slice(quad0, lat0, evaluate_calls):
+    # tube_sup_profile sums the squared maxima of every tube and
+    # l2t_linf_on_tube sums one tube's over time; both synthesize phi only
+    # on the slices where a tube is active, once per slice
+    phi = random_colored_wave(lat0, "red", 0, 1 / 20, seed=12)
+    tubes = [Tube(0.0, (3.0, 4.0), tuple(unit_dir(0.1)), half_length=1.0),
+             Tube(0.5, (4.0, 4.0), (1.0, 0.0), half_length=1.0, radius=2.0),
+             Tube(-2.0, (15.0, 4.0), tuple(unit_dir(-0.2)), half_length=0.5)]
+    live = np.zeros(len(quad0.times), dtype=bool)
+    for tube in tubes:
+        live |= tube.time_active(quad0.times)
+    maxima = tube_slice_maxima(phi, tubes, quad0)
+    assert [t for _, t, _ in evaluate_calls] == list(quad0.times[live])
+    assert np.all((maxima > 0.0) == np.array([tube.time_active(quad0.times)
+                                              for tube in tubes]).T)
+    evaluate_calls.clear()
+    g = tube_sup_profile(phi, tubes, quad0)
+    want = np.zeros(len(quad0.times))
+    for m in maxima.T:
+        want += m * m
+    assert np.array_equal(g, want)
+    assert len(evaluate_calls) == live.sum()
+    for j, tube in enumerate(tubes):
+        assert l2t_linf_on_tube(phi, tube, quad0) == pytest.approx(
+            math.sqrt(quad0.dt * float(np.sum(maxima[:, j] ** 2))), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
