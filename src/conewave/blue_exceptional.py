@@ -8,12 +8,25 @@ partition of unity, ride each cell's packet along its group velocity, convert
 the packet's cross-section mass profile into weights on a separated family of
 unit tubes tiling each length-2^k time slab, and hand the family to the greedy
 cover with threshold c * delta^2.
+
+Both steps spend their time in independent unit-cell sums: one per time slice
+of the scan (``unit_cube_masses``) and one per frequency cell of each slab
+(``sector_weights``).  Each step maps them over ``waves._FFT_WORKERS``
+(two) threads, the calling thread and the helper of a pool that lives for
+one call only, and every sum runs its transforms on one thread.  The results
+are added up in input order, the order of a serial loop, so every mass,
+weight and tube is bit-identical to a serial run.  Mapped code calls no
+function or method that ``bench/tracing.py`` wraps, because the tracer keeps
+one span stack that is not thread-aware, and it writes no wave cache:
+``frequency_cells``, ``sector_weights`` and ``greedy_tube_cover`` run
+outside the map, and the wave's ``rho`` cache is filled before it starts.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -45,40 +58,94 @@ def unit_cell_sums(lattice: FrequencyLattice, modes: np.ndarray,
     sum_d D(d) G(d) e^{2 pi i a.d / L} with the per-axis Dirichlet factor
     G(d) = sum_{i < N/L} e^{2 pi i d i / N}; with M a multiple of L, folding
     d mod L is a reshape and one L x L transform finishes.  This is exact for
-    every spread, also when M exceeds N."""
+    every spread, also when M exceeds N.  The transforms run on one thread:
+    the callers in this module run two of these at once."""
+    return _cell_sums(lattice, _cell_layout(lattice, modes), coeffs)
+
+
+def _cell_layout(lattice: FrequencyLattice, modes: np.ndarray):
+    """What unit_cell_sums needs of the modes alone, checked once for every
+    coefficient set on them: (shape, width, flat), the alias-exact grid, the
+    number of its leading columns that hold modes, and each mode's flat index
+    once every mode is shifted by the lowest (shifting leaves |u|^2
+    unchanged).  None for no modes."""
     box = int(round(lattice.box))
     n = lattice.size
     if n % box:
         raise ValueError("unit cells need a lattice size divisible by the box side")
-    cell = n // box
     modes = np.asarray(modes, dtype=np.int64).reshape(-1, 2)
     if len(modes) == 0:
-        return np.zeros((box, box))
+        return None
     if np.any(np.abs(modes) > n // 2 - 1):
         raise ValueError("wave modes not representable on this lattice")
     lo = modes.min(axis=0)
     spread = modes.max(axis=0) - lo
     shape = tuple(box * -(-(2 * int(s) + 1) // box) for s in spread)
-    # shifting every mode by lo leaves |u|^2 unchanged; bincount adds
-    # repeated modes in input order, as np.add.at would
     flat = (modes[:, 0] - lo[0]) * shape[1] + (modes[:, 1] - lo[1])
-    coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
-    spec = np.empty(shape, dtype=np.complex128)
-    size = shape[0] * shape[1]
-    spec.real = np.bincount(flat, coeffs.real, minlength=size).reshape(shape)
-    spec.imag = np.bincount(flat, coeffs.imag, minlength=size).reshape(shape)
-    # each grid is freed once used: the largest of them set the peak memory
-    # of a blue-wave scan
-    field = _fft.ifft2(spec, norm="forward", workers=_FFT_WORKERS)
-    del spec
-    dens = np.square(field.real) + np.square(field.imag)
-    del field
-    spectrum = _fft.fft2(dens, norm="forward", workers=_FFT_WORKERS)
-    spectrum *= _dirichlet(shape[0], n, cell)[:, None]
-    spectrum *= _dirichlet(shape[1], n, cell)[None, :]
+    return shape, int(spread[1]) + 1, flat
+
+
+def _cell_sums(lattice: FrequencyLattice, layout, coeffs: np.ndarray) -> np.ndarray:
+    """unit_cell_sums for the modes of a _cell_layout."""
+    box = int(round(lattice.box))
+    if layout is None:
+        return np.zeros((box, box))
+    shape, width, flat = layout
+    n = lattice.size
+    # one buffer holds the spectrum, the field and |u|^2 in turn, and is
+    # freed once |u|^2 is transformed: two sums run at once, and the largest
+    # grids set the peak memory of a blue-wave scan.  np.add.at adds
+    # repeated modes in input order.
+    field = np.zeros(shape, dtype=np.complex128)
+    np.add.at(field.reshape(-1), flat, np.asarray(coeffs, dtype=np.complex128).ravel())
+    # ifft2 in place, along axis 0 only over the leading columns that hold
+    # modes: the bits of ifft2, for the reason SpectralWave.evaluate gives
+    _fft.ifft(field[:, :width], axis=0, norm="forward", overwrite_x=True, workers=1)
+    _fft.ifft(field, axis=1, norm="forward", overwrite_x=True, workers=1)
+    dens, im = field.real, field.imag
+    np.square(dens, out=dens)
+    np.square(im, out=im)
+    np.add(dens, im, out=dens)
+    spectrum = _fft.fft2(dens, norm="forward", workers=1)
+    del field, dens, im
+    spectrum *= _dirichlet(shape[0], n, n // box)[:, None]
+    spectrum *= _dirichlet(shape[1], n, n // box)[None, :]
     folded = spectrum.reshape(shape[0] // box, box, shape[1] // box, box).sum(axis=(0, 2))
     weight = lattice.spacing ** 2 / lattice.box ** 4
     return weight * _fft.ifft2(folded, norm="forward").real
+
+
+def _ordered_map(fn, items) -> list:
+    """[fn(item) for item in items], computed by the calling thread and the
+    _FFT_WORKERS - 1 helper threads of a pool that lives for this call only.
+    Each thread claims the next unclaimed item, and the results come back in
+    input order, so adding them up in that order gives the serial loop's
+    bits.  An exception in fn is raised here once every thread has stopped.
+    fn may call no function that bench/tracing.py wraps (its span stack is
+    not thread-aware) and may fill no cache on a wave.
+
+    The calling thread works too because its temporaries then stay in the
+    main malloc arena, which the rest of the program reuses: with two pool
+    threads and an idle caller the blue peak RSS read 3 to 4 % higher."""
+    items = list(items)
+    out = [None] * len(items)
+    todo = enumerate(items)         # shared: next() is atomic under the GIL
+
+    def work():
+        for i, item in todo:
+            out[i] = fn(item)
+
+    with ThreadPoolExecutor(max_workers=_FFT_WORKERS - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(_FFT_WORKERS - 1)]
+        try:
+            work()
+        except BaseException:
+            for _ in todo:          # leave the helpers nothing more to claim
+                pass
+            raise
+        for helper in helpers:
+            helper.result()
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,11 +169,17 @@ def unit_cube_masses(psi: SpectralWave, quad: Quadrature):
     nb = int(round(lat.box))
     t_corners = np.arange(-quad.config.half_window, quad.config.half_window)
     masses = np.zeros((len(t_corners), nb, nb))
-    modes = np.concatenate([psi.modes_plus, psi.modes_minus])
-    for t in quad.times:
-        i = int(math.floor(t + quad.config.half_window))
+    layout = _cell_layout(lat, np.concatenate([psi.modes_plus, psi.modes_minus]))
+    for side in ("plus", "minus"):
+        psi.rho(side)                   # fill the cache here: workers only read it
+
+    def sums_at(t):
         coeffs = np.concatenate([psi.phased("plus", t), psi.phased("minus", t)])
-        masses[i] += quad.dt * unit_cell_sums(lat, modes, coeffs)
+        return _cell_sums(lat, layout, coeffs)
+
+    for t, sums in zip(quad.times, _ordered_map(sums_at, quad.times)):
+        i = int(math.floor(t + quad.config.half_window))
+        masses[i] += quad.dt * sums
     return t_corners, masses
 
 
@@ -228,11 +301,15 @@ def _direction_grids(psi: SpectralWave, cells: list, t_center: float) -> dict:
     lat = psi.lattice
     box_i = int(round(lat.box))
     phased = psi.phased("minus", t_center)
+
+    def cell_sums(cell):
+        _, sel, chi = cell
+        return unit_cell_sums(lat, psi.modes_minus[sel], phased[sel] * chi)
+
     raw: dict = {}
-    for alpha, sel, chi in cells:
+    for (alpha, _, _), sums in zip(cells, _ordered_map(cell_sums, cells)):
         theta = _snapped_direction(alpha, psi.k)
-        raw[theta] = raw.get(theta, 0.0) + unit_cell_sums(lat, psi.modes_minus[sel],
-                                                          phased[sel] * chi)
+        raw[theta] = raw.get(theta, 0.0) + sums
     kernel_f = np.fft.rfft2(_profile_kernel(box_i))
     return {theta: np.fft.irfft2(np.fft.rfft2(m) * kernel_f, s=(box_i, box_i))
             for theta, m in raw.items()}

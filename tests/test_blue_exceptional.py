@@ -1,5 +1,10 @@
+import contextlib
 import functools
+import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from conewave.blue_exceptional import (exceptional_tubes_for_blue, find_bad_cubes,
                                        frequency_cells, sector_weights,
                                        unit_cell_sums, unit_cube_masses, _cell_window,
-                                       _dirichlet, _profile_kernel)
+                                       _dirichlet, _direction_grids, _profile_kernel,
+                                       _snapped_direction)
 from conewave.config import RunConfig
 from conewave.geometry import Tube, cube_touches_tube, unit_dir, wrap_delta
 from conewave.lattice import FrequencyLattice, lattice_for
@@ -344,3 +350,110 @@ def test_sector_weights_equals_per_cell_tubes(small_config, build):
     assert fam.weights.tobytes() == ref.weights.tobytes()
     assert fam.anchors.tobytes() == ref.anchors.tobytes()
     assert fam.directions.tobytes() == ref.directions.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the two-thread map: results added in input order, no thread left behind
+
+@contextlib.contextmanager
+def _out_of_order(monkeypatch, name):
+    """Make the first call of blue_exceptional.<name> finish after several
+    others, and every fourth after its neighbours, with a short switch
+    interval, so the threads complete their items out of input order and
+    race on the _dirichlet cache."""
+    import conewave.blue_exceptional as be
+    real = getattr(be, name)
+    calls = itertools.count()
+
+    def slow(*args):
+        n = next(calls)
+        if n % 4 == 0:
+            time.sleep(0.02 if n == 0 else 0.005)
+        return real(*args)
+
+    monkeypatch.setattr(be, name, slow)
+    _dirichlet.cache_clear()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(switch)
+
+
+_SMALL_BLUE = [(kind, k) for kind in ("random", "packet") for k in (0, 1, 2)]
+
+
+def _small_blue(kind, k):
+    lat = lattice_for(RunConfig(box=20.0, half_window=4.0, dt=0.25), k)
+    if kind == "random":
+        return random_colored_wave(lat, "blue", k, 1 / 20, seed=60 + k)
+    return make_blue_tube_wave(lat, 0.75 - k, (4.0 + 3 * k, 13.0), unit_dir(0.1 * k), k)
+
+
+@pytest.mark.parametrize("kind, k", _SMALL_BLUE)
+def test_unit_cube_masses_equal_serial_accumulation(small_config, monkeypatch, kind, k):
+    psi = _small_blue(kind, k)
+    quad = Quadrature(small_config, psi.lattice)
+    modes = np.concatenate([psi.modes_plus, psi.modes_minus])
+    want = np.zeros((2 * int(small_config.half_window),) + (int(small_config.box),) * 2)
+    for t in quad.times:
+        coeffs = np.concatenate([psi.phased("plus", t), psi.phased("minus", t)])
+        want[int(math.floor(t + small_config.half_window))] += \
+            quad.dt * unit_cell_sums(psi.lattice, modes, coeffs)
+    with _out_of_order(monkeypatch, "_cell_sums"):
+        _, got = unit_cube_masses(psi, quad)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind, k", _SMALL_BLUE)
+def test_direction_grids_equal_serial_cell_sums(small_config, monkeypatch, kind, k):
+    # the smoothed grids of the raw sums added cell by cell in cell order
+    psi = _small_blue(kind, k)
+    cells = frequency_cells(psi)
+    t_center = -1.5
+    phased = psi.phased("minus", t_center)
+    raw = {}
+    for alpha, sel, chi in cells:
+        theta = _snapped_direction(alpha, psi.k)
+        raw[theta] = raw.get(theta, 0.0) + unit_cell_sums(psi.lattice, psi.modes_minus[sel],
+                                                          phased[sel] * chi)
+    assert len(cells) > len(raw)         # some direction adds up several cells
+    box = int(small_config.box)
+    kernel_f = np.fft.rfft2(_profile_kernel(box))
+    with _out_of_order(monkeypatch, "unit_cell_sums"):
+        got = _direction_grids(psi, cells, t_center)
+    assert list(got) == list(raw)
+    for theta, m in raw.items():
+        assert np.array_equal(got[theta],
+                              np.fft.irfft2(np.fft.rfft2(m) * kernel_f, s=(box, box)))
+
+
+def test_pooled_errors_raise_and_leave_no_thread(small_config, lat0, monkeypatch):
+    psi = _small_blue("random", 2)
+    quad = Quadrature(small_config, psi.lattice)
+    before = threading.active_count()
+    # modes beyond the band of the quadrature's lattice
+    with pytest.raises(ValueError, match="not representable"):
+        unit_cube_masses(psi, Quadrature(small_config, lat0))
+    assert threading.active_count() == before
+    # a wave whose own lattice cannot hold its modes: each frequency cell's
+    # check fails on the thread that claims the cell
+    narrow = make_wave(lat0, [], [], psi.modes_minus, psi.vals_minus, color="blue", k=2)
+    with pytest.raises(ValueError, match="not representable"):
+        sector_weights(narrow, quad)
+    assert threading.active_count() == before
+    # a scan slice fails on the calling thread, then on the helper thread
+    import conewave.blue_exceptional as be
+    real = be._cell_sums
+    for where in ("caller", "helper"):
+        def failing(*args, where=where):
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main == (where == "caller"):
+                raise ValueError(f"slice on the {where}")
+            return real(*args)
+
+        monkeypatch.setattr(be, "_cell_sums", failing)
+        with pytest.raises(ValueError, match=f"slice on the {where}"):
+            unit_cube_masses(psi, quad)
+        assert threading.active_count() == before
