@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, at the default configuration.
 
-Every test prints a single "ACCEPTANCE <n> PASS/FAIL" line with its measured
-quantities, then asserts the frozen bound.  The expensive artifacts (the
-standard cube train, its universal tube family, the partner-suite report) are
-shared through module fixtures; criterion 10 closes with the wall-clock and
-bit-reproducibility checks.
+Every criterion test prints a single "ACCEPTANCE <n> PASS/FAIL" line with its
+measured quantities, then asserts the frozen bound.  The expensive artifacts
+(the standard cube train, its universal tube family, the partner-suite report,
+the sharpness rows) are module fixtures, shared with the calibration check;
+criterion 10 closes with the wall-clock and bit-reproducibility checks.
 """
 
 import hashlib
@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 
 import conewave.constants as C
-from conewave.blue_exceptional import (exceptional_tubes_for_blue, find_bad_cubes,
-                                       unit_cube_masses)
+from conewave.blue_exceptional import exceptional_tubes_for_blue, unit_cube_masses
+from conewave.calibration import measure
 from conewave.config import RunConfig
-from conewave.extraction import (build_extractor, dual_witness, extract_profile,
-                                 find_concentrating_tube, optimal_multiple)
-from conewave.geometry import Tube, cube_touches_tube, dir_angle, unit_dir
-from conewave.harness import (TRAIN_THETA, PsiSpec, fungibility_partition,
-                              interval_ratios_from_report, sharpness_experiment,
-                              standard_suite, standard_train, tube_sup_profile,
-                              universal_tube_family, verify_profile)
+from conewave.extraction import (_TubeSearch, build_extractor, dual_witness,
+                                 extract_profile, find_concentrating_tube,
+                                 optimal_multiple)
+from conewave.geometry import Cube, Tube, cube_touches_tube, dir_angle, unit_dir
+from conewave.harness import (TRAIN_THETA, fungibility_partition, interval_ratios_from_report,
+                              sharpness_experiment, standard_suite, standard_train,
+                              tube_sup_profile, universal_tube_family, verify_profile)
 from conewave.lattice import lattice_for
 from conewave.norms import Quadrature, product_l2
 from conewave.tube_cover import (CoverDiagnostics, WeightedTubeFamily,
@@ -72,6 +72,11 @@ def profile_report(train, universal, config):
     return verify_profile(w, tubes, DELTA, suite, config, keep_slice_sums=True)
 
 
+@pytest.fixture(scope="module")
+def sharpness_rows(config):
+    return sharpness_experiment(config, seeds=(42, 43))
+
+
 def test_c01_conservation(config):
     t0 = time.time()
     worst = 0.0
@@ -108,10 +113,11 @@ def test_c02_pairing_duality(config, quad0, train):
         current = w
         m_target = current.margin() - 1.0 / config.box
         for _ in range(4):
-            tube, val = find_concentrating_tube(current, 0.25, quad0, threshold=0.0)
+            search = _TubeSearch(current, quad0)
+            tube, _ = find_concentrating_tube(current, 0.25, quad0, threshold=0.0, search=search)
             if tube is None:
                 break
-            wit = dual_witness(current, tube, quad0)
+            wit = dual_witness(current, tube, quad0, search)
             F = build_extractor(current.lattice, wit, m_target)
             spectral = inner_product(current, F, t=0.0)
             timedom = wit.pairing_time_domain()
@@ -147,10 +153,9 @@ def test_c03_bilinear_uniformity(config):
               f" (k3 <= 2*k0; all <= C*={C.C_STAR}), {elapsed:.0f}s < 300s")
 
 
-def test_c04_sharpness(config):
-    rows = sharpness_experiment(config, seeds=(42, 43))
-    rhos = [r["rho"] for r in rows]
-    lp = max(r["lp_scaled"] for r in rows)
+def test_c04_sharpness(sharpness_rows):
+    rhos = [r["rho"] for r in sharpness_rows]
+    lp = max(r["lp_scaled"] for r in sharpness_rows)
     spread = max(rhos) / min(rhos)
     ok = (min(rhos) >= C.RHO_MIN and spread <= C.RHO_SPREAD_MAX
           and lp <= C.C_LP_SCALED)
@@ -232,7 +237,6 @@ def test_c06_blue_exceptional(config):
             budget = C.K_EXC * delta ** -C.K_E
             worst_count = max(worst_count, len(tubes) / budget)
             assert len(tubes) <= budget
-            from conewave.geometry import Cube
             for center in bad:
                 if not any(cube_touches_tube(Cube(center, 1.0), t, config.box, 3.0)
                            for t in tubes):
@@ -309,6 +313,28 @@ def test_c09_fungibility(train, universal, profile_report, quad0, config):
                      f"int g = {g_total:.2f} <= {C.K_G * DELTA ** -C.K_P:.0f}; "
                      f"worst (interval,psi) ratio {worst:.4f} <= "
                      f"{C.C_F * DELTA:.3f}")
+
+
+def test_calibration_reproduces_the_recorded_measurements(
+        config, train, universal, profile_report, sharpness_rows):
+    """``calibration.measure`` of the fixtures' artifacts (none is built twice)
+    against each measurement that constants.py records, at its printed
+    precision.  The one acceptance check that reaches ``l2t_linf_on_tube`` and
+    ``dual_witness`` without a search; with c09 it reaches ``tube_sup_profile``."""
+    out = measure(config, train, universal, profile_report, sharpness_rows)
+    out["random ratio"] = max(out[f"random_ratio_max(k={k})"] for k in range(4))
+    out["rho min"], out["rho max"] = out["sharpness_rho(min,max)"]
+    recorded = {"kappa_cube(min)": 0.3057, "kappa_tube(min over k,t)": 0.8587,
+                "bernstein_sup(max/100)": 0.0914, "random ratio": 0.1002,
+                "rho min": 0.4854, "rho max": 0.5055,
+                "sharpness_lp_scaled(max)": 0.6196,
+                "extract0.2(min decrement)": 0.0411, "universal(maxM(F))": 1.26,
+                "extractor_off_ratio(max)": 0.387, "profile(max outside)": 0.0326,
+                "profile(min adversarial full)": 0.4075, "fungibility(int g)": 8.26,
+                "universal(tubes)": 23, "fungibility(intervals)": 64}
+    digits = {"universal(maxM(F))": 2, "extractor_off_ratio(max)": 3,
+              "fungibility(int g)": 2}
+    assert {key: round(out[key], digits.get(key, 4)) for key in recorded} == recorded
 
 
 def test_c10_runtime_and_reproducibility(config, quad0):

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from conewave.geometry import Region, Tube, unit_dir
-from conewave.harness import (TRAIN_THETA, TRAIN_X0, ProfileReport, PsiSpec,
-                              fungibility_partition, sharpness_experiment, standard_suite,
-                              tube_sup_profile, universal_tube_family,
-                              verify_fungibility, verify_profile)
-from conewave.norms import Quadrature, product_densities, product_l2, product_slice_sums
-from conewave.waves import (make_blue_tube_wave, make_red_cube_train, plane_wave,
-                            random_colored_wave, zero_wave)
+from conewave.harness import (TRAIN_THETA, TRAIN_X0, PsiSpec, fungibility_partition,
+                              sharpness_experiment, standard_suite, tube_sup_profile,
+                              universal_tube_family, verify_fungibility, verify_profile)
+from conewave.norms import Quadrature, product_densities, product_l2
+from conewave.waves import make_blue_tube_wave, make_red_cube_train, plane_wave, zero_wave
 from conewave.lattice import lattice_for
 
 
@@ -211,3 +209,19 @@ def test_sharpness_synthesizes_each_field_once_per_slice(small_config,
     n_t = len(small_config.time_samples())
     assert len(evaluate_calls) == 2 * 2 * n_t
     assert len(set(evaluate_calls)) == len(evaluate_calls)
+
+
+def test_calibration_measures_the_artifacts_it_is_given(small_config, quad0, train,
+                                                        monkeypatch):
+    from conewave import calibration
+    universal = universal_tube_family(train[0], 0.3, quad0, max_iter=200)
+    report = verify_profile(train[0], universal[0], 0.2,
+                            standard_suite(ks=(0,), seeds_per_k=1), small_config)
+    rows = sharpness_experiment(small_config, ks=(0,), seeds=(42,))
+    for name in ("standard_train", "universal_tube_family", "verify_profile",
+                 "sharpness_experiment"):
+        monkeypatch.setattr(calibration, name, None)     # a rebuild raises TypeError
+    out = calibration.measure(small_config, train, universal, report, rows)
+    assert out["universal(tubes)"] == len(universal[0])
+    assert out["profile(time s)"] == round(report.elapsed, 1)
+    assert out["sharpness_rho(min,max)"] == (rows[0]["rho"],) * 2
