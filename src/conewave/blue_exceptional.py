@@ -261,7 +261,7 @@ def _profile_kernel(box_i: int) -> np.ndarray:
     return k
 
 
-def sector_weights(psi: SpectralWave, quad: Quadrature, t_center: float = 0.0) -> WeightedTubeFamily:
+def sector_weights(psi: SpectralWave, t_center: float = 0.0) -> WeightedTubeFamily:
     """Weighted separated tube family dominating the local mass of psi near
     time t_center: unit cells of the frequency support become packet waves,
     each packet's unit-cell mass field (smoothed by the cross-section profile)
@@ -329,7 +329,7 @@ def exceptional_tubes_for_blue(psi: SpectralWave, delta: float, quad: Quadrature
     threshold = min(1.0, BLUE_THRESHOLD_FACTOR * delta * delta)
     while t0 < quad.config.half_window - 1e-9:
         t_center = t0 + 0.5 * half_len
-        family = sector_weights(psi, quad, t_center)
+        family = sector_weights(psi, t_center)
         tubes = greedy_tube_cover(family, threshold)
         out.extend(replace(t, t0=t.t0 + t_center) for t in tubes)
         t0 += half_len

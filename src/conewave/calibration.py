@@ -3,7 +3,7 @@
 Run as ``python -m conewave.calibration``.  Uses the default RunConfig and
 fixed seeds; the printed measurements are the provenance for the values frozen
 in constants.py (each frozen bound is the measurement plus documented slack).
-``calibrate`` builds the expensive artifacts and ``measure`` computes every
+``calibrate`` builds each expensive artifact once and ``measure`` computes every
 measurement from them, so the acceptance suite measures its own fixtures.
 """
 
@@ -18,7 +18,7 @@ from .config import RunConfig
 from .extraction import (build_extractor, dual_witness, extract_profile,
                          find_concentrating_tube)
 from .geometry import Tube, unit_dir
-from .harness import (fungibility_partition, sharpness_experiment, standard_suite,
+from .harness import (TRAIN_X0, sharpness_experiment, split_window, standard_suite,
                       standard_train, tube_sup_profile, universal_tube_family,
                       verify_profile)
 from .lattice import lattice_for
@@ -28,29 +28,32 @@ from .waves import make_blue_tube_wave, make_red_cube_bump, random_colored_wave
 DELTA = 0.2
 
 
-def calibrate(config: RunConfig = None, verbose: bool = True):
-    config = config or RunConfig()
+def calibrate():
+    config = RunConfig()
     t0 = time.time()
     quad0 = Quadrature(config, lattice_for(config, 0))
     train = standard_train(config)
+    tubes, remainder, trace = extract_profile(train[0], DELTA, quad0)
+    _, remainder_conc = find_concentrating_tube(remainder, DELTA, quad0, threshold=0.0)
     t1 = time.time()
     universal = universal_tube_family(train[0], DELTA, quad0)
     universal_s = time.time() - t1
     report = verify_profile(train[0], universal[0], DELTA,
                             standard_suite(seeds_per_k=10, base_seed=1000), config)
     rows = sharpness_experiment(config, seeds=(42, 43))
-    out = measure(config, train, universal, report, rows)
+    out = measure(config, train, (tubes, trace, remainder_conc), universal, report, rows)
     out["universal(time s)"] = round(universal_s, 1)
     out["total calibration s"] = round(time.time() - t0, 1)
-    if verbose:
-        for key, value in out.items():
-            print(f"  {key:28s} {value}")
+    for key, value in out.items():
+        print(f"  {key:28s} {value}")
     return out
 
 
-def measure(config: RunConfig, train, universal, profile_report, sharpness_rows) -> dict:
+def measure(config: RunConfig, train, extraction, universal, profile_report,
+            sharpness_rows) -> dict:
     """Every calibration measurement, from the artifacts that ``calibrate``
-    builds (none is rebuilt here; the profile time is the report's own)."""
+    builds (none is rebuilt here; the profile time is the report's own); the
+    train's delta = 0.2 ``extraction`` is (tubes, trace, remainder conc)."""
     out = {}
     lat0 = lattice_for(config, 0)
     quad0 = Quadrature(config, lat0)
@@ -68,11 +71,11 @@ def measure(config: RunConfig, train, universal, profile_report, sharpness_rows)
     for k in (0, 1, 2, 3):
         lat = lattice_for(config, k)
         om = unit_dir(0.21)
-        psi = make_blue_tube_wave(lat, 0.0, (10.0, 20.0), om, k)
+        psi = make_blue_tube_wave(lat, 0.0, TRAIN_X0, om, k)
         for s in (0.0, 2.0 ** (k - 1), -2.0 ** (k - 1)):
             f2 = np.abs(psi.evaluate(s)) ** 2
             m = np.zeros(f2.shape, dtype=bool)
-            m[disk_pixel_indices(lat, np.array([10.0, 20.0]) + om * s, 1.0)] = True
+            m[disk_pixel_indices(lat, np.array(TRAIN_X0) + om * s, 1.0)] = True
             kt.append(float((f2 * m).sum()) * lat.spacing ** 2)
     out["kappa_tube(min over k,t)"] = min(kt)
 
@@ -98,12 +101,11 @@ def measure(config: RunConfig, train, universal, profile_report, sharpness_rows)
 
     # extraction at delta = 0.2 on the standard train
     w0, _ = train
-    tubes1, rem1, trace1 = extract_profile(w0, DELTA, quad0, max_iter=200)
+    tubes1, trace1, remainder_conc = extraction
     out["extract0.2(steps)"] = len(trace1)
     out["extract0.2(min decrement)"] = min(s.decrement for s in trace1.steps)
     out["extract0.2(max M(F))"] = max(s.mass_extractor for s in trace1.steps)
-    _, vrem = find_concentrating_tube(rem1, DELTA, quad0, threshold=0.0)
-    out["extract0.2(remainder conc)"] = vrem
+    out["extract0.2(remainder conc)"] = remainder_conc
 
     # extractor off-tube ratio (20 probes per first extractor)
     wit = dual_witness(w0, Tube(0.0, tuple(tubes1[0].x0), tubes1[0].omega, None), quad0)
@@ -137,7 +139,7 @@ def measure(config: RunConfig, train, universal, profile_report, sharpness_rows)
     # fungibility at delta = 0.2
     g = tube_sup_profile(w0, tubes, quad0)
     out["fungibility(int g)"] = float(g.sum() * quad0.dt)
-    out["fungibility(intervals)"] = len(fungibility_partition(w0, tubes, DELTA, quad0))
+    out["fungibility(intervals)"] = len(split_window(g, DELTA, quad0))
     return out
 
 

@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="conewave",
                                  description="bilinear cone-wave laboratory")
     ap.add_argument("--config", help="key=value file mirroring the flags")
-    ap.add_argument("--n", type=int, default=None, help="dimension (2)")
     ap.add_argument("--grid-N", type=int, default=None,
                     help="points per axis (default: auto per k)")
     ap.add_argument("--box-L", type=float, default=None, help="torus side")
@@ -155,7 +154,6 @@ def _merge_config(args) -> RunConfig:
         return default
 
     # the dataclass's class attributes are its field defaults
-    n = pick(args.n, "n", int, RunConfig.dimension)
     box = pick(args.box_L, "box_l", float, RunConfig.box)
     window = pick(args.window, "window", float, RunConfig.half_window)
     dt = pick(args.dt, "dt", float, RunConfig.dt)
@@ -164,12 +162,12 @@ def _merge_config(args) -> RunConfig:
     args.grid_N = pick(args.grid_N, "grid_n", int, None)
     if file_vals:
         raise ValueError(f"{args.config}: unknown key {min(file_vals)!r}")
-    return RunConfig(box=box, half_window=window, dt=dt, dimension=n)
+    return RunConfig(box=box, half_window=window, dt=dt)
 
 
 def _lattice(cfg: RunConfig, args, k: int) -> FrequencyLattice:
     if args.grid_N:
-        return FrequencyLattice(cfg.dimension, args.grid_N, cfg.box)
+        return FrequencyLattice(args.grid_N, cfg.box)
     return lattice_for(cfg, k)
 
 
@@ -279,14 +277,6 @@ def cmd_extract(cfg, args) -> int:
     return 0 if ok else 1
 
 
-def _heatmap(cfg, args, phi, psi, tubes, t, name) -> None:
-    lat = psi.lattice
-    f = np.abs(phi.evaluate(t, lat)) * np.abs(psi.evaluate(t, lat))
-    circles = [(t2.axis_at(t)[0], t2.axis_at(t)[1], t2.eff_radius)
-               for t2 in tubes if t2.time_active(t)]
-    field_to_ppm(f, _out(args, name), circles, box=cfg.box)
-
-
 def cmd_profile(cfg, args) -> int:
     phi = _red_wave(cfg, args)
     quad = Quadrature(cfg, phi.lattice)
@@ -299,8 +289,11 @@ def cmd_profile(cfg, args) -> int:
             for r in report.records]
     _write_csv(_out(args, "profile_report.csv"), rows,
                ["kind", "k", "seed", "ratio_outside", "ratio_full"])
+    # heatmap of |phi psi| at t = 0 with the tubes' cross-sections
     psi = next(s for s in suite if s.kind == "packet").build(cfg)
-    _heatmap(cfg, args, phi.embed(psi.lattice), psi, tubes, 0.0, "profile_t0.ppm")
+    f = np.abs(phi.embed(psi.lattice).evaluate(0.0)) * np.abs(psi.evaluate(0.0))
+    circles = [(*t.axis_at(0.0), t.eff_radius) for t in tubes if t.time_active(0.0)]
+    field_to_ppm(f, _out(args, "profile_t0.ppm"), circles, box=cfg.box)
     bound = C.C_V * args.delta
     contrast = report.min_adversarial_full()
     ok = report.passes(bound) and contrast > C.ADVERSARIAL_MARGIN * bound
@@ -315,7 +308,7 @@ def cmd_fungibility(cfg, args) -> int:
     tubes, _, _ = universal_tube_family(phi, args.delta, quad)
     intervals = fungibility_partition(phi, tubes, args.delta, quad)
     suite = standard_suite(seeds_per_k=args.suite_size, base_seed=args.seed)
-    rows = verify_fungibility(phi, intervals, suite, args.delta, cfg)
+    rows = verify_fungibility(phi, intervals, suite, cfg)
     _write_csv(_out(args, "fungibility.csv"), rows,
                ["k", "seed", "kind", "t_lo", "t_hi", "ratio"])
     worst = max(r["ratio"] for r in rows)
@@ -353,8 +346,8 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
     try:
         cfg = _merge_config(args)
         if args.grid_N:
-            FrequencyLattice(cfg.dimension, args.grid_N, cfg.box)
-    except (OSError, ValueError, NotImplementedError) as exc:
+            FrequencyLattice(args.grid_N, cfg.box)
+    except (OSError, ValueError) as exc:
         ap.error(str(exc))
     delta = getattr(args, "delta", None)
     if delta is not None and not 0.0 < delta < 1.0:
@@ -371,8 +364,7 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
             args.wave = load_wave(args.wave)
         if getattr(args, "family", None):
             args.family = read_family(args.family, args.k, cfg.box)
-    except (OSError, ValueError, KeyError, TypeError, NotImplementedError,
-            ConewaveError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ConewaveError) as exc:
         ap.error(f"cannot read input: {exc}")
     if args.command in ("extract", "profile", "fungibility"):
         try:

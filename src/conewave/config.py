@@ -27,11 +27,8 @@ class RunConfig:
     box: float = DEFAULT_BOX            # torus side L
     half_window: float = DEFAULT_HALF_WINDOW
     dt: float = DEFAULT_DT
-    dimension: int = 2
 
     def __post_init__(self):
-        if self.dimension != 2:
-            raise NotImplementedError("only n=2 is supported")
         if self.dt > 0.25 + 1e-12:
             raise ValueError("time step must be <= 1/4")
         steps = 2.0 * self.half_window / self.dt

@@ -390,7 +390,7 @@ class StepChoice:
 def optimal_multiple(phi: SpectralWave, extractor: SpectralWave) -> StepChoice:
     """Step size mu in (0,1] minimizing M(phi - mu F), with the mass drop
     2 mu Re<phi,F> - mu^2 M(F); inner products are spectral."""
-    re = inner_product(phi, extractor, t=0.0).real
+    re = inner_product(phi, extractor).real
     if re <= 0.0:
         raise NoDecrementError(f"non-positive pairing {re:.3e}")
     m_f = extractor.mass()

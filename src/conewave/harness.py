@@ -206,13 +206,11 @@ def tube_sup_profile(phi: SpectralWave, tubes: list, quad: Quadrature) -> np.nda
     return g
 
 
-def fungibility_partition(phi: SpectralWave, tubes: list, delta: float,
-                          quad: Quadrature) -> list:
+def split_window(g: np.ndarray, delta: float, quad: Quadrature) -> list:
     """Left-to-right greedy split of the window into half-open intervals with
     integral of g at most delta^2 each (single-step overshoots become their
     own short interval)."""
     times = quad.times
-    g = tube_sup_profile(phi, tubes, quad)
     intervals = []
     lo = times[0]
     acc = 0.0
@@ -227,8 +225,14 @@ def fungibility_partition(phi: SpectralWave, tubes: list, delta: float,
     return intervals
 
 
+def fungibility_partition(phi: SpectralWave, tubes: list, delta: float,
+                          quad: Quadrature) -> list:
+    """``split_window`` of the tube profile g of phi."""
+    return split_window(tube_sup_profile(phi, tubes, quad), delta, quad)
+
+
 def verify_fungibility(phi: SpectralWave, intervals: list, suite: list,
-                       delta: float, config: RunConfig) -> list:
+                       config: RunConfig) -> list:
     """Per (interval, suite wave) bilinear ratios over the interval slab."""
     m_phi = phi.mass()
     rows = []
@@ -251,8 +255,7 @@ def sharpness_experiment(config: RunConfig, ks=DEFAULT_KS, seeds=(42,),
                          theta: float = TRAIN_THETA, x0=TRAIN_X0) -> list:
     """Matched packet/train pairs per frequency scale: the plain bilinear
     ratio and the L^p ratio rescaled by the frequency-gap factor."""
-    n = config.dimension
-    p = (n + 3.0) / (n + 1.0)
+    p = 5.0 / 3.0          # (n + 3) / (n + 1) in R^{1+n} at n = 2
     rows = []
     for k in ks:
         lat = lattice_for(config, k)

@@ -1,4 +1,4 @@
-"""Frequency lattice on the n-torus.
+"""Frequency lattice on the 2-torus.
 
 Frequencies live at xi = m / L for integer tuples m in {-N/2, ..., N/2-1}^2,
 stored in FFT index order so synthesis is a single inverse FFT.  The spatial
@@ -14,13 +14,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FrequencyLattice:
-    dimension: int
     size: int          # points per axis N (even)
     box: float         # torus side L
 
     def __post_init__(self):
-        if self.dimension != 2:
-            raise NotImplementedError("only n=2 is supported")
         if self.size < 16 or self.size % 2:
             raise ValueError("lattice size must be an even integer >= 16")
         if self.spacing > 0.25 + 1e-12:
@@ -36,4 +33,4 @@ class FrequencyLattice:
 
 
 def lattice_for(config, kmax: int) -> FrequencyLattice:
-    return FrequencyLattice(config.dimension, config.lattice_size(kmax), config.box)
+    return FrequencyLattice(config.lattice_size(kmax), config.box)

@@ -147,7 +147,7 @@ def exact_product_quadrature(quad: Quadrature, phi: SpectralWave,
     lat = quad.lattice
     while lat.size // 2 > spread.max():
         try:
-            lat = FrequencyLattice(lat.dimension, lat.size // 2, lat.box)
+            lat = FrequencyLattice(lat.size // 2, lat.box)
         except ValueError:          # odd, too small, or h above 1/4
             break
     return quad if lat is quad.lattice else Quadrature(quad.config, lat)

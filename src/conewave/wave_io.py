@@ -38,13 +38,13 @@ def _dense_lex(wave: SpectralWave, side: str) -> np.ndarray:
 def save_wave(wave: SpectralWave, path) -> None:
     path = Path(path)
     n = wave.lattice.size
-    header = MAGIC + struct.pack(_HEADER, wave.lattice.dimension, n,
+    header = MAGIC + struct.pack(_HEADER, 2, n,
                                  wave.lattice.box, _COLOR_CODE[wave.color], wave.k)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(_dense_lex(wave, "plus").tobytes())
         fh.write(_dense_lex(wave, "minus").tobytes())
-    sidecar = {"magic": MAGIC.decode(), "dimension": wave.lattice.dimension,
+    sidecar = {"magic": MAGIC.decode(), "dimension": 2,
                "points_per_axis": n, "box": wave.lattice.box,
                "color": wave.color, "k": wave.k}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=1))
@@ -52,7 +52,8 @@ def save_wave(wave: SpectralWave, path) -> None:
 
 def load_wave(path) -> SpectralWave:
     """Read a CWAV1 file; ValueError when the file is truncated or padded,
-    names an unknown color, or holds support outside its color's sector."""
+    names a dimension other than 2 or an unknown color, or holds support
+    outside its color's sector."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:5] != MAGIC:
@@ -61,6 +62,8 @@ def load_wave(path) -> SpectralWave:
     if len(raw) < off:
         raise ValueError(f"{path}: truncated header ({len(raw)} bytes)")
     dim, n, box, color_code, k = struct.unpack(_HEADER, raw[5:off])
+    if dim != 2:
+        raise ValueError(f"{path}: dimension {dim}, conewave reads only 2")
     count = n * n
     if len(raw) != off + 2 * count * 8:
         raise ValueError(f"{path}: {len(raw)} bytes, the header of an N={n} "
@@ -70,7 +73,7 @@ def load_wave(path) -> SpectralWave:
     plus = np.frombuffer(raw, dtype="<c8", count=count, offset=off).reshape(n, n)
     minus = np.frombuffer(raw, dtype="<c8", count=count,
                           offset=off + count * 8).reshape(n, n)
-    lattice = FrequencyLattice(dim, n, box)
+    lattice = FrequencyLattice(n, box)
     half = n // 2
     out = []
     for arr in (plus, minus):

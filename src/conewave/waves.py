@@ -106,7 +106,7 @@ class SpectralWave:
 
     def mass(self) -> float:
         s = np.sum(np.abs(self.vals_plus) ** 2) + np.sum(np.abs(self.vals_minus) ** 2)
-        return float(s) / self.lattice.box ** self.lattice.dimension
+        return float(s) / self.lattice.box ** 2
 
     def normalize_mass(self, target: float = 1.0) -> "SpectralWave":
         m = self.mass()
@@ -354,12 +354,12 @@ def plane_wave(lattice: FrequencyLattice, mode, amplitude: complex, side: str = 
     return make_wave(lattice, [], [], m, [amplitude])
 
 
-def inner_product(w1: SpectralWave, w2: SpectralWave, t: float = 0.0,
-                  lattice: Optional[FrequencyLattice] = None) -> complex:
-    """L^2_x pairing <w1(t), w2(t)> computed spectrally."""
-    lat = lattice or (w1.lattice if w1.lattice.size >= w2.lattice.size else w2.lattice)
-    a = w1.coefficients_at(t, lat)
-    b = w2.coefficients_at(t, lat)
+def inner_product(w1: SpectralWave, w2: SpectralWave) -> complex:
+    """L^2_x pairing <w1(0), w2(0)> computed spectrally on the finer lattice;
+    exact propagation makes it the same at every time."""
+    lat = w1.lattice if w1.lattice.size >= w2.lattice.size else w2.lattice
+    a = w1.coefficients_at(0.0, lat)
+    b = w2.coefficients_at(0.0, lat)
     return complex(np.vdot(b, a)) / lat.box ** 2
 
 

@@ -2,9 +2,10 @@
 
 Every criterion test prints a single "ACCEPTANCE <n> PASS/FAIL" line with its
 measured quantities, then asserts the frozen bound.  The expensive artifacts
-(the standard cube train, its universal tube family, the partner-suite report,
-the sharpness rows) are module fixtures, shared with the calibration check;
-criterion 10 closes with the wall-clock and bit-reproducibility checks.
+(the standard cube train, its delta = 0.2 extraction, universal tube family and
+partner-suite report, the sharpness rows) are module fixtures, shared with the
+calibration check; criterion 10 closes with the wall-clock and
+bit-reproducibility checks.
 """
 
 import hashlib
@@ -22,8 +23,8 @@ from conewave.extraction import (_TubeSearch, build_extractor, dual_witness,
                                  extract_profile, find_concentrating_tube,
                                  optimal_multiple)
 from conewave.geometry import Cube, Tube, cube_touches_tube, dir_angle, unit_dir
-from conewave.harness import (TRAIN_THETA, fungibility_partition, interval_ratios_from_report,
-                              sharpness_experiment, standard_suite, standard_train,
+from conewave.harness import (TRAIN_THETA, interval_ratios_from_report, sharpness_experiment,
+                              split_window, standard_suite, standard_train,
                               tube_sup_profile, universal_tube_family, verify_profile)
 from conewave.lattice import lattice_for
 from conewave.norms import Quadrature, product_l2
@@ -56,6 +57,16 @@ def quad0(config):
 @pytest.fixture(scope="module")
 def train(config):
     return standard_train(config)
+
+
+@pytest.fixture(scope="module")
+def extraction(train, quad0):
+    """((tubes, trace, remainder concentration), seconds) of the train's
+    extraction at delta and of the search on its remainder."""
+    t0 = time.time()
+    tubes, rem, trace = extract_profile(train[0], DELTA, quad0, max_iter=400)
+    _, rem_conc = find_concentrating_tube(rem, DELTA, quad0, threshold=0.0)
+    return (tubes, trace, rem_conc), time.time() - t0
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +130,7 @@ def test_c02_pairing_duality(config, quad0, train):
                 break
             wit = dual_witness(current, tube, quad0, search)
             F = build_extractor(current.lattice, wit, m_target)
-            spectral = inner_product(current, F, t=0.0)
+            spectral = inner_product(current, F)
             timedom = wit.pairing_time_domain()
             worst = max(worst, abs(spectral - timedom) / abs(timedom))
             collected += 1
@@ -247,15 +258,11 @@ def test_c06_blue_exceptional(config):
                      f"max count/budget {worst_count:.3f}, {elapsed:.0f}s")
 
 
-def test_c07_extraction(train, quad0):
-    t0 = time.time()
-    w, _ = train
-    tubes, rem, trace = extract_profile(w, DELTA, quad0, max_iter=400)
+def test_c07_extraction(extraction):
+    (tubes, trace, rem_conc), elapsed = extraction
     floor = C.C_DEC * DELTA ** 2 / math.log(1.0 / DELTA)
     budget = math.ceil(1.0 / (C.C_DEC * DELTA ** 3))
     first_dir = dir_angle(tubes[0].omega)
-    _, rem_conc = find_concentrating_tube(rem, DELTA, quad0, threshold=0.0)
-    elapsed = time.time() - t0
     ok = (trace.completed
           and abs(first_dir - TRAIN_THETA) <= 1.0 / 16.0
           and all(s.decrement >= floor for s in trace.steps)
@@ -298,7 +305,7 @@ def test_c09_fungibility(train, universal, profile_report, quad0, config):
     tubes, _, _ = universal
     g = tube_sup_profile(w, tubes, quad0)
     g_total = float(g.sum() * quad0.dt)
-    intervals = fungibility_partition(w, tubes, DELTA, quad0)
+    intervals = split_window(g, DELTA, quad0)
     rows = interval_ratios_from_report(profile_report, intervals, config)
     worst = max(r["ratio"] for r in rows)
     int_budget = C.K_I * DELTA ** -C.K_P
@@ -316,12 +323,12 @@ def test_c09_fungibility(train, universal, profile_report, quad0, config):
 
 
 def test_calibration_reproduces_the_recorded_measurements(
-        config, train, universal, profile_report, sharpness_rows):
+        config, train, extraction, universal, profile_report, sharpness_rows):
     """``calibration.measure`` of the fixtures' artifacts (none is built twice)
     against each measurement that constants.py records, at its printed
     precision.  The one acceptance check that reaches ``l2t_linf_on_tube`` and
     ``dual_witness`` without a search; with c09 it reaches ``tube_sup_profile``."""
-    out = measure(config, train, universal, profile_report, sharpness_rows)
+    out = measure(config, train, extraction[0], universal, profile_report, sharpness_rows)
     out["random ratio"] = max(out[f"random_ratio_max(k={k})"] for k in range(4))
     out["rho min"], out["rho max"] = out["sharpness_rho(min,max)"]
     recorded = {"kappa_cube(min)": 0.3057, "kappa_tube(min over k,t)": 0.8587,

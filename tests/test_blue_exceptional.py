@@ -107,7 +107,7 @@ def test_window_localized_pieces_orthogonal(small_config):
     assert abs(ip) <= 1e-8 * max(scale, 1e-30)
 
 
-def test_sector_weights_single_cell(quad0, small_config, lat0):
+def test_sector_weights_single_cell(lat0):
     # one-cell blue wave: all weight in one direction, total exactly 1
     lat = lat0
     half = lat.size // 2
@@ -120,7 +120,7 @@ def test_sector_weights_single_cell(quad0, small_config, lat0):
     vals = rng.standard_normal(sel.sum()) + 1j * rng.standard_normal(sel.sum())
     psi = make_wave(lat, [], [], np.stack([m1g[sel], m2g[sel]], axis=1), vals,
                     color="blue", k=0).normalize_mass(1.0)
-    fam = sector_weights(psi, quad0, 0.0)
+    fam = sector_weights(psi, 0.0)
     dirs = {t.omega for t in fam.tubes}
     assert len(dirs) == 1
     assert fam.weights.sum() == pytest.approx(1.0, abs=1e-6)
@@ -128,11 +128,11 @@ def test_sector_weights_single_cell(quad0, small_config, lat0):
     fam.check_separation()
 
 
-def test_sector_weights_packet_concentrates(quad0, lat0, small_config):
+def test_sector_weights_packet_concentrates(lat0, small_config):
     om = unit_dir(0.1)
     x0 = np.array([12.0, 5.0])
     psi = make_blue_tube_wave(lat0, 0.0, x0, om, 0)
-    fam = sector_weights(psi, quad0, 0.0)
+    fam = sector_weights(psi, 0.0)
     anchors = fam.anchors
     d = wrap_delta(anchors - x0[None, :], small_config.box)
     near = np.sqrt((d * d).sum(axis=1)) <= 4.0
@@ -288,7 +288,7 @@ def test_unit_cell_sums_rejects_bad_input(lat0):
     with pytest.raises(ValueError):
         unit_cell_sums(lat0, np.array([[lat0.size // 2, 0]]), np.array([1.0 + 0j]))
     with pytest.raises(ValueError):     # no whole number of points per unit cell
-        unit_cell_sums(FrequencyLattice(2, 90, 20.0), np.array([[3, 0]]),
+        unit_cell_sums(FrequencyLattice(90, 20.0), np.array([[3, 0]]),
                        np.array([1.0 + 0j]))
 
 
@@ -318,8 +318,8 @@ def test_second_delta_reuses_cache(small_config):
         # every slab's family read back from the cache is the one a fresh
         # wave computes for that slab alone
         for t_center in (-3.0, -1.0, 1.0, 3.0):     # the slab centers at k = 1
-            a = sector_weights(psi, quad, t_center)
-            b = sector_weights(build(), quad, t_center)
+            a = sector_weights(psi, t_center)
+            b = sector_weights(build(), t_center)
             assert a.tubes == b.tubes
             assert np.array_equal(a.weights, b.weights)
 
@@ -333,9 +333,8 @@ def test_sector_weights_equals_per_cell_tubes(small_config, build):
     # directions by angle and cells row-major
     lat = lattice_for(small_config, 2)
     psi = build(lat)
-    quad = Quadrature(small_config, lat)
     t_center = -2.0
-    fam = sector_weights(psi, quad, t_center)
+    fam = sector_weights(psi, t_center)
     total = psi.mass() * float(_profile_kernel(int(lat.box)).sum()) * (1.0 + 1e-9)
     tubes, weights = [], []
     for theta, smoothed in sorted(psi._cache[("sector_grids", t_center)].items()):
@@ -441,7 +440,7 @@ def test_pooled_errors_raise_and_leave_no_thread(small_config, lat0, monkeypatch
     # check fails on the thread that claims the cell
     narrow = make_wave(lat0, [], [], psi.modes_minus, psi.vals_minus, color="blue", k=2)
     with pytest.raises(ValueError, match="not representable"):
-        sector_weights(narrow, quad)
+        sector_weights(narrow)
     assert threading.active_count() == before
     # a scan slice fails on the calling thread, then on the helper thread
     import conewave.blue_exceptional as be

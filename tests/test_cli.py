@@ -198,6 +198,7 @@ def test_cli_usage_error_exit_2():
     ["cover", "--delta", "0.3", "--samples", "-1"],
     ["cover", "--delta", "0.3", "--tubes", "-3"],
     ["cover", "--delta", "0.3", "--tubes", "0"],
+    ["--config", "n = 3", "gen-wave"],
 ])
 def test_cli_bad_values_are_usage_errors(argv, tmp_path, capsys):
     # rejected before any work: one error line, exit status 2, no output files
@@ -242,6 +243,21 @@ def test_load_wave_rejects_unknown_color(tmp_path, lat0):
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="color"):
         load_wave(p)
+
+
+def test_load_wave_rejects_other_dimension(tmp_path, lat0, capsys):
+    p = _saved(tmp_path, lat0)
+    raw = bytearray(p.read_bytes())
+    raw[5:9] = (3).to_bytes(4, "little")    # the uint32 dimension after the magic
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="dimension 3"):
+        load_wave(p)
+    with pytest.raises(SystemExit) as exc:
+        main(SMALL + ["--out-dir", str(tmp_path / "out"), "extract", "--delta", "0.3",
+                      "--wave", str(p)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("conewave: error: cannot read input") and "dimension 3" in err[-1]
 
 
 def test_load_wave_rejects_support_outside_color(tmp_path, lat0):

@@ -94,7 +94,7 @@ def test_extractor_pairing_matches_witness(quad0, train):
     tube, _ = find_concentrating_tube(w, 0.2, quad0)
     wit = dual_witness(w, tube, quad0)
     F = build_extractor(w.lattice, wit, margin_target=w.margin() - 1 / 20)
-    sp = inner_product(w, F, t=0.0)
+    sp = inner_product(w, F)
     td = wit.pairing_time_domain()
     assert abs(sp - td) <= 1e-6 * abs(td)
 
@@ -112,7 +112,7 @@ def test_pairings_equal_the_tube_norm(seed, min_margin, direction, cell, quad0, 
     wit = dual_witness(phi, tube, quad0)
     F = build_extractor(lat0, wit, margin_target=0.5 * phi.margin())
     assert abs(wit.pairing_time_domain() - wit.norm_value) <= 1e-12 * wit.norm_value
-    assert abs(inner_product(phi, F, 0.0).real - wit.norm_value) <= 1e-12 * wit.norm_value
+    assert abs(inner_product(phi, F).real - wit.norm_value) <= 1e-12 * wit.norm_value
 
 
 def test_extractor_cutoff_margins(quad0, train):

@@ -97,7 +97,7 @@ def test_separation_value():
 def test_region_membership_and_masks():
     tube = Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=None)
     reg = Region(-2.0, 2.0, (tube,))
-    lat = FrequencyLattice(2, 80, BOX)
+    lat = FrequencyLattice(80, BOX)
     mask = region_slice_mask(reg, 0.0, lat)
     assert not mask[20, 20]                          # (5, 5): inside the tube
     assert mask[28, 28]                              # (7, 7)

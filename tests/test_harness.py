@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conewave.geometry import Region, Tube, unit_dir
+from conewave.extraction import extract_profile
 from conewave.harness import (TRAIN_THETA, TRAIN_X0, PsiSpec, fungibility_partition,
                               sharpness_experiment, standard_suite, tube_sup_profile,
                               universal_tube_family, verify_fungibility, verify_profile)
@@ -92,7 +93,7 @@ def test_verify_fungibility_rows(small_config, quad0, train):
     # at k = 2 the sums run on a halved grid: 160 points against 320
     suite = [PsiSpec("random", 0, seed=5), PsiSpec("random", 2, seed=6),
              PsiSpec("packet", 2, x0=(4.0, 6.0), theta=0.1)]
-    rows = verify_fungibility(w, intervals, suite, 0.3, small_config)
+    rows = verify_fungibility(w, intervals, suite, small_config)
     assert len(rows) == len(suite) * len(intervals)
     for spec in suite:
         # interval squared ratios recombine to the full-window sum of the
@@ -135,7 +136,7 @@ def test_fungibility_vacuous_at_ratio_ceiling(small_config, quad0, train):
     ceiling = product_l2(w, psi, None, quad) / math.sqrt(w.mass() * psi.mass())
     delta = 2.0 * ceiling
     whole = [(-small_config.half_window, small_config.half_window)]
-    rows = verify_fungibility(w, whole, suite, delta, small_config)
+    rows = verify_fungibility(w, whole, suite, small_config)
     from conewave.constants import C_F
     assert all(r["ratio"] <= C_F * delta for r in rows)
 
@@ -197,7 +198,7 @@ def test_verify_fungibility_synthesizes_phi_once_per_slice(small_config, train,
     w, _ = train
     suite = [PsiSpec("random", 0, seed=5), PsiSpec("random", 0, seed=6)]
     whole = [(-small_config.half_window, small_config.half_window)]
-    verify_fungibility(w, whole, suite, 0.3, small_config)
+    verify_fungibility(w, whole, suite, small_config)
     n_t = len(small_config.time_samples())
     assert len(evaluate_calls) == n_t * (1 + len(suite))
 
@@ -214,14 +215,18 @@ def test_sharpness_synthesizes_each_field_once_per_slice(small_config,
 def test_calibration_measures_the_artifacts_it_is_given(small_config, quad0, train,
                                                         monkeypatch):
     from conewave import calibration
+    tubes, _, trace = extract_profile(train[0], 0.3, quad0, max_iter=200)
+    extraction = (tubes, trace, 0.1)
     universal = universal_tube_family(train[0], 0.3, quad0, max_iter=200)
     report = verify_profile(train[0], universal[0], 0.2,
                             standard_suite(ks=(0,), seeds_per_k=1), small_config)
     rows = sharpness_experiment(small_config, ks=(0,), seeds=(42,))
-    for name in ("standard_train", "universal_tube_family", "verify_profile",
-                 "sharpness_experiment"):
+    for name in ("standard_train", "extract_profile", "find_concentrating_tube",
+                 "universal_tube_family", "verify_profile", "sharpness_experiment"):
         monkeypatch.setattr(calibration, name, None)     # a rebuild raises TypeError
-    out = calibration.measure(small_config, train, universal, report, rows)
+    out = calibration.measure(small_config, train, extraction, universal, report, rows)
+    assert out["extract0.2(steps)"] == len(trace)
+    assert out["extract0.2(remainder conc)"] == 0.1
     assert out["universal(tubes)"] == len(universal[0])
     assert out["profile(time s)"] == round(report.elapsed, 1)
     assert out["sharpness_rho(min,max)"] == (rows[0]["rho"],) * 2

@@ -185,7 +185,7 @@ def test_disk_pixel_indices_match_wrapped_distance(n, box, disks):
     # and alone through disk_pixel_indices gives the same pixels in order
     from conewave.lattice import FrequencyLattice
     assume(box / n <= 0.25)
-    lat = FrequencyLattice(2, n, box)
+    lat = FrequencyLattice(n, box)
     centres = np.array([(c1, c2) for c1, c2, _ in disks])
     radii = np.array([frac * box for _, _, frac in disks])
     rows, cols, disk = span_pixels(*disk_spans(centres, radii, lat.spacing))
@@ -217,7 +217,7 @@ def test_region_mask_spans_match_pixel_scatter():
     centres = 0
     while centres < 1200:
         box = float(rng.choice([4.0, 10.0, 20.0]))
-        lat = FrequencyLattice(2, int(rng.choice([4, 8])) * int(box), box)
+        lat = FrequencyLattice(int(rng.choice([4, 8])) * int(box), box)
         tubes, want = [], np.ones((lat.size, lat.size), dtype=bool)
         for _ in range(rng.integers(1, 5)):
             c = rng.uniform(-box, 2.0 * box, 2)
