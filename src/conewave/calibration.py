@@ -92,7 +92,7 @@ def measure(config: RunConfig, train, extraction, universal, profile_report,
         out[f"random_ratio_max(k={k})"] = max(product_l2(
             random_colored_wave(lat0, "red", 0, 1 / 20, seed=500 + seed).embed(lat),
             random_colored_wave(lat, "blue", k, 1 / 20, seed=900 + 31 * k + seed),
-            None, quad) for seed in range(5))
+            quad) for seed in range(5))
 
     # sharpness table
     rho = [r["rho"] for r in sharpness_rows]

@@ -84,9 +84,9 @@ def _load_config_file(path) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="conewave",
-                                 description="bilinear cone-wave laboratory")
+def _global_parser(**kwargs) -> argparse.ArgumentParser:
+    """The flags that come before the command."""
+    ap = argparse.ArgumentParser(prog="conewave", **kwargs)
     ap.add_argument("--config", help="key=value file mirroring the flags")
     ap.add_argument("--grid-N", type=int, default=None,
                     help="points per axis (default: auto per k)")
@@ -95,6 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--dt", type=float, default=None, help="time step")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--out-dir", default=None)
+    return ap
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="conewave", description="bilinear cone-wave laboratory",
+                                 parents=[_global_parser(add_help=False)])
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-wave", help="synthesize a wave file")
@@ -374,8 +380,25 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
     return cfg
 
 
+def _unknown_global_args(argv: list) -> list:
+    """The arguments before the command that no global flag takes (argparse
+    would read an unknown flag's value as the command): the command is the
+    first command name whose head parses, as --out-dir may take one."""
+    flags = _global_parser(add_help=False, exit_on_error=False)
+    for i, arg in enumerate(argv):
+        if arg in _COMMANDS:
+            try:
+                _, unknown = flags.parse_known_args(argv[:i])
+            except argparse.ArgumentError:
+                continue
+            return [a for a in unknown if a not in ("-h", "--help")]
+    return []
+
+
 def main(argv=None) -> int:
     ap = build_parser()
+    if unknown := _unknown_global_args(sys.argv[1:] if argv is None else argv):
+        ap.error(f"unrecognized arguments before the command: {' '.join(unknown)}")
     args = ap.parse_args(argv)
     cfg = _check_usage(ap, args)
     return _COMMANDS[args.command](cfg, args)

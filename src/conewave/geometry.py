@@ -1,4 +1,4 @@
-"""Spacetime geometry: light-ray tubes, cubes and sampling regions.
+"""Spacetime geometry: light-ray tubes and cubes.
 
 A tube is a cylinder of radius r around the ray x = x0 + omega (t - t0) with
 |omega| = 1 and omega within pi/8 of e1 (plus tolerance for dilated covers).
@@ -8,8 +8,8 @@ measured in the torus metric.
 
 On a grid of step h, a tube's cross-section disk of centre c and radius r
 holds the grid points p with |p h - c|^2 <= r^2 + 1e-12.  ``disk_spans``
-alone decides this, for many disks at once; every grid consumer (region
-masks and tube maxima per time slice, the tube search's stencils, which
+alone decides this, for many disks at once; every grid consumer (masks
+outside tubes and tube maxima per time slice, the tube search's stencils, which
 the dual witness reads too, the greedy cover's grid engine) reads it.
 """
 
@@ -190,11 +190,3 @@ def axis_unit_cubes(tube: Tube) -> list:
         x = tube.axis_at(t)
         cubes.append(Cube((t, x[0], x[1]), 1.0))
     return cubes
-
-
-@dataclass(frozen=True)
-class Region:
-    """Time slab [t_lo, t_hi) minus a union of tubes."""
-    t_lo: float
-    t_hi: float
-    excluded: tuple = ()

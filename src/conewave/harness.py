@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig
 from .extraction import extract_profile
-from .geometry import Region, Tube, dir_angle, unit_dir
+from .geometry import Tube, dir_angle, unit_dir
 from .lattice import lattice_for
 from .norms import Quadrature, exact_product_quadrature, product_densities, \
     tube_slice_maxima
@@ -147,14 +147,11 @@ def verify_profile(phi: SpectralWave, tubes: list, delta: float, suite: list,
     t_start = time.time()
     report = ProfileReport(delta=delta, tubes=list(tubes))
     m_phi = phi.mass()
-    # the region spans the whole window, so the stream skips no slice
-    region = Region(-config.half_window, config.half_window, tuple(tubes))
     for quad, specs, psis in _partners_by_scale(suite, config):
         w = quad.cell_weight()
         full = np.zeros((len(psis), len(quad.times)))
         outside = np.zeros_like(full)
-        for i, j, mask, dens in product_densities(phi.embed(quad.lattice), psis,
-                                                  quad, region):
+        for i, j, mask, dens in product_densities(phi, psis, quad, tuple(tubes)):
             full[j, i] = w * float(dens.sum())
             outside[j, i] = full[j, i] if mask is None else w * float(dens[mask].sum())
         for spec, psi, full_s, out_s in zip(specs, psis, full, outside):
@@ -263,13 +260,12 @@ def sharpness_experiment(config: RunConfig, ks=DEFAULT_KS, seeds=(42,),
         for seed in seeds:
             train, _ = matched_train(config, k, seed, theta=theta, x0=x0)
             psi = make_blue_tube_wave(lat, 0.0, x0, unit_dir(theta), k)
-            tr = train.embed(lat)
             denom = math.sqrt(train.mass() * psi.mass())
             # rho and the L^p norm from one pass over the densities
             w = quad.cell_weight()
             sums = np.zeros(len(quad.times))
             lp_total = 0.0
-            for i, _, _, dens in product_densities(tr, (psi,), quad):
+            for i, _, _, dens in product_densities(train, (psi,), quad):
                 sums[i] = w * float(dens.sum())
                 lp_total += w * float(np.power(dens, 0.5 * p).sum())
             rho = math.sqrt(quad.dt * float(sums.sum())) / denom

@@ -1,16 +1,16 @@
-"""Quadrature norms over spacetime regions and tubes.
+"""Quadrature norms over the time window, outside tubes and on tubes.
 
 Every norm here is *defined* as a Riemann sum: left-endpoint nodes in time
 (weight dt) and the full lattice grid in space (weight h^2).  The L^inf_x part
 of mixed norms is the max over grid points, a lower bound of the true sup that
 is adequate for the band-limited fields produced by this package.
 
-Full-window product sums (region None) are evaluated on the coarsest halving
-of the lattice grid that exceeds spread(phi) + spread(psi) points per axis
-(``exact_product_quadrature``), which is the same value up to round-off: phi
-psi is a trigonometric polynomial of that per-axis mode spread, so every
-nonzero frequency of |phi psi|^2 is below the grid size, sums to zero over
-the grid, and the Riemann sum on any such grid is the exact integral.
+The bilinear sums run over the window outside excluded tubes.  Full-window
+sums run on the coarsest halving of the lattice grid that exceeds spread(phi)
++ spread(psi) points per axis (``exact_product_quadrature``): phi psi is a
+trigonometric polynomial of that per-axis mode spread, so every nonzero
+frequency of |phi psi|^2 is below the grid size, sums to zero over the grid,
+and the Riemann sum on any such grid is the exact integral.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig
-from .geometry import Region, Tube, disk_spans, span_pixels
+from .geometry import Tube, disk_spans, span_pixels
 from .lattice import FrequencyLattice
 from .waves import SpectralWave
 
@@ -66,15 +66,10 @@ def _active_disk_spans(tubes, t: float, h: float):
                                [tubes[j].eff_radius for j in active], h) if active else None)
 
 
-def region_slice_mask(region: Optional[Region], t: float,
-                      lattice: FrequencyLattice) -> Optional[np.ndarray]:
-    """Boolean spatial mask of the region at time t; None means all-inside.
-    Returns False (scalar) when the slice is empty."""
-    if region is None:
-        return None
-    if not (region.t_lo - 1e-12 <= t < region.t_hi - 1e-12):
-        return False
-    active, spans = _active_disk_spans(region.excluded, t, lattice.spacing)
+def region_slice_mask(tubes, t: float, lattice: FrequencyLattice) -> Optional[np.ndarray]:
+    """Boolean mask of the lattice grid outside the disks of the tubes active
+    at time t; None when no tube is active (the whole grid)."""
+    active, spans = _active_disk_spans(tubes, t, lattice.spacing)
     return ~_paint_spans(lattice.size, *spans[1:]) if active else None
 
 
@@ -108,19 +103,16 @@ def _paint_spans(n: int, rows, lo, hi) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bilinear norms
 
-def product_densities(phi: SpectralWave, partners, quad: Quadrature,
-                      region: Optional[Region] = None):
+def product_densities(phi: SpectralWave, partners, quad: Quadrature, excluded=()):
     """The |phi psi|^2 density of phi with each partner psi, slice by slice.
 
-    phi and every partner are synthesized once per time slice and the region
-    mask is built once per slice; a slice outside the region is skipped
-    before synthesis.  Yields (i, j, mask, density) for time slice i and
-    partner j, with mask as region_slice_mask returns it (None: whole grid)."""
+    phi and every partner are synthesized on quad's grid once per time slice,
+    and the mask outside the excluded tubes is built once per slice.  Yields
+    (i, j, mask, density) for time slice i and partner j, with mask as
+    region_slice_mask returns it (None: whole grid)."""
     lat = quad.lattice
     for i, t in enumerate(quad.times):
-        mask = region_slice_mask(region, t, lat)
-        if mask is False:
-            continue
+        mask = region_slice_mask(excluded, t, lat)
         f = phi.evaluate(t, lat)
         for j, psi in enumerate(partners):
             g = psi.evaluate(t, lat)
@@ -153,36 +145,25 @@ def exact_product_quadrature(quad: Quadrature, phi: SpectralWave,
     return quad if lat is quad.lattice else Quadrature(quad.config, lat)
 
 
-def product_slice_sums(phi: SpectralWave, psi: SpectralWave, quad: Quadrature,
-                       region: Optional[Region] = None) -> np.ndarray:
-    """Per-time-slice values of sum_x h^2 |phi psi|^2, zero outside the region.
-
-    Without a region the sums run on ``exact_product_quadrature``'s grid,
-    which gives the same values as quad's grid to round-off; a region's mask
-    is built on quad's grid and keeps it."""
-    out = np.zeros(len(quad.times))
-    if region is None:
-        quad = exact_product_quadrature(quad, phi, (psi,))
+def product_slice_sums(phi: SpectralWave, psi: SpectralWave, quad: Quadrature) -> np.ndarray:
+    """Per-time-slice values of sum_x h^2 |phi psi|^2 over the whole grid, on
+    ``exact_product_quadrature``'s grid: quad's values to round-off."""
+    quad = exact_product_quadrature(quad, phi, (psi,))
     w = quad.cell_weight()
-    for i, _, mask, dens in product_densities(phi, (psi,), quad, region):
-        out[i] = w * float(dens.sum() if mask is None else dens[mask].sum())
-    return out
+    return np.array([w * float(dens.sum())
+                     for _, _, _, dens in product_densities(phi, (psi,), quad)])
 
 
-def product_l2(phi: SpectralWave, psi: SpectralWave, region: Optional[Region],
-               quad: Quadrature) -> float:
-    """Riemann-sum approximation of the spacetime L^2 norm of phi * psi."""
-    sums = product_slice_sums(phi, psi, quad, region)
-    return math.sqrt(quad.dt * float(sums.sum()))
+def product_l2(phi: SpectralWave, psi: SpectralWave, quad: Quadrature) -> float:
+    """Riemann-sum approximation of the window's L^2 norm of phi * psi."""
+    return math.sqrt(quad.dt * float(product_slice_sums(phi, psi, quad).sum()))
 
 
 def lp_product(phi: SpectralWave, psi: SpectralWave, p: float,
                quad: Quadrature) -> float:
-    """Quadrature L^p norm of phi * psi over the full window."""
+    """Quadrature L^p norm of phi * psi over the full window, on quad's grid."""
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    if p == 2.0:
-        return product_l2(phi, psi, None, quad)
     w = quad.cell_weight()
     total = 0.0
     for _, _, _, dens in product_densities(phi, (psi,), quad):

@@ -29,12 +29,11 @@ earliest witness time:
 * ``_PairResidual``, the definition: the witness set is the axis samples, and
   a round's residual is one ``np.bincount`` over their pairs (the verifier
   reduces its samples' pairs the same way).
-* ``_GridResidual``, its fast path for families of more than
-  ``_GRID_ENGINE_MIN_TUBES`` tubes on integer anchors (the blue-wave sector
-  weights).  Its witness set is a + omega t for every integer anchor a of
-  each direction group; on a family with a tube at every integer anchor of
-  each group (as the sector weights have) that is the pair engine's, and
-  both return the same point bit for bit.  The residual on a whole anchor
+* ``_GridResidual``, its fast path for full grids (``full_grid``: one tube
+  at every integer anchor of each direction group, as the blue-wave sector
+  weights have).  Its witness set is a + omega t for every integer anchor a
+  of each direction group; only on a full grid is that the pair engine's,
+  and then both return the same point bit for bit.  The residual on a whole anchor
   grid at one witness time is a sum of shifted windows of one wrap-padded
   stack of the per-direction weight images, with (time, direction pair)
   stencils of ``geometry.disk_spans`` unit disks built once.
@@ -57,7 +56,6 @@ LARGE_SQUARE_FACTOR = 1.0 / 16.0   # delta' = factor * delta^2
 COVER_C = 8.0                      # emitted tube fatness
 WITNESS_SPACING = 0.5
 SEPARATION_BLOCK = 250_000         # tube pairs per block of check_separation
-_GRID_ENGINE_MIN_TUBES = 600       # grid-anchored families above this use _GridResidual
 
 
 class WeightedTubeFamily:
@@ -172,10 +170,16 @@ class WeightedTubeFamily:
             out[lo:lo + chunk] = inside & (np.abs(t)[:, None] <= half + 1e-12)
         return out
 
-    def grid_anchored(self) -> bool:
-        """Every anchor an exact integer (the shape the grid engine takes)."""
+    def full_grid(self) -> bool:
+        """Exactly one tube at every (direction group, integer anchor) pair on
+        the torus: where the grid engine's witness set is the pair engine's."""
+        n = int(round(self.box))
         xs = self.anchors
-        return len(xs) > 0 and bool(np.all(xs == np.round(xs)))
+        if len(xs) == 0 or n != self.box or not np.all(xs == np.round(xs)):
+            return False
+        first, group = _direction_groups(self.directions)
+        cells = (group * n + xs[:, 0].astype(int) % n) * n + xs[:, 1].astype(int) % n
+        return len(xs) == len(first) * n * n and bool(np.bincount(cells).max() == 1)
 
 
 def _axis_times(k: int) -> np.ndarray:
@@ -270,6 +274,17 @@ class _PairResidual:
         return float(residual[j]), (self.points[j, 0], self.points[j, 1:].copy())
 
 
+def _direction_groups(directions: np.ndarray) -> tuple:
+    """(first, group): each direction group's first tube and each tube's group,
+    in np.unique(axis=0)'s order of the directions rounded to 9 digits (the
+    rounding only forms the groups).  Each rounded row is viewed as one
+    complex number, which sorts the same way and much faster."""
+    rows = np.ascontiguousarray(np.round(directions, 9))
+    _, first, group = np.unique(rows.view(np.complex128).ravel(), return_index=True,
+                                return_inverse=True)
+    return first, group.ravel()
+
+
 class _GridResidual:
     """Residual on grid-anchored families: per direction group the anchor
     weights live on the integer torus grid, and the residual at the axis
@@ -283,16 +298,10 @@ class _GridResidual:
     def __init__(self, family: WeightedTubeFamily):
         self.family = family
         self.box_i = int(round(family.box))
-        # direction groups in the lexicographic order of np.unique(axis=0),
-        # found by viewing each rounded row as one complex number (complex
-        # numbers sort lexicographically, and much faster than rows); the
-        # rounding only forms the groups
-        rows = np.ascontiguousarray(np.round(family.directions, 9))
-        _, first, inv = np.unique(rows.view(np.complex128).ravel(), return_index=True,
-                                  return_inverse=True)
+        first, group = _direction_groups(family.directions)
         self.group_dirs = family.directions[first]
         # per direction group: the weight image cell of each tube
-        self.cells = (inv.ravel(), *(family.anchors.astype(int) % self.box_i).T)
+        self.cells = (group, *(family.anchors.astype(int) % self.box_i).T)
         self.images = np.zeros((len(first), self.box_i, self.box_i))
         self.times = _axis_times(family.k)
         # stencils[i][g'] lists (g, d1, d2): the integer offsets d of group
@@ -351,10 +360,7 @@ def greedy_tube_cover(family: WeightedTubeFamily, delta: float, *,
         raise ValueError("delta must lie in (0, 1]")
     if len(family) == 0:
         return []
-    if len(family) > _GRID_ENGINE_MIN_TUBES and family.grid_anchored():
-        engine = _GridResidual(family)
-    else:
-        engine = _PairResidual(family)
+    engine = _GridResidual(family) if family.full_grid() else _PairResidual(family)
 
     active = np.ones(len(family), dtype=bool)
     classes = []

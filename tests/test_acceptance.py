@@ -153,7 +153,7 @@ def test_c03_bilinear_uniformity(config):
             phi = random_colored_wave(lat0, "red", 0, 1 / 20,
                                       seed=3000 + j).embed(lat)
             psi = random_colored_wave(lat, "blue", k, 1 / 20, seed=4000 + 97 * k + j)
-            vals.append(product_l2(phi, psi, None, quad))
+            vals.append(product_l2(phi, psi, quad))
         max_ratio[k] = max(vals)
     elapsed = time.time() - t0
     ok = (max_ratio[3] <= 2.0 * max_ratio[0]

@@ -185,6 +185,29 @@ def test_cli_usage_error_exit_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv,unknown", [
+    (["--n", "2", "gen-wave"], "--n 2"),
+    (["--seed", "3", "--bogus", "gen-wave", "--k", "1"], "--bogus"),
+    (["--dims=3", "cover", "--delta", "0.3"], "--dims=3"),
+])
+def test_cli_unknown_global_flag_is_named(capsys, argv, unknown):
+    # argparse alone reads the value of an unknown flag as the command and
+    # names that value; the error names the flag
+    with pytest.raises(SystemExit) as exc:
+        main(SMALL + argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.endswith(f"unrecognized arguments before the command: {unknown}")
+
+
+def test_cli_command_name_as_global_value(tmp_path, monkeypatch):
+    # a global flag's value may be a command name: the command is the next one
+    monkeypatch.chdir(tmp_path)
+    assert main(SMALL + ["--out-dir", "cover", "--seed", "1", "cover", "--delta", "0.5",
+                         "--tubes", "5", "--k", "0", "--samples", "100"]) == 0
+    assert (tmp_path / "cover" / "cover_tubes.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--n", "3", "gen-wave"],
     ["--dt", "0.3", "gen-wave"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conewave.geometry import Cube, Region, Tube, cube_touches_tube, unit_dir, wrap_delta
+from conewave.geometry import Cube, Tube, cube_touches_tube, unit_dir, wrap_delta
 from conewave.lattice import FrequencyLattice
 from conewave.norms import region_slice_mask
 from conewave.tube_cover import WeightedTubeFamily
@@ -96,12 +96,14 @@ def test_separation_value():
 
 def test_region_membership_and_masks():
     tube = Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=None)
-    reg = Region(-2.0, 2.0, (tube,))
     lat = FrequencyLattice(80, BOX)
-    mask = region_slice_mask(reg, 0.0, lat)
+    mask = region_slice_mask((tube,), 0.0, lat)
     assert not mask[20, 20]                          # (5, 5): inside the tube
     assert mask[28, 28]                              # (7, 7)
-    assert region_slice_mask(reg, 3.0, lat) is False  # outside the time slab
+    # no tube active at t: the whole grid
+    short = Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=2.0)
+    assert region_slice_mask((short,), 3.0, lat) is None
+    assert region_slice_mask((), 0.0, lat) is None
 
 
 def test_cube_touches_tube():

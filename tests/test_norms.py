@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conewave.geometry import Region, Tube, disk_spans, span_pixels, unit_dir, wrap_delta
+from conewave.geometry import Tube, disk_spans, span_pixels, unit_dir, wrap_delta
 from conewave.lattice import lattice_for
 from conewave.harness import tube_sup_profile
-from conewave.norms import (Quadrature, disk_pixel_indices, l2t_linf_on_tube,
-                            lp_product, product_densities, product_l2,
+from conewave.norms import (Quadrature, disk_pixel_indices, exact_product_quadrature,
+                            l2t_linf_on_tube, lp_product, product_densities, product_l2,
                             product_slice_sums, region_slice_mask, tube_slice_maxima)
 from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_red_cube_train,
                             make_wave, plane_wave, random_colored_wave, zero_wave)
@@ -17,9 +17,10 @@ from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_red_cu
 def test_product_l2_zero_and_empty(quad0, lat0, small_config):
     w = random_colored_wave(lat0, "red", 0, 1 / 20, seed=0)
     z = zero_wave(lat0)
-    assert product_l2(w, z, None, quad0) == 0.0
-    empty = Region(1.0, 1.0)
-    assert product_l2(w, w, empty, quad0) == 0.0
+    assert product_l2(w, z, quad0) == 0.0
+    # a tube whose disk covers the torus leaves no grid point outside
+    cover = (Tube(0.0, (0.0, 0.0), (1.0, 0.0), half_length=None, radius=small_config.box),)
+    assert all(not mask.any() for _, _, mask, _ in product_densities(w, (w,), quad0, cover))
 
 
 def test_product_l2_plane_wave_closed_form(quad0, lat0, small_config):
@@ -28,46 +29,39 @@ def test_product_l2_plane_wave_closed_form(quad0, lat0, small_config):
     b = plane_wave(lat0, (28, -3), 2.0, side="minus")
     vol = 2 * small_config.half_window * small_config.box ** 2
     want = 3.0 * 2.0 * small_config.box ** -4 * math.sqrt(vol)
-    got = product_l2(a, b, None, quad0)
+    got = product_l2(a, b, quad0)
     assert got == pytest.approx(want, rel=1e-8)
 
 
-def test_lp_product_p2_consistency(quad0, lat0):
-    a = random_colored_wave(lat0, "red", 0, 1 / 20, seed=1)
-    b = random_colored_wave(lat0, "blue", 0, 1 / 20, seed=2)
-    assert lp_product(a, b, 2.0, quad0) == pytest.approx(
-        product_l2(a, b, None, quad0), rel=1e-10)
-    assert lp_product(a, zero_wave(lat0), 1.7, quad0) == 0.0
+def test_lp_product_p2_consistency(small_config):
+    # at p = 2 the L^p sum on quad's grid is the L^2 norm that product_l2
+    # takes on the coarser exact grid
+    lat = lattice_for(small_config, 2)
+    quad = Quadrature(small_config, lat)
+    a = random_colored_wave(lattice_for(small_config, 0), "red", 0, 1 / 20, seed=1).embed(lat)
+    b = random_colored_wave(lat, "blue", 2, 1 / 20, seed=2)
+    assert exact_product_quadrature(quad, a, (b,)).lattice.size < lat.size
+    assert lp_product(a, b, 2.0, quad) == pytest.approx(product_l2(a, b, quad), rel=1e-10)
+    assert lp_product(a, zero_wave(lat), 1.7, quad) == 0.0
 
 
 def test_region_partition_additivity(quad0, lat0, small_config):
     a = random_colored_wave(lat0, "red", 0, 1 / 20, seed=5)
     b = random_colored_wave(lat0, "blue", 0, 1 / 20, seed=6)
     tube = Tube(0.0, (8.0, 8.0), (1.0, 0.0), half_length=None, radius=3.0)
-    w = small_config.half_window
-    off = Region(-w, w, (tube,))
-    # complement within the window: squared norms add exactly
-    total2 = product_l2(a, b, None, quad0) ** 2
-    off2 = product_l2(a, b, off, quad0) ** 2
-    s = product_slice_sums(a, b, quad0)
+    # outside and on the tube within the window: squared norms add exactly
+    total2 = product_l2(a, b, quad0) ** 2
+    w = quad0.dt * quad0.cell_weight()
+    off2 = sum(w * float(dens[m].sum())
+               for _, _, m, dens in product_densities(a, (b,), quad0, (tube,)))
     on2 = 0.0
-    for i, t in enumerate(quad0.times):
-        m = region_slice_mask(off, t, quad0.lattice)
+    for t in quad0.times:
+        m = region_slice_mask((tube,), t, quad0.lattice)
         f = a.evaluate(t, quad0.lattice)
         g = b.evaluate(t, quad0.lattice)
         dens = (np.abs(f) * np.abs(g)) ** 2
-        on2 += quad0.dt * quad0.cell_weight() * float(dens[~m].sum())
+        on2 += w * float(dens[~m].sum())
     assert off2 + on2 == pytest.approx(total2, rel=1e-12)
-
-
-def test_halfopen_time_partition(quad0, lat0):
-    a = random_colored_wave(lat0, "red", 0, 1 / 20, seed=7)
-    b = random_colored_wave(lat0, "blue", 0, 1 / 20, seed=8)
-    whole = product_l2(a, b, None, quad0) ** 2
-    parts = 0.0
-    for lo, hi in ((-4.0, -1.0), (-1.0, 2.5), (2.5, 4.0)):
-        parts += product_l2(a, b, Region(lo, hi), quad0) ** 2
-    assert parts == pytest.approx(whole, rel=1e-12)
 
 
 def test_tube_norm_zero_cases(quad0, lat0):
@@ -161,17 +155,20 @@ def test_product_densities_one_synthesis_per_field_and_slice(quad0, lat0,
                                                              evaluate_calls):
     a = random_colored_wave(lat0, "red", 0, 1 / 20, seed=10)
     bs = [random_colored_wave(lat0, "blue", 0, 1 / 20, seed=11 + j) for j in range(3)]
-    region = Region(-1.0, 2.0)
-    got = list(product_densities(a, bs, quad0, region))
-    inside = [i for i, t in enumerate(quad0.times) if -1.0 <= t < 2.0]
-    assert [(i, j) for i, j, _, _ in got] == [(i, j) for i in inside for j in range(3)]
-    # slices outside the region are skipped before synthesis
-    assert len(evaluate_calls) == len(inside) * (1 + len(bs))
+    tube = Tube(0.0, (8.0, 8.0), (1.0, 0.0), half_length=1.0)
+    got = list(product_densities(a, bs, quad0, (tube,)))
+    n_t = len(quad0.times)
+    assert [(i, j) for i, j, _, _ in got] == [(i, j) for i in range(n_t) for j in range(3)]
+    assert len(evaluate_calls) == n_t * (1 + len(bs))
     assert len(set(evaluate_calls)) == len(evaluate_calls)
-    i, j, mask, dens = got[5]
+    # the mask outside the tube where it is active, the whole grid elsewhere
+    for i, _, mask, _ in got:
+        want = region_slice_mask((tube,), quad0.times[i], lat0)
+        assert (mask is None) == (abs(quad0.times[i]) > 1.0) == (want is None)
+        assert mask is None or np.array_equal(mask, want)
+    i, j, _, dens = got[5]
     t = quad0.times[i]
     want = (np.abs(a.evaluate(t, lat0)) * np.abs(bs[j].evaluate(t, lat0))) ** 2
-    assert mask is None
     np.testing.assert_allclose(dens, want, rtol=1e-12, atol=0.0)
 
 
@@ -230,7 +227,7 @@ def test_region_mask_spans_match_pixel_scatter():
             tubes.append(Tube(0.0, tuple(c), (1.0, 0.0), half_length=None, radius=r))
             want[disk_pixel_indices(lat, c, r)] = False
         centres += len(tubes)
-        got = region_slice_mask(Region(-1.0, 1.0, tuple(tubes)), 0.0, lat)
+        got = region_slice_mask(tuple(tubes), 0.0, lat)
         assert np.array_equal(got, want)
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conewave import tube_cover
 from conewave.constants import S_MIN
 from conewave.errors import InvalidFamilyError
 from conewave.geometry import Tube, unit_dir
@@ -277,7 +276,7 @@ def test_grid_engine_matches_pair_engine():
     w = rng.uniform(0.0, 1.0, size=len(tubes))
     w /= w.sum() * 1.5
     fam = WeightedTubeFamily(tuple(tubes), w, k, BOX)
-    assert fam.grid_anchored()
+    assert not fam.full_grid()
     pair = _PairResidual(fam)
     grid = _GridResidual(fam)
     for active in (np.ones(len(fam), dtype=bool), np.arange(len(fam)) % 3 != 0):
@@ -401,7 +400,7 @@ def test_grid_engine_fields_match_roll_reference(case):
     assert rounds >= 3
     # the greedy cover on either max_point
     diag, ref_diag = CoverDiagnostics(), CoverDiagnostics()
-    with mock.patch.object(tube_cover, "_GRID_ENGINE_MIN_TUBES", 0):
+    with mock.patch.object(WeightedTubeFamily, "full_grid", return_value=True):
         out = greedy_tube_cover(fam, delta, diagnostics=diag)
         with mock.patch.object(_GridResidual, "max_point", _roll_max_point):
             ref = greedy_tube_cover(fam, delta, diagnostics=ref_diag)
@@ -440,12 +439,11 @@ def test_grid_engine_cover_equals_pair_engine_on_full_families(case):
     # on a full family the grid engine's witness set is the pair engine's
     # axis samples, so the greedy cover is the same bit for bit
     fam, delta = case
-    assert fam.grid_anchored()
+    assert fam.full_grid()
     diag, pair_diag = CoverDiagnostics(), CoverDiagnostics()
-    with mock.patch.object(tube_cover, "_GRID_ENGINE_MIN_TUBES", 0), \
-            mock.patch.object(_PairResidual, "max_point", side_effect=AssertionError):
+    with mock.patch.object(_PairResidual, "max_point", side_effect=AssertionError):
         out = greedy_tube_cover(fam, delta, diagnostics=diag)
-    with mock.patch.object(tube_cover, "_GRID_ENGINE_MIN_TUBES", len(fam)), \
+    with mock.patch.object(WeightedTubeFamily, "full_grid", return_value=False), \
             mock.patch.object(_GridResidual, "max_point", side_effect=AssertionError):
         pair_out = greedy_tube_cover(fam, delta, diagnostics=pair_diag)
     assert diag.rounds > 0
@@ -457,16 +455,52 @@ def test_grid_engine_cover_equals_pair_engine_on_full_families(case):
     assert len(collected) == len(set(collected))
 
 
-def test_grid_anchored_needs_exact_integers():
-    anchors = np.array([[1.0, 2.0], [19.0, 0.0], [-3.0, 7.0]])
-    dirs = np.tile([1.0, 0.0], (3, 1))
-    w = np.full(3, 0.1)
-    assert WeightedTubeFamily.from_arrays(anchors, dirs, w, 1, BOX).grid_anchored()
-    for off in (1e-10, -1e-10):
-        near = anchors + np.array([[0.0, 0.0], [0.0, off], [0.0, 0.0]])
-        assert not WeightedTubeFamily.from_arrays(near, dirs, w, 1, BOX).grid_anchored()
-    assert not WeightedTubeFamily.from_arrays(np.zeros((0, 2)), np.zeros((0, 2)),
-                                              np.zeros(0), 1, BOX).grid_anchored()
+def test_full_grid_needs_one_tube_per_integer_anchor_and_group():
+    side = int(BOX)
+    cells = np.arange(side * side)
+    grid = np.column_stack([cells // side, cells % side]).astype(float)
+    anchors = np.concatenate([grid, grid + [[side, -side]]])   # the same cells, unwrapped
+    dirs = np.repeat([unit_dir(-0.2), unit_dir(0.1)], len(grid), axis=0)
+    w = np.full(len(anchors), 1.0 / len(anchors))
+
+    def full(x, d=dirs, wt=w, box=BOX):
+        return WeightedTubeFamily.from_arrays(x, d, wt, 1, box).full_grid()
+
+    assert full(anchors)
+    for off in (1e-10, -1e-10):              # anchors must be exact integers
+        assert not full(anchors + np.where(np.arange(len(anchors)) == 7, off, 0.0)[:, None])
+    assert not full(anchors[1:], dirs[1:], w[1:])             # a missing cell
+    dup = anchors.copy()
+    dup[3] = dup[4]                                           # one cell twice
+    assert not full(dup)
+    assert not full(anchors, box=BOX + 0.5)                   # a torus off the integers
+    assert not full(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+
+
+def test_sparse_grid_anchored_family_gets_the_pair_engine_cover():
+    # 3 directions with 240 integer anchors each out of the 1600 of the
+    # box-40 torus: the grid engine's witness set holds every integer anchor
+    # of each direction, a superset of the axis samples, and its greedy
+    # would run 18 rounds where the definition runs 16
+    rng = np.random.default_rng(1)
+    anchors, dirs = [], []
+    for th in (-0.3, 0.0, 0.3):
+        cells = rng.choice(1600, 240, replace=False)
+        anchors.append(np.column_stack([cells // 40, cells % 40]).astype(float))
+        dirs.append(np.tile(unit_dir(th), (240, 1)))
+    w = rng.pareto(1.5, 720) + 1.0
+    fam = WeightedTubeFamily.from_arrays(np.concatenate(anchors), np.concatenate(dirs),
+                                         w / w.sum(), 1, 40.0)
+    assert not fam.full_grid()
+    diag, pair_diag, grid_diag = CoverDiagnostics(), CoverDiagnostics(), CoverDiagnostics()
+    out = greedy_tube_cover(fam, 0.02, diagnostics=diag)
+    with mock.patch.object(_GridResidual, "max_point", side_effect=AssertionError):
+        pair_out = greedy_tube_cover(fam, 0.02, diagnostics=pair_diag)
+    assert pair_diag.rounds == 16
+    assert repr(out) == repr(pair_out) and repr(diag) == repr(pair_diag)
+    with mock.patch.object(WeightedTubeFamily, "full_grid", return_value=True):
+        greedy_tube_cover(fam, 0.02, diagnostics=grid_diag)
+    assert grid_diag.rounds == 18
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
