@@ -189,7 +189,7 @@ def find_bad_cubes(psi: SpectralWave, delta: float, quad: Quadrature) -> list:
     cut = delta * delta * psi.mass()
     out = []
     for i, a, b in zip(*np.where(masses > cut)):
-        out.append(Cube((t_corners[i] + 0.5, a + 0.5, b + 0.5), 1.0))
+        out.append(Cube((t_corners[i] + 0.5, a + 0.5, b + 0.5)))
     return out
 
 

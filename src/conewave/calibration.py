@@ -22,7 +22,7 @@ from .harness import (TRAIN_X0, sharpness_experiment, split_window, standard_sui
                       standard_train, tube_sup_profile, universal_tube_family,
                       verify_profile)
 from .lattice import lattice_for
-from .norms import Quadrature, disk_pixel_indices, l2t_linf_on_tube, product_l2
+from .norms import Quadrature, l2t_linf_on_tube, product_l2, region_slice_mask
 from .waves import make_blue_tube_wave, make_red_cube_bump, random_colored_wave
 
 DELTA = 0.2
@@ -74,8 +74,7 @@ def measure(config: RunConfig, train, extraction, universal, profile_report,
         psi = make_blue_tube_wave(lat, 0.0, TRAIN_X0, om, k)
         for s in (0.0, 2.0 ** (k - 1), -2.0 ** (k - 1)):
             f2 = np.abs(psi.evaluate(s)) ** 2
-            m = np.zeros(f2.shape, dtype=bool)
-            m[disk_pixel_indices(lat, np.array(TRAIN_X0) + om * s, 1.0)] = True
+            m = ~region_slice_mask((Tube(0.0, TRAIN_X0, om, None),), s, lat)
             kt.append(float((f2 * m).sum()) * lat.spacing ** 2)
     out["kappa_tube(min over k,t)"] = min(kt)
 

@@ -129,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("extract", help="iterative ray extraction of a red wave")
     e.add_argument("--delta", type=float, required=True)
     e.add_argument("--max-iter", type=int, default=400)
-    e.add_argument("--c-dilate", type=float, default=2.0)
     e.add_argument("--wave", help="CWAV1 file (default: the standard train)")
 
     p = sub.add_parser("profile", help="universal family + partner suite check")
@@ -172,7 +171,7 @@ def _merge_config(args) -> RunConfig:
 
 
 def _lattice(cfg: RunConfig, args, k: int) -> FrequencyLattice:
-    if args.grid_N:
+    if args.grid_N is not None:
         return FrequencyLattice(args.grid_N, cfg.box)
     return lattice_for(cfg, k)
 
@@ -267,8 +266,7 @@ def cmd_extract(cfg, args) -> int:
     phi = _red_wave(cfg, args)
     quad = Quadrature(cfg, phi.lattice)
     tubes, remainder, trace = extract_profile(phi, args.delta, quad,
-                                              max_iter=args.max_iter,
-                                              c_dilate=args.c_dilate)
+                                              max_iter=args.max_iter)
     write_tubes(tubes, _out(args, "extract_tubes.json"))
     save_wave(remainder, _out(args, "remainder.cwav"))
     rows = [{"iteration": i, "value": s.value, "mu": s.mu,
@@ -351,19 +349,19 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
     before work starts."""
     try:
         cfg = _merge_config(args)
-        if args.grid_N:
-            FrequencyLattice(args.grid_N, cfg.box)
+        lat0 = _lattice(cfg, args, 0)
     except (OSError, ValueError) as exc:
         ap.error(str(exc))
     delta = getattr(args, "delta", None)
     if delta is not None and not 0.0 < delta < 1.0:
         ap.error(f"--delta must lie in (0, 1), got {delta}")
-    for flag in ("k", "kmax", "margin", "samples"):
+    for flag, least in (("k", 0), ("kmax", 0), ("margin", 0), ("samples", 0),
+                        ("seed", 0), ("suite_size", 0), ("tubes", 1), ("max_iter", 1)):
         val = getattr(args, flag, None)
-        if val is not None and val < 0:
-            ap.error(f"--{flag} must be >= 0, got {val}")
-    if getattr(args, "tubes", 1) < 1:
-        ap.error(f"--tubes must be >= 1, got {args.tubes}")
+        if val is not None and val < least:
+            ap.error(f"--{flag.replace('_', '-')} must be >= {least}, got {val}")
+    if min(getattr(args, "seeds", [0])) < 0:
+        ap.error(f"--seeds must be >= 0, got {min(args.seeds)}")
     # input files are read here, so a bad file is a usage error too
     try:
         if getattr(args, "wave", None):
@@ -372,9 +370,12 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
             args.family = read_family(args.family, args.k, cfg.box)
     except (OSError, ValueError, KeyError, TypeError, ConewaveError) as exc:
         ap.error(f"cannot read input: {exc}")
+    color = "blue" if args.command == "blue-tubes" else "red"
+    if getattr(args, "wave", None) and args.wave.color != color:
+        ap.error(f"{args.command} needs a {color} --wave, got a {args.wave.color} one")
     if args.command in ("extract", "profile", "fungibility"):
         try:
-            search_cell(args.wave.lattice if args.wave else _lattice(cfg, args, 0))
+            search_cell(args.wave.lattice if args.wave else lat0)
         except ValueError as exc:
             ap.error(str(exc))
     return cfg

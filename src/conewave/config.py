@@ -29,8 +29,10 @@ class RunConfig:
     dt: float = DEFAULT_DT
 
     def __post_init__(self):
-        if self.dt > 0.25 + 1e-12:
-            raise ValueError("time step must be <= 1/4")
+        if not 0.0 < self.dt <= 0.25 + 1e-12:
+            raise ValueError(f"time step must lie in (0, 1/4], got {self.dt}")
+        if not self.half_window > 0.0:
+            raise ValueError(f"half window must be positive, got {self.half_window}")
         steps = 2.0 * self.half_window / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("dt must evenly divide the window length")

@@ -406,12 +406,12 @@ def optimal_multiple(phi: SpectralWave, extractor: SpectralWave) -> StepChoice:
 # the iteration
 
 def extract_profile(phi: SpectralWave, delta: float, quad: Quadrature,
-                    max_iter: int = 400, c_dilate: float = 2.0):
+                    max_iter: int = 400):
     """Repeatedly extract concentrating rays until the remainder's tube
     concentration drops below delta * mass(phi)^(1/2) on the search grid.
 
     Returns (tubes, remainder, trace); tubes are the found tubes dilated by
-    min(delta^-c_dilate, LAMBDA_CAP)."""
+    min(delta^-2, LAMBDA_CAP), the paper's delta^-C at C = 2."""
     mass0 = phi.mass()
     trace = ExtractionTrace()
     if mass0 == 0.0:
@@ -422,7 +422,7 @@ def extract_profile(phi: SpectralWave, delta: float, quad: Quadrature,
     if margin_target <= 0.0:
         raise ValueError("wave margin too small for the extractor cutoff")
     trace.margin_target = margin_target
-    lam = min(delta ** (-c_dilate), C.LAMBDA_CAP)
+    lam = min(delta ** -2.0, C.LAMBDA_CAP)
 
     current = phi
     tubes = []

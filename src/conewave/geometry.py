@@ -156,21 +156,18 @@ class Tube:
 
 @dataclass(frozen=True)
 class Cube:
+    """The unit spacetime cube of the given centre."""
     center: tuple      # (t, x1, x2)
-    side: float
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError("cube side must be positive")
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
 
 
 def cube_touches_tube(cube: Cube, tube: Tube, box: float, dilation: float = 1.0) -> bool:
-    """Sampled intersection test between a cube and a (dilated) tube, on
+    """Sampled intersection test between a unit cube and a (dilated) tube, on
     5 samples per axis."""
     probe = tube.dilate(dilation) if dilation > 1.0 else tube
-    h = 0.5 * cube.side
-    g = np.linspace(-h, h, 5)
+    g = np.linspace(-0.5, 0.5, 5)
     tt, x1, x2 = np.meshgrid(g + cube.center[0], g + cube.center[1], g + cube.center[2],
                              indexing="ij")
     pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
@@ -188,5 +185,5 @@ def axis_unit_cubes(tube: Tube) -> list:
     for j in range(-n, n + 1):
         t = tube.t0 + j
         x = tube.axis_at(t)
-        cubes.append(Cube((t, x[0], x[1]), 1.0))
+        cubes.append(Cube((t, x[0], x[1])))
     return cubes

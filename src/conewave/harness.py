@@ -66,14 +66,14 @@ class PsiSpec:
         raise ValueError(f"unknown psi kind {self.kind!r}")
 
 
-def standard_suite(ks=DEFAULT_KS, seeds_per_k: int = 10, base_seed: int = 1000) -> list:
-    """Random partners per frequency scale plus one packet per scale aimed
-    along the standard train."""
+def standard_suite(seeds_per_k: int = 10, base_seed: int = 1000) -> list:
+    """Random partners per frequency scale of DEFAULT_KS plus one packet per
+    scale aimed along the standard train."""
     suite = []
-    for k in ks:
+    for k in DEFAULT_KS:
         for j in range(seeds_per_k):
             suite.append(PsiSpec("random", k, seed=base_seed + 97 * k + j))
-    for k in ks:
+    for k in DEFAULT_KS:
         suite.append(PsiSpec("packet", k, t0=0.0, x0=TRAIN_X0, theta=TRAIN_THETA))
     return suite
 
@@ -116,13 +116,11 @@ def _dedupe_tubes(tubes: list) -> list:
     return list(seen.values())
 
 
-def universal_tube_family(phi: SpectralWave, delta: float, quad: Quadrature,
-                          max_iter: int = 400):
+def universal_tube_family(phi: SpectralWave, delta: float, quad: Quadrature):
     """Partner-independent tube family: ray extraction at the boosted accuracy
     delta' = delta^C / C, with near-duplicate tubes merged."""
     delta_prime = delta ** COMPOSITION_EXPONENT / COMPOSITION_EXPONENT
-    tubes, remainder, trace = extract_profile(phi, delta_prime, quad,
-                                              max_iter=max_iter)
+    tubes, remainder, trace = extract_profile(phi, delta_prime, quad)
     return _dedupe_tubes(tubes), remainder, trace
 
 

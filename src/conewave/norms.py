@@ -73,14 +73,6 @@ def region_slice_mask(tubes, t: float, lattice: FrequencyLattice) -> Optional[np
     return ~_paint_spans(lattice.size, *spans[1:]) if active else None
 
 
-def disk_pixel_indices(lattice: FrequencyLattice, center, radius: float):
-    """Grid indices (rows, cols) of the pixels of ``disk_spans``' disk,
-    row-major and wrapped onto the torus; a pixel appears more than once
-    when the disk wraps onto itself."""
-    rows, cols, _ = span_pixels(*disk_spans(center, radius, lattice.spacing))
-    return rows % lattice.size, cols % lattice.size
-
-
 def _paint_spans(n: int, rows, lo, hi) -> np.ndarray:
     """Boolean n x n mask of the union of (rows, lo, hi) spans, wrapped onto
     the torus: +1 at each span's first column and -1 past its last in a

@@ -267,9 +267,6 @@ class SpectralWave:
         return SpectralWave(self.lattice, self.modes_plus, vp, self.modes_minus, vm,
                             self.color, self.k)
 
-    def scaled(self, a: complex) -> "SpectralWave":
-        return self._replace_vals(self.vals_plus * a, self.vals_minus * a)
-
     def sub(self, other: "SpectralWave", coeff: complex = 1.0) -> "SpectralWave":
         """self - coeff * other, merging supports; keeps self's color if the
         result stays a valid one-sided wave."""
@@ -455,9 +452,9 @@ def make_blue_tube_wave(lattice: FrequencyLattice, t0: float, x0, omega,
 
 
 def make_red_cube_train(lattice: FrequencyLattice, tube: Tube, coeffs, seed: int,
-                        min_margin: float = BUMP_MARGIN,
                         half_window: Optional[float] = None) -> SpectralWave:
-    """Signed sum of unit cube bumps along the unit-cube cover of a tube.
+    """Signed sum of unit cube bumps along the unit-cube cover of a tube, on
+    the envelope of ``make_red_cube_bump`` at its default margin BUMP_MARGIN.
 
     coeffs are indexed by the cover cubes (pass None for the uniform unit-sum
     profile); signs are iid +-1 drawn from the seed.  The result is a k=0 red
@@ -474,7 +471,7 @@ def make_red_cube_train(lattice: FrequencyLattice, tube: Tube, coeffs, seed: int
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=len(cubes)) * 2 - 1
 
-    modes, env = _bump_envelope(lattice, min_margin)
+    modes, env = _bump_envelope(lattice, BUMP_MARGIN)
     norm = math.sqrt(float(np.sum(env * env)) / lattice.box ** 2)
     env = env / norm                      # each bump has unit mass
     vals = np.zeros(len(modes), dtype=np.complex128)

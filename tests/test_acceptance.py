@@ -249,7 +249,7 @@ def test_c06_blue_exceptional(config):
             worst_count = max(worst_count, len(tubes) / budget)
             assert len(tubes) <= budget
             for center in bad:
-                if not any(cube_touches_tube(Cube(center, 1.0), t, config.box, 3.0)
+                if not any(cube_touches_tube(Cube(center), t, config.box, 3.0)
                            for t in tubes):
                     uncovered += 1
     elapsed = time.time() - t0

@@ -134,6 +134,17 @@ def test_cli_extract(tmp_path):
     assert (tmp_path / "remainder.cwav").exists()
 
 
+def test_cli_extract_stops_unfinished_at_max_iter(tmp_path, capsys):
+    # the standard train needs 6 steps at delta = 0.2: one step leaves the
+    # extraction unfinished, which is a violation
+    rc = main(["--out-dir", str(tmp_path), "extract", "--delta", "0.2", "--max-iter", "1"])
+    assert rc == 1
+    assert "completed=False" in capsys.readouterr().out.split()
+    rows = (tmp_path / "extract_trace.csv").read_text().strip().splitlines()
+    assert rows[0] == "iteration,value,mu,mass_before,mass_after" and len(rows) == 2
+    assert len(json.loads((tmp_path / "extract_tubes.json").read_text())) == 1
+
+
 def test_cli_sharpness(tmp_path):
     rc = main(SMALL + ["--out-dir", str(tmp_path),
                        "sharpness", "--kmax", "1", "--seeds", "3"])
@@ -222,6 +233,18 @@ def test_cli_command_name_as_global_value(tmp_path, monkeypatch):
     ["cover", "--delta", "0.3", "--tubes", "-3"],
     ["cover", "--delta", "0.3", "--tubes", "0"],
     ["--config", "n = 3", "gen-wave"],
+    ["--seed", "-1", "gen-wave"],
+    ["--config", "seed = -1", "gen-wave"],
+    ["sharpness", "--kmax", "0", "--seeds", "-1"],
+    ["sharpness", "--kmax", "0", "--seeds", "3", "-2"],
+    SMALL + ["fungibility", "--delta", "0.2", "--suite-size", "-1"],
+    SMALL + ["profile", "--delta", "0.2", "--suite-size", "-1"],
+    ["extract", "--delta", "0.2", "--max-iter", "0"],
+    ["--dt", "0", "gen-wave"],
+    ["--dt", "-0.25", "--window", "4", "gen-wave"],
+    ["--window", "0", "gen-wave"],
+    ["--box-L", "0", "gen-wave"],
+    ["--grid-N", "0", "gen-wave"],
 ])
 def test_cli_bad_values_are_usage_errors(argv, tmp_path, capsys):
     # rejected before any work: one error line, exit status 2, no output files
@@ -308,6 +331,25 @@ def test_cli_bad_input_files_are_usage_errors(tmp_path, lat0, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].startswith("conewave: error: cannot read input")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, color, needed", [
+    ("blue-tubes", "red", "blue"), ("extract", "blue", "red"), ("profile", "blue", "red"),
+    ("fungibility", "blue", "red"),
+])
+def test_cli_wave_of_the_other_color_is_usage_error(command, color, needed, tmp_path, lat0,
+                                                    capsys):
+    # a blue wave gave extract 0 steps and exit 0, and profile and fungibility
+    # a NoDecrementError; a red one gave blue-tubes a ValueError
+    p = tmp_path / "w.cwav"
+    save_wave(random_colored_wave(lat0, color, 0, 1 / 20, seed=4), p)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(SMALL + ["--out-dir", str(out), command, "--delta", "0.5", "--wave", str(p)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"conewave: error: {command} needs a {needed} --wave, got a {color} one"
+    assert not out.exists()
 
 
 def test_cli_cover_reads_family(tmp_path, capsys):

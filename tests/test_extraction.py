@@ -144,7 +144,7 @@ def test_optimal_multiple_exact_cases(lat0):
 def test_optimal_multiple_rejects_antialigned(lat0):
     w = plane_wave(lat0, (25, 0), lat0.box)
     with pytest.raises(NoDecrementError):
-        optimal_multiple(w, w.scaled(-1.0))
+        optimal_multiple(w, plane_wave(lat0, (25, 0), -lat0.box))
 
 
 def test_extract_profile_zero_wave(quad0, lat0):

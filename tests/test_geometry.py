@@ -108,8 +108,8 @@ def test_region_membership_and_masks():
 
 def test_cube_touches_tube():
     tube = Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=4.0)
-    near = Cube((0.0, 5.0, 6.4), 1.0)
-    far = Cube((0.0, 5.0, 12.0), 1.0)
+    near = Cube((0.0, 5.0, 6.4))
+    far = Cube((0.0, 5.0, 12.0))
     assert cube_touches_tube(near, tube, BOX)
     assert not cube_touches_tube(far, tube, BOX)
     assert cube_touches_tube(far, tube, BOX, dilation=8.0)

@@ -5,7 +5,8 @@ import pytest
 
 from conewave.geometry import Tube, unit_dir
 from conewave.extraction import extract_profile
-from conewave.harness import (TRAIN_THETA, TRAIN_X0, PsiSpec, fungibility_partition,
+from conewave.harness import (DEFAULT_KS, TRAIN_THETA, TRAIN_X0, PsiSpec,
+                              fungibility_partition, interval_ratios_from_report,
                               sharpness_experiment, standard_suite, tube_sup_profile,
                               universal_tube_family, verify_fungibility, verify_profile)
 from conewave.norms import Quadrature, product_densities, product_l2, region_slice_mask
@@ -41,7 +42,7 @@ def test_universal_family_zero_wave(quad0, lat0):
 
 def test_universal_family_train(quad0, train):
     w, tube = train
-    tubes, rem, trace = universal_tube_family(w, 0.3, quad0, max_iter=200)
+    tubes, rem, trace = universal_tube_family(w, 0.3, quad0)
     assert tubes
     from conewave.geometry import dir_angle
     best = min(abs(dir_angle(t.omega) - 0.21) for t in tubes)
@@ -100,7 +101,7 @@ def test_fungibility_empty_tubes_single_interval(quad0, train):
 
 def test_verify_fungibility_rows(small_config, quad0, train):
     w, tube = train
-    tubes, _, _ = universal_tube_family(w, 0.3, quad0, max_iter=100)
+    tubes, _, _ = universal_tube_family(w, 0.3, quad0)
     intervals = fungibility_partition(w, tubes, 0.3, quad0)
     # at k = 2 the sums run on a halved grid: 160 points against 320
     suite = [PsiSpec("random", 0, seed=5), PsiSpec("random", 2, seed=6),
@@ -117,6 +118,15 @@ def test_verify_fungibility_rows(small_config, quad0, train):
         ratios = [r["ratio"] for r in rows if r["kind"] == spec.kind and r["k"] == spec.k]
         recomb = sum(r * r for r in ratios) * w.mass() * psi.mass()
         assert recomb == pytest.approx(quad.dt * fine, rel=1e-12)
+    # the same rows, one for one, from the slice sums that verify_profile
+    # keeps on the lattice grid
+    report = verify_profile(w, tubes, 0.3, suite, small_config, keep_slice_sums=True)
+    kept = interval_ratios_from_report(report, intervals, small_config)
+    assert len(kept) == len(rows)
+    for a, b in zip(kept, rows):
+        assert {key: a[key] for key in a if key != "ratio"} == \
+            {key: b[key] for key in b if key != "ratio"}
+        assert a["ratio"] == pytest.approx(b["ratio"], rel=1e-12)
 
 
 def test_composition_soundness(small_config, quad0, train):
@@ -124,7 +134,7 @@ def test_composition_soundness(small_config, quad0, train):
     # family can only shrink the outside norm
     from conewave.blue_exceptional import exceptional_tubes_for_blue
     w, tube = train
-    tubes, _, _ = universal_tube_family(w, 0.3, quad0, max_iter=100)
+    tubes, _, _ = universal_tube_family(w, 0.3, quad0)
     lat = lat0 = w.lattice
     quad = quad0
     psi = make_blue_tube_wave(lat, 0.0, tuple(tube.x0), tube.omega, 0)
@@ -166,15 +176,17 @@ def test_sharpness_rows_match_direct(small_config):
 
 
 def test_standard_suite_shapes():
-    suite = standard_suite(ks=(0, 1), seeds_per_k=2, base_seed=7)
+    suite = standard_suite(seeds_per_k=2, base_seed=7)
     kinds = [s.kind for s in suite]
-    assert kinds.count("random") == 4 and kinds.count("packet") == 2
-    # one packet per scale, aimed along the standard train
+    assert kinds.count("random") == 8 and kinds.count("packet") == 4
+    # the random partners scale by scale, then one packet per scale, aimed
+    # along the standard train
+    assert [(s.kind, s.k) for s in suite] == [("random", k) for k in DEFAULT_KS
+                                             for _ in range(2)] + [("packet", k) for k in DEFAULT_KS]
     packets = [s for s in suite if s.kind == "packet"]
-    assert [s.k for s in packets] == [0, 1]
     assert all((s.t0, s.x0, s.theta) == (0.0, TRAIN_X0, TRAIN_THETA) for s in packets)
     # deterministic seeds
-    suite2 = standard_suite(ks=(0, 1), seeds_per_k=2, base_seed=7)
+    suite2 = standard_suite(seeds_per_k=2, base_seed=7)
     assert [s.seed for s in suite] == [s.seed for s in suite2]
 
 
@@ -224,9 +236,9 @@ def test_calibration_measures_the_artifacts_it_is_given(small_config, quad0, tra
     from conewave import calibration
     tubes, _, trace = extract_profile(train[0], 0.3, quad0, max_iter=200)
     extraction = (tubes, trace, 0.1)
-    universal = universal_tube_family(train[0], 0.3, quad0, max_iter=200)
-    report = verify_profile(train[0], universal[0], 0.2,
-                            standard_suite(ks=(0,), seeds_per_k=1), small_config)
+    universal = universal_tube_family(train[0], 0.3, quad0)
+    suite = [s for s in standard_suite(seeds_per_k=1) if s.k == 0]
+    report = verify_profile(train[0], universal[0], 0.2, suite, small_config)
     rows = sharpness_experiment(small_config, ks=(0,), seeds=(42,))
     for name in ("standard_train", "extract_profile", "find_concentrating_tube",
                  "universal_tube_family", "verify_profile", "sharpness_experiment"):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conewave.geometry import Tube, disk_spans, span_pixels, unit_dir, wrap_delta
 from conewave.lattice import lattice_for
 from conewave.harness import tube_sup_profile
-from conewave.norms import (Quadrature, disk_pixel_indices, exact_product_quadrature,
+from conewave.norms import (Quadrature, exact_product_quadrature,
                             l2t_linf_on_tube, lp_product, product_densities, product_l2,
                             product_slice_sums, region_slice_mask, tube_slice_maxima)
 from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_red_cube_train,
@@ -176,10 +176,10 @@ def test_product_densities_one_synthesis_per_field_and_slice(quad0, lat0,
 @given(n=st.sampled_from([16, 40, 80, 160]), box=st.sampled_from([4.0, 10.0, 20.0]),
        disks=st.lists(st.tuples(st.floats(-30.0, 60.0), st.floats(-30.0, 60.0),
                                 st.floats(0.0, 0.8)), min_size=1, max_size=4))
-def test_disk_pixel_indices_match_wrapped_distance(n, box, disks):
+def test_disk_spans_match_wrapped_distance(n, box, disks):
     # one disk_spans call over several centres with mixed radii: each disk
     # holds the pixels within its radius in the wrapped distance, row-major,
-    # and alone through disk_pixel_indices gives the same pixels in order
+    # and a call on its centre alone gives the same pixels in order
     from conewave.lattice import FrequencyLattice
     assume(box / n <= 0.25)
     lat = FrequencyLattice(n, box)
@@ -192,8 +192,8 @@ def test_disk_pixel_indices_match_wrapped_distance(n, box, disks):
         r, q = rows[disk == j], cols[disk == j]
         step = np.diff(r)
         assert np.all(step >= 0) and np.all(np.diff(q)[step == 0] > 0)
-        alone = disk_pixel_indices(lat, c, radius)
-        assert np.array_equal(alone[0], r % n) and np.array_equal(alone[1], q % n)
+        alone = span_pixels(*disk_spans(c, radius, lat.spacing))
+        assert np.array_equal(alone[0], r) and np.array_equal(alone[1], q)
         got = np.zeros((n, n), dtype=bool)
         got[r % n, q % n] = True
         d1 = wrap_delta(ax - c[0], box)
@@ -208,7 +208,7 @@ def test_disk_pixel_indices_match_wrapped_distance(n, box, disks):
 def test_region_mask_spans_match_pixel_scatter():
     # 1200 random centres (a fifth on pixels, a fifth within 1e-12 of one,
     # many off the fundamental domain) and tube radii from 1 up to 0.8 box, one to four excluded disks per mask:
-    # the painted mask is the scattered disk_pixel_indices, pixel for pixel
+    # the painted mask is the scattered span_pixels, pixel for pixel
     from conewave.lattice import FrequencyLattice
     rng = np.random.default_rng(0)
     centres = 0
@@ -225,7 +225,8 @@ def test_region_mask_spans_match_pixel_scatter():
             r = rng.uniform(1.0, 0.8 * box) if rng.random() < 0.7 \
                 else float(rng.choice([1.0, 1.5, 2.0]))
             tubes.append(Tube(0.0, tuple(c), (1.0, 0.0), half_length=None, radius=r))
-            want[disk_pixel_indices(lat, c, r)] = False
+            rows, cols, _ = span_pixels(*disk_spans(c, r, lat.spacing))
+            want[rows % lat.size, cols % lat.size] = False
         centres += len(tubes)
         got = region_slice_mask(tuple(tubes), 0.0, lat)
         assert np.array_equal(got, want)

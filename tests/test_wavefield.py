@@ -262,7 +262,7 @@ def _merge_by_unique(m1, v1, m2, v2):
 def test_sub_of_equal_supports_matches_the_general_merge(lat0):
     from conewave.waves import _merge
     w = random_colored_wave(lat0, "red", 0, 1 / 20, seed=8)
-    v = w.scaled(0.5 - 0.25j)
+    v = make_wave(lat0, w.modes_plus, (0.5 - 0.25j) * w.vals_plus, [], [], "red", 0)
     # exact cancellations and signed zeros in both operands
     v1, v2 = w.vals_plus.copy(), v.vals_plus.copy()
     v1[:4] = [complex(-0.0, 1.0), complex(-0.0, -0.0), 2.0 + 0j, complex(1.0, -0.0)]
@@ -490,6 +490,3 @@ def test_random_waves_match_full_grid_construction():
 def test_sector_waves_reject_negative_margin(lat0):
     with pytest.raises(ValueError):
         random_colored_wave(lat0, "red", 0, -0.1, seed=1)
-    tube = Tube(0.0, (6.0, 12.0), (1.0, 0.0), half_length=2.0)
-    with pytest.raises(ValueError):
-        make_red_cube_train(lat0, tube, None, seed=1, min_margin=-0.01)
