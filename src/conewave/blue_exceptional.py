@@ -63,6 +63,15 @@ def unit_cell_sums(lattice: FrequencyLattice, modes: np.ndarray,
     return _cell_sums(lattice, _cell_layout(lattice, modes), coeffs)
 
 
+def unit_cell_pixels(lattice: FrequencyLattice) -> int:
+    """Pixels per unit cell along an axis; a ValueError when the unit cells
+    do not lie on the pixel grid."""
+    box = int(round(lattice.box))
+    if lattice.size % box:
+        raise ValueError("unit cells need a lattice size divisible by the box side")
+    return lattice.size // box
+
+
 def _cell_layout(lattice: FrequencyLattice, modes: np.ndarray):
     """What unit_cell_sums needs of the modes alone, checked once for every
     coefficient set on them: (shape, width, flat), the alias-exact grid, the
@@ -71,8 +80,7 @@ def _cell_layout(lattice: FrequencyLattice, modes: np.ndarray):
     unchanged).  None for no modes."""
     box = int(round(lattice.box))
     n = lattice.size
-    if n % box:
-        raise ValueError("unit cells need a lattice size divisible by the box side")
+    unit_cell_pixels(lattice)
     modes = np.asarray(modes, dtype=np.int64).reshape(-1, 2)
     if len(modes) == 0:
         return None

@@ -19,15 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import constants as C
-from .blue_exceptional import exceptional_tubes_for_blue, find_bad_cubes
+from .blue_exceptional import exceptional_tubes_for_blue, find_bad_cubes, unit_cell_pixels
 from .config import RunConfig
-from .errors import ConewaveError
+from .errors import ConewaveError, InfeasibleMarginError
 from .extraction import extract_profile, search_cell
 from .geometry import Tube, cube_touches_tube, unit_dir, wrap_delta
-from .harness import (TRAIN_THETA, TRAIN_X0, fungibility_partition, matched_train,
-                      sharpness_experiment, standard_suite, standard_train,
-                      universal_tube_family, verify_fungibility, verify_profile)
-from .lattice import FrequencyLattice, lattice_for
+from .harness import (TRAIN_THETA, TRAIN_X0, fungibility_partition,
+                      interval_ratios_from_report, matched_train, sharpness_experiment,
+                      standard_suite, standard_train, universal_tube_family,
+                      verify_profile)
+from .lattice import lattice_for
 from .norms import Quadrature
 from .render import field_to_ppm
 from .tube_cover import (CoverDiagnostics, WeightedTubeFamily, greedy_tube_cover,
@@ -88,8 +89,6 @@ def _global_parser(**kwargs) -> argparse.ArgumentParser:
     """The flags that come before the command."""
     ap = argparse.ArgumentParser(prog="conewave", **kwargs)
     ap.add_argument("--config", help="key=value file mirroring the flags")
-    ap.add_argument("--grid-N", type=int, default=None,
-                    help="points per axis (default: auto per k)")
     ap.add_argument("--box-L", type=float, default=None, help="torus side")
     ap.add_argument("--window", type=float, default=None, help="half time window")
     ap.add_argument("--dt", type=float, default=None, help="time step")
@@ -164,23 +163,16 @@ def _merge_config(args) -> RunConfig:
     dt = pick(args.dt, "dt", float, RunConfig.dt)
     args.seed = pick(args.seed, "seed", int, 42)
     args.out_dir = pick(args.out_dir, "out_dir", str, ".")
-    args.grid_N = pick(args.grid_N, "grid_n", int, None)
     if file_vals:
         raise ValueError(f"{args.config}: unknown key {min(file_vals)!r}")
     return RunConfig(box=box, half_window=window, dt=dt)
 
 
-def _lattice(cfg: RunConfig, args, k: int) -> FrequencyLattice:
-    if args.grid_N is not None:
-        return FrequencyLattice(args.grid_N, cfg.box)
-    return lattice_for(cfg, k)
-
-
 def _red_wave(cfg, args):
-    """--wave, or the standard cube train on the k=0 lattice (--grid-N, --seed)."""
+    """--wave, or the standard cube train of --seed."""
     if args.wave:
         return args.wave
-    return standard_train(cfg, args.seed, _lattice(cfg, args, 0))[0]
+    return standard_train(cfg, args.seed)[0]
 
 
 def _out(args, name) -> Path:
@@ -189,18 +181,21 @@ def _out(args, name) -> Path:
     return d / name
 
 
-def cmd_gen_wave(cfg, args) -> int:
-    lat = _lattice(cfg, args, args.k)
+def _generated_wave(cfg, args):
+    """The wave that gen-wave writes, on the lattice of its scale --k."""
+    lat = lattice_for(cfg, args.k)
     if args.kind == "random":
-        w = random_colored_wave(lat, args.color, args.k, args.margin, args.seed)
-    elif args.kind == "bump":
-        w = make_red_cube_bump(lat, (args.t0, *args.x0), args.margin)
-    elif args.kind == "packet":
-        w = make_blue_tube_wave(lat, args.t0, tuple(args.x0),
-                                unit_dir(args.theta), args.k)
-    else:
-        w, _ = matched_train(cfg, args.k, args.seed, _lattice(cfg, args, 0),
-                             args.theta, args.x0)
+        return random_colored_wave(lat, args.color, args.k, args.margin, args.seed)
+    if args.kind == "bump":
+        return make_red_cube_bump(lat, (args.t0, *args.x0), args.margin)
+    if args.kind == "packet":
+        return make_blue_tube_wave(lat, args.t0, tuple(args.x0),
+                                   unit_dir(args.theta), args.k)
+    return matched_train(cfg, args.k, args.seed, args.theta, args.x0)[0]
+
+
+def cmd_gen_wave(cfg, args) -> int:
+    w = args.generated
     out = _out(args, args.out)
     save_wave(w, out)
     print(f"wrote {out}  mass={w.mass():.6f} modes={w.num_modes}")
@@ -245,7 +240,7 @@ def cmd_blue_tubes(cfg, args) -> int:
         k = psi.k
     else:
         k = args.k if args.k is not None else 2
-        lat = _lattice(cfg, args, k)
+        lat = lattice_for(cfg, k)
         psi = make_blue_tube_wave(lat, 0.0, (12.0, 8.0), unit_dir(0.15), k)
     quad = Quadrature(cfg, psi.lattice)
     bad = find_bad_cubes(psi, args.delta, quad)
@@ -312,7 +307,8 @@ def cmd_fungibility(cfg, args) -> int:
     tubes, _, _ = universal_tube_family(phi, args.delta, quad)
     intervals = fungibility_partition(phi, tubes, args.delta, quad)
     suite = standard_suite(seeds_per_k=args.suite_size, base_seed=args.seed)
-    rows = verify_fungibility(phi, intervals, suite, cfg)
+    report = verify_profile(phi, [], args.delta, suite, cfg, keep_slice_sums=True)
+    rows = interval_ratios_from_report(report, intervals, cfg)
     _write_csv(_out(args, "fungibility.csv"), rows,
                ["k", "seed", "kind", "t_lo", "t_hi", "ratio"])
     worst = max(r["ratio"] for r in rows)
@@ -344,12 +340,12 @@ _COMMANDS = {"gen-wave": cmd_gen_wave, "cover": cmd_cover,
 
 
 def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
-    """The run config of the arguments, with --wave and --family read; any
-    invalid value or input file is a usage error (one line, exit status 2)
-    before work starts."""
+    """The run config of the arguments, with --wave and --family read and
+    gen-wave's wave built (args.generated); any invalid value or input file
+    is a usage error (one line, exit status 2) before work starts."""
     try:
         cfg = _merge_config(args)
-        lat0 = _lattice(cfg, args, 0)
+        lattice_for(cfg, 0)         # a torus too small for the k = 0 lattice
     except (OSError, ValueError) as exc:
         ap.error(str(exc))
     delta = getattr(args, "delta", None)
@@ -370,14 +366,24 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
             args.family = read_family(args.family, args.k, cfg.box)
     except (OSError, ValueError, KeyError, TypeError, ConewaveError) as exc:
         ap.error(f"cannot read input: {exc}")
-    color = "blue" if args.command == "blue-tubes" else "red"
-    if getattr(args, "wave", None) and args.wave.color != color:
-        ap.error(f"{args.command} needs a {color} --wave, got a {args.wave.color} one")
-    if args.command in ("extract", "profile", "fungibility"):
+    if getattr(args, "wave", None):
+        blue = args.command == "blue-tubes"
+        color = "blue" if blue else "red"
+        if args.wave.color != color:
+            ap.error(f"{args.command} needs a {color} --wave, got a {args.wave.color} one")
+        # the torus of the config, and unit cells or the search's offset grid
+        # on the pixels
         try:
-            search_cell(args.wave.lattice if args.wave else lat0)
+            Quadrature(cfg, args.wave.lattice)
+            (unit_cell_pixels if blue else search_cell)(args.wave.lattice)
         except ValueError as exc:
-            ap.error(str(exc))
+            ap.error(f"--wave: {exc}")
+    if args.command == "gen-wave":
+        # a margin or direction that the wave cannot keep is a usage error
+        try:
+            args.generated = _generated_wave(cfg, args)
+        except (ValueError, InfeasibleMarginError) as exc:
+            ap.error(f"cannot build the wave: {exc}")
     return cfg
 
 

@@ -5,6 +5,11 @@ The universal family is computed once from the forward-cone wave alone (at the
 boosted accuracy delta' = delta^C / C) and reused verbatim for every
 backward-cone wave in a verification suite; the whole point is that the family
 does not depend on the partner wave.
+
+Every suite sum runs in ``verify_profile``, on the grid that its input picks:
+the lattice grid when tubes are excluded (their masks live there), otherwise
+``exact_product_quadrature``'s, where full-window sums are exact; interval
+ratios are read off its slice sums.  Generated waves live on ``lattice_for``.
 """
 
 from __future__ import annotations
@@ -31,20 +36,20 @@ TRAIN_THETA = math.radians(12.0)     # axis of the standard cube train
 TRAIN_X0 = (10.0, 20.0)
 
 
-def matched_train(config: RunConfig, k: int, seed: int = 42, lattice=None,
+def matched_train(config: RunConfig, k: int, seed: int = 42,
                   theta: float = TRAIN_THETA, x0=TRAIN_X0):
     """(train, tube): the unit-mass cube train along the tube of half length
     min(2^k, window) from x0 at angle theta, the train matched to the scale-k
-    packet, on the k=0 lattice unless another is given."""
+    packet, on the k=0 lattice."""
     tube = Tube(0.0, tuple(x0), tuple(unit_dir(theta)),
                 half_length=min(2.0 ** k, config.half_window))
-    lat = lattice if lattice is not None else lattice_for(config, 0)
-    return make_red_cube_train(lat, tube, None, seed=seed).normalize_mass(1.0), tube
+    train = make_red_cube_train(lattice_for(config, 0), tube, None, seed=seed)
+    return train.normalize_mass(1.0), tube
 
 
-def standard_train(config: RunConfig, seed: int = 42, lattice=None):
+def standard_train(config: RunConfig, seed: int = 42):
     """The standard cube train: the scale-3 matched train (half length 8)."""
-    return matched_train(config, 3, seed, lattice)
+    return matched_train(config, 3, seed)
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,9 @@ def verify_profile(phi: SpectralWave, tubes: list, delta: float, suite: list,
                    config: RunConfig, keep_slice_sums: bool = False) -> ProfileReport:
     """Bilinear ratios of phi against every suite wave, over the tube
     complement and over the full window, from one synthesis pass per scale.
+    With no tubes the pass runs on ``exact_product_quadrature``'s grid, where
+    every mask is None and the full-window sums equal the lattice grid's to
+    round-off.
 
     With keep_slice_sums the per-time full-grid sums ride along on each
     record, letting interval checks reuse the pass."""
@@ -146,6 +154,8 @@ def verify_profile(phi: SpectralWave, tubes: list, delta: float, suite: list,
     report = ProfileReport(delta=delta, tubes=list(tubes))
     m_phi = phi.mass()
     for quad, specs, psis in _partners_by_scale(suite, config):
+        if not tubes:
+            quad = exact_product_quadrature(quad, phi, psis)
         w = quad.cell_weight()
         full = np.zeros((len(psis), len(quad.times)))
         outside = np.zeros_like(full)
@@ -164,28 +174,21 @@ def verify_profile(phi: SpectralWave, tubes: list, delta: float, suite: list,
     return report
 
 
-def _interval_rows(part, slice_sums: np.ndarray, denom: float, times: np.ndarray,
-                   dt: float, intervals: list) -> list:
-    """One row per interval [lo, hi) of the bilinear ratio of one partner
-    (a PsiSpec or ProfileRecord) over the slices that the interval holds."""
-    rows = []
-    for lo, hi in intervals:
-        sel = (times >= lo - 1e-12) & (times < hi - 1e-12)
-        ratio = math.sqrt(dt * float(slice_sums[sel].sum())) / denom
-        rows.append({"k": part.k, "seed": part.seed, "kind": part.kind,
-                     "t_lo": lo, "t_hi": hi, "ratio": ratio})
-    return rows
-
-
 def interval_ratios_from_report(report: ProfileReport, intervals: list,
                                 config: RunConfig) -> list:
-    """Per (interval, record) ratios from slice sums kept by verify_profile."""
+    """One row per (record, interval [lo, hi)) of the record's bilinear ratio
+    over the slices that the interval holds, from the slice sums kept by
+    verify_profile."""
     times = config.time_samples()
     rows = []
     for r in report.records:
         if r.slice_sums is None:
             raise ValueError("verify_profile must be run with keep_slice_sums")
-        rows += _interval_rows(r, r.slice_sums, r.denom, times, config.dt, intervals)
+        for lo, hi in intervals:
+            sel = (times >= lo - 1e-12) & (times < hi - 1e-12)
+            ratio = math.sqrt(config.dt * float(r.slice_sums[sel].sum())) / r.denom
+            rows.append({"k": r.k, "seed": r.seed, "kind": r.kind,
+                         "t_lo": lo, "t_hi": hi, "ratio": ratio})
     return rows
 
 
@@ -224,23 +227,6 @@ def fungibility_partition(phi: SpectralWave, tubes: list, delta: float,
                           quad: Quadrature) -> list:
     """``split_window`` of the tube profile g of phi."""
     return split_window(tube_sup_profile(phi, tubes, quad), delta, quad)
-
-
-def verify_fungibility(phi: SpectralWave, intervals: list, suite: list,
-                       config: RunConfig) -> list:
-    """Per (interval, suite wave) bilinear ratios over the interval slab."""
-    m_phi = phi.mass()
-    rows = []
-    for quad, specs, psis in _partners_by_scale(suite, config):
-        quad = exact_product_quadrature(quad, phi, psis)
-        w = quad.cell_weight()
-        sums = np.zeros((len(psis), len(quad.times)))
-        for i, j, _, dens in product_densities(phi, psis, quad):
-            sums[j, i] = w * float(dens.sum())
-        for spec, psi, s in zip(specs, psis, sums):
-            rows += _interval_rows(spec, s, math.sqrt(m_phi * psi.mass()), quad.times,
-                                   quad.dt, intervals)
-    return rows
 
 
 # ---------------------------------------------------------------------------

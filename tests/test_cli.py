@@ -19,7 +19,7 @@ from conewave.constants import S_MIN
 from conewave.geometry import Tube, unit_dir
 from conewave.wave_io import load_wave, save_wave
 from conewave.waves import random_colored_wave
-from conewave.lattice import lattice_for
+from conewave.lattice import FrequencyLattice, lattice_for
 
 SMALL = ["--box-L", "20", "--window", "4"]
 
@@ -245,6 +245,10 @@ def test_cli_command_name_as_global_value(tmp_path, monkeypatch):
     ["--window", "0", "gen-wave"],
     ["--box-L", "0", "gen-wave"],
     ["--grid-N", "0", "gen-wave"],
+    SMALL + ["gen-wave", "--margin", "5"],
+    SMALL + ["gen-wave", "--kind", "bump", "--margin", "5"],
+    SMALL + ["gen-wave", "--kind", "bump", "--margin", "0.01"],
+    SMALL + ["gen-wave", "--kind", "packet", "--theta", "1.0"],
 ])
 def test_cli_bad_values_are_usage_errors(argv, tmp_path, capsys):
     # rejected before any work: one error line, exit status 2, no output files
@@ -433,10 +437,34 @@ def test_cli_family_outside_the_lemma_is_usage_error(tubes, message, tmp_path, c
 def test_cli_search_off_the_pixel_grid_is_usage_error(command, tmp_path, capsys):
     # h = 20/100 = 0.2 puts the half-unit tube offsets between pixels, where
     # the search's bounds and stencils do not hold
+    p = tmp_path / "w.cwav"
+    save_wave(random_colored_wave(FrequencyLattice(100, 20.0), "red", 0, 1 / 20, seed=4), p)
     with pytest.raises(SystemExit) as exc:
-        main(SMALL + ["--grid-N", "100", "--out-dir", str(tmp_path / "out"),
-                      command, "--delta", "0.5"])
+        main(SMALL + ["--out-dir", str(tmp_path / "out"),
+                      command, "--delta", "0.5", "--wave", str(p)])
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1].startswith("conewave: error: the tube search needs")
+    assert err[-1].startswith("conewave: error: --wave: the tube search needs")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, color, lattice, message", [
+    ("extract", "red", (80, 20.0), "disagree on the torus size"),
+    ("profile", "red", (80, 20.0), "disagree on the torus size"),
+    ("fungibility", "red", (80, 20.0), "disagree on the torus size"),
+    ("blue-tubes", "blue", (80, 20.0), "disagree on the torus size"),
+    ("blue-tubes", "blue", (170, 40.0), "divisible by the box side"),
+])
+def test_cli_wave_the_command_cannot_use_is_usage_error(command, color, lattice, message,
+                                                         tmp_path, capsys):
+    # a box-20 wave at the default box 40, and unit cells of a blue wave off
+    # its pixels, gave a ValueError traceback and exit status 1
+    p = tmp_path / "w.cwav"
+    save_wave(random_colored_wave(FrequencyLattice(*lattice), color, 0, 1 / 20, seed=4), p)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(out), command, "--delta", "0.5", "--wave", str(p)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("conewave: error: --wave: ") and message in err[-1]
+    assert not out.exists()

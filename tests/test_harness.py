@@ -1,16 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conewave.geometry import Tube, unit_dir
 from conewave.extraction import extract_profile
 from conewave.harness import (DEFAULT_KS, TRAIN_THETA, TRAIN_X0, PsiSpec,
                               fungibility_partition, interval_ratios_from_report,
                               sharpness_experiment, standard_suite, tube_sup_profile,
-                              universal_tube_family, verify_fungibility, verify_profile)
-from conewave.norms import Quadrature, product_densities, product_l2, region_slice_mask
-from conewave.waves import make_blue_tube_wave, make_red_cube_train, plane_wave, zero_wave
+                              universal_tube_family, verify_profile)
+from conewave.norms import (Quadrature, exact_product_quadrature, product_densities,
+                            product_l2, region_slice_mask)
+from conewave.waves import (SpectralWave, make_blue_tube_wave, make_red_cube_train,
+                            plane_wave, zero_wave)
 from conewave.lattice import lattice_for
 
 
@@ -99,34 +103,62 @@ def test_fungibility_empty_tubes_single_interval(quad0, train):
     assert len(intervals) == 1
 
 
-def test_verify_fungibility_rows(small_config, quad0, train):
+def test_fungibility_rows_from_the_report(small_config, quad0, train):
     w, tube = train
     tubes, _, _ = universal_tube_family(w, 0.3, quad0)
     intervals = fungibility_partition(w, tubes, 0.3, quad0)
-    # at k = 2 the sums run on a halved grid: 160 points against 320
     suite = [PsiSpec("random", 0, seed=5), PsiSpec("random", 2, seed=6),
              PsiSpec("packet", 2, x0=(4.0, 6.0), theta=0.1)]
-    rows = verify_fungibility(w, intervals, suite, small_config)
+    report = verify_profile(w, [], 0.3, suite, small_config, keep_slice_sums=True)
+    rows = interval_ratios_from_report(report, intervals, small_config)
     assert len(rows) == len(suite) * len(intervals)
-    for spec in suite:
-        # interval squared ratios recombine to the full-window sum of the
-        # fine-grid definition
-        psi = spec.build(small_config)
-        quad = Quadrature(small_config, psi.lattice)
-        fine = sum(quad.cell_weight() * float(dens.sum())
-                   for _, _, _, dens in product_densities(w, (psi,), quad))
-        ratios = [r["ratio"] for r in rows if r["kind"] == spec.kind and r["k"] == spec.k]
-        recomb = sum(r * r for r in ratios) * w.mass() * psi.mass()
-        assert recomb == pytest.approx(quad.dt * fine, rel=1e-12)
-    # the same rows, one for one, from the slice sums that verify_profile
-    # keeps on the lattice grid
-    report = verify_profile(w, tubes, 0.3, suite, small_config, keep_slice_sums=True)
-    kept = interval_ratios_from_report(report, intervals, small_config)
-    assert len(kept) == len(rows)
-    for a, b in zip(kept, rows):
-        assert {key: a[key] for key in a if key != "ratio"} == \
-            {key: b[key] for key in b if key != "ratio"}
-        assert a["ratio"] == pytest.approx(b["ratio"], rel=1e-12)
+    assert [(r["kind"], r["k"], r["t_lo"], r["t_hi"]) for r in rows] == \
+        [(spec.kind, spec.k, lo, hi) for spec in suite for lo, hi in intervals]
+    # interval squared ratios recombine to the record's full ratio
+    for rec in report.records:
+        ratios = [r["ratio"] for r in rows if (r["kind"], r["k"]) == (rec.kind, rec.k)]
+        assert sum(r * r for r in ratios) == pytest.approx(rec.ratio_full ** 2, rel=1e-12)
+
+
+@settings(max_examples=6, deadline=None)
+@given(parts=st.lists(st.tuples(st.sampled_from(["random", "packet"]),
+                                st.integers(0, 3), st.integers(0, 10_000)),
+                      min_size=1, max_size=3))
+def test_no_tube_sums_run_exactly_on_the_halved_grid(small_config, train, parts):
+    # with no tubes excluded, verify_profile sums each scale on
+    # exact_product_quadrature's grid: its kept slice sums are the fine-grid
+    # definition's, and phi and each partner are synthesized once per slice
+    w, _ = train
+    suite = [PsiSpec(kind, k, seed=seed, x0=(seed % 20, 6.0), theta=0.1)
+             for kind, k, seed in parts]
+    psis = [spec.build(small_config) for spec in suite]
+    real = SpectralWave.evaluate
+    sizes = []
+
+    def counting(self, t, lattice=None):
+        sizes.append((lattice or self.lattice).size)
+        return real(self, t, lattice)
+
+    with mock.patch.object(SpectralWave, "evaluate", counting):
+        report = verify_profile(w, [], 0.2, suite, small_config, keep_slice_sums=True)
+    n_t = len(small_config.time_samples())
+    at = 0
+    for k in sorted({spec.k for spec in suite}):
+        scale = [psi for spec, psi in zip(suite, psis) if spec.k == k]
+        quad = Quadrature(small_config, lattice_for(small_config, k))
+        n = exact_product_quadrature(quad, w, scale).lattice.size
+        if k >= 2:                       # e.g. 160, not 320, at k = 2
+            assert n <= quad.lattice.size // 2
+        calls = n_t * (1 + len(scale))
+        assert sizes[at:at + calls] == [n] * calls
+        at += calls
+    assert at == len(sizes)
+    by_k = sorted(range(len(suite)), key=lambda j: suite[j].k)     # the records' order
+    for j, rec in zip(by_k, report.records):
+        quad = Quadrature(small_config, psis[j].lattice)
+        fine = [quad.cell_weight() * float(dens.sum())
+                for _, _, _, dens in product_densities(w, (psis[j],), quad)]
+        np.testing.assert_allclose(rec.slice_sums, fine, rtol=1e-12, atol=0.0)
 
 
 def test_composition_soundness(small_config, quad0, train):
@@ -155,7 +187,8 @@ def test_fungibility_vacuous_at_ratio_ceiling(small_config, quad0, train):
     ceiling = product_l2(w, psi, quad) / math.sqrt(w.mass() * psi.mass())
     delta = 2.0 * ceiling
     whole = [(-small_config.half_window, small_config.half_window)]
-    rows = verify_fungibility(w, whole, suite, small_config)
+    report = verify_profile(w, [], delta, suite, small_config, keep_slice_sums=True)
+    rows = interval_ratios_from_report(report, whole, small_config)
     from conewave.constants import C_F
     assert all(r["ratio"] <= C_F * delta for r in rows)
 
@@ -212,16 +245,6 @@ def test_verify_profile_synthesizes_phi_once_per_slice(small_config, train,
         assert rec.ratio_outside == pytest.approx(out, rel=1e-12)
 
 
-def test_verify_fungibility_synthesizes_phi_once_per_slice(small_config, train,
-                                                           evaluate_calls):
-    w, _ = train
-    suite = [PsiSpec("random", 0, seed=5), PsiSpec("random", 0, seed=6)]
-    whole = [(-small_config.half_window, small_config.half_window)]
-    verify_fungibility(w, whole, suite, small_config)
-    n_t = len(small_config.time_samples())
-    assert len(evaluate_calls) == n_t * (1 + len(suite))
-
-
 def test_sharpness_synthesizes_each_field_once_per_slice(small_config,
                                                         evaluate_calls):
     sharpness_experiment(small_config, ks=(0, 1), seeds=(3,), theta=0.21,
@@ -249,3 +272,41 @@ def test_calibration_measures_the_artifacts_it_is_given(small_config, quad0, tra
     assert out["universal(tubes)"] == len(universal[0])
     assert out["profile(time s)"] == round(report.elapsed, 1)
     assert out["sharpness_rho(min,max)"] == (rows[0]["rho"],) * 2
+
+
+def test_calibrate_builds_each_artifact_once_and_measures_it(monkeypatch):
+    from conewave import calibration
+    calls = {}
+    train = ("train wave", "train tube")
+    universal = ("universal tubes", "universal remainder", "universal trace")
+    built = {"standard_train": train,
+             "extract_profile": ("tubes", "remainder", "trace"),
+             "find_concentrating_tube": ("tube", 0.125),
+             "universal_tube_family": universal,
+             "verify_profile": "report",
+             "sharpness_experiment": "rows"}
+
+    def recording(name, result):
+        def fake(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return result
+        return fake
+
+    for name, result in built.items():
+        monkeypatch.setattr(calibration, name, recording(name, result))
+    monkeypatch.setattr(calibration, "measure", recording("measure", {"measured": 1.0}))
+    out = calibration.calibrate()
+    assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(
+        [*built, "measure"], 1)
+    # measure gets the built artifacts themselves, and the extraction of the
+    # train's remainder is the one it searched
+    _, got_train, extraction, got_universal, report, rows = calls["measure"][0]
+    assert got_train is train and got_universal is universal
+    assert extraction == ("tubes", "trace", 0.125)
+    assert (report, rows) == ("report", "rows")
+    assert calls["extract_profile"][0][0] == "train wave"
+    assert calls["find_concentrating_tube"][0][0] == "remainder"
+    assert calls["verify_profile"][0][:2] == ("train wave", "universal tubes")
+    # the two wall times are added to measure's output
+    assert set(out) == {"measured", "universal(time s)", "total calibration s"}
+    assert out["measured"] == 1.0
