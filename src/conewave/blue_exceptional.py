@@ -273,9 +273,10 @@ def sector_weights(psi: SpectralWave, t_center: float = 0.0) -> WeightedTubeFami
     """Weighted separated tube family dominating the local mass of psi near
     time t_center: unit cells of the frequency support become packet waves,
     each packet's unit-cell mass field (smoothed by the cross-section profile)
-    becomes the weights of radius-1 tubes anchored on the integer grid in the
-    packet's snapped travel direction.  Weights are normalized by the profile
-    mass and the total mass so they sum to at most 1.
+    becomes the weights of radius-1 tubes anchored at every point of the
+    integer grid in the packet's snapped travel direction, so the family is a
+    full grid.  Weights are normalized by the profile mass and the total mass
+    so they sum to at most 1.
 
     The frequency cells and each slab's per-direction grids do not depend on
     delta; they are kept on the wave, so a second delta reuses them."""
@@ -289,18 +290,15 @@ def sector_weights(psi: SpectralWave, t_center: float = 0.0) -> WeightedTubeFami
     key = ("sector_grids", float(t_center))
     if key not in psi._cache:
         psi._cache[key] = _direction_grids(psi, cells, t_center)
-    kernel_sum = float(_profile_kernel(int(round(lat.box))).sum())
-    total = psi.mass() * kernel_sum * (1.0 + 1e-9)
-    anchors, directions, weights = [], [], []
-    # tube order: directions by angle, then anchors row-major
-    for theta, smoothed in sorted(psi._cache[key].items()):
-        grid = smoothed / total
-        ij = np.nonzero(grid > 1e-14)
-        anchors.append(np.column_stack(ij))
-        directions.append(np.tile(unit_dir(theta), (len(ij[0]), 1)))
-        weights.append(grid[ij])
-    return WeightedTubeFamily.from_arrays(np.concatenate(anchors), np.concatenate(directions),
-                                          np.concatenate(weights), psi.k, lat.box)
+    box_i = int(round(lat.box))
+    total = psi.mass() * float(_profile_kernel(box_i).sum()) * (1.0 + 1e-9)
+    grids = sorted(psi._cache[key].items())
+    # tube order: directions by angle, then every anchor of the grid row-major
+    anchors = np.tile(np.indices((box_i, box_i)).reshape(2, -1).T, (len(grids), 1))
+    directions = np.repeat([unit_dir(theta) for theta, _ in grids], box_i * box_i, axis=0)
+    # the smoothing's round-off may dip just below zero
+    weights = np.concatenate([np.maximum(smoothed / total, 0.0).ravel() for _, smoothed in grids])
+    return WeightedTubeFamily.from_arrays(anchors, directions, weights, psi.k, lat.box)
 
 
 def _direction_grids(psi: SpectralWave, cells: list, t_center: float) -> dict:

@@ -295,7 +295,7 @@ def cmd_profile(cfg, args) -> int:
     field_to_ppm(f, _out(args, "profile_t0.ppm"), circles, box=cfg.box)
     bound = C.C_V * args.delta
     contrast = report.min_adversarial_full()
-    ok = report.passes(bound) and contrast > C.ADVERSARIAL_MARGIN * bound
+    ok = report.max_outside() <= bound and contrast > C.ADVERSARIAL_MARGIN * bound
     print(f"tubes={len(tubes)} max_outside={report.max_outside():.4f} "
           f"(bound {bound:.4f}) adversarial_full={contrast:.4f} pass={ok}")
     return 0 if ok else 1

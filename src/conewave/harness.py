@@ -108,9 +108,6 @@ class ProfileReport:
         vals = [r.ratio_full for r in self.records if r.kind == "packet"]
         return min(vals) if vals else math.inf
 
-    def passes(self, bound: float) -> bool:
-        return self.max_outside() <= bound
-
 
 def _dedupe_tubes(tubes: list) -> list:
     seen = {}

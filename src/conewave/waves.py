@@ -8,8 +8,9 @@ values c, the field at time t is
 
 computed by scattering the phased coefficients onto the lattice and applying
 one inverse FFT, so propagation is exactly unitary mode by mode.  Mass is the
-plain weighted coefficient sum L^-2 * sum (|c+|^2 + |c-|^2) and equals the
-spatial L^2 quadrature of the field at every time.
+plain weighted coefficient sum L^-2 * sum (|c+|^2 + |c-|^2); for a red or a
+blue wave it equals the spatial L^2 quadrature of the field at every time (a
+mode held on both cone sides adds cross terms that oscillate in time).
 
 Colors: a red wave propagates coefficients with phase +|xi| (packets travel
 along -xi/|xi|), a blue wave with phase -|xi| (packets travel along +xi/|xi|).
@@ -73,8 +74,9 @@ def sector_margin_distance(z1, z2):
 
 @dataclass(frozen=True)
 class SpectralWave:
-    """Sparse two-sided cone wave.  Mode arrays are int64, lexicographically
-    sorted; vals are complex128.  Treat instances as immutable."""
+    """Sparse two-sided cone wave.  Mode arrays are int64 with distinct rows
+    in lexicographic order; vals are complex128.  Treat instances as
+    immutable."""
     lattice: FrequencyLattice
     modes_plus: np.ndarray     # (n+, 2) mode integers
     vals_plus: np.ndarray      # (n+,)
@@ -159,13 +161,6 @@ class SpectralWave:
                 else np.zeros(2, dtype=np.int64)
         return self._cache["spread"]
 
-    def _check_band(self, lattice: FrequencyLattice) -> None:
-        if "reach" not in self._cache:
-            modes = np.concatenate([self.modes_plus, self.modes_minus])
-            self._cache["reach"] = int(np.abs(modes).max()) if len(modes) else 0
-        if self._cache["reach"] > lattice.size // 2 - 1:
-            raise ValueError("wave modes not representable on this lattice")
-
     def _indices(self, side: str, lattice: FrequencyLattice):
         """Grid indices of one side's modes: the mode integers folded mod N."""
         key = ("idx", side, lattice.size)
@@ -228,9 +223,12 @@ class SpectralWave:
     def point_values(self, times, rows, cols,
                      lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
         """Field values at (times[i], h * (rows[i], cols[i])): the entries
-        evaluate(times[i])[rows[i], cols[i]], summed over the modes directly."""
+        evaluate(times[i])[rows[i], cols[i]], summed over the modes directly.
+
+        Any lattice of the torus will do, also one too coarse for evaluate:
+        at a grid point the kernel e^{2 pi i (r m1 + c m2) / N} depends on
+        the mode integers through their residues mod N alone."""
         lat = self._eval_lattice(lattice)
-        self._check_band(lat)
         n = lat.size
         out = np.zeros(len(times), dtype=np.complex128)
         roots = _roots_of_unity(n)
@@ -242,15 +240,6 @@ class SpectralWave:
                 kernel = roots[(r * i1 + c * i2) % n]
                 out[j] += self.phased(side, t, lat.box ** -2) @ kernel
         return out
-
-    def coefficients_at(self, t: float,
-                        lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
-        """Dense phased coefficient array at time t (for spectral pairings).
-        ValueError when a mode lies outside the band |m| <= N/2 - 1 of the
-        lattice."""
-        lat = lattice or self.lattice
-        self._check_band(lat)
-        return self._scatter(t, lat, 1.0)
 
     def _scatter(self, t: float, lat: FrequencyLattice, scale: float) -> np.ndarray:
         """Phased coefficients scattered onto the lattice's index grid."""
@@ -297,46 +286,39 @@ def _roots_of_unity(n: int) -> np.ndarray:
     return out
 
 
-def _canonical(modes: np.ndarray, vals: np.ndarray):
-    if len(vals) == 0:
-        return modes.reshape(0, 2).astype(np.int64), vals.astype(np.complex128)
-    order = np.lexsort((modes[:, 1], modes[:, 0]))
-    return modes[order], vals[order]
+def _mode_keys(modes: np.ndarray) -> np.ndarray:
+    """One integer per mode row, (m1 - lo1) * span + (m2 - lo2) over a box
+    that holds every row and the origin: the keys sort as the rows do
+    lexicographically, and an empty array needs no special case."""
+    m1, m2 = modes[:, 0], modes[:, 1]
+    lo1, lo2 = m1.min(initial=0), m2.min(initial=0)
+    return (m1 - lo1) * (m2.max(initial=0) - lo2 + 1) + (m2 - lo2)
 
 
 def _merge(m1, v1, m2, v2):
-    if len(v1) == 0:
-        return _prune(*_canonical(m2, v2))
-    if len(v2) == 0:
-        return _prune(*_canonical(m1, v1))
-    if np.array_equal(m1, m2) and _strictly_sorted(m1):
-        # np.unique would return m1 and np.add.at would add v1, then v2, to zeros
-        return _prune(m1, (0j + v1) + v2)
+    """The coefficients of both mode sets added up: rows in lexicographic
+    order, the values of a repeated row added in input order, exact zeros
+    dropped."""
     modes = np.concatenate([m1, m2])
-    vals = np.concatenate([v1, v2])
-    uniq, inv = np.unique(modes, axis=0, return_inverse=True)
-    merged = np.zeros(len(uniq), dtype=np.complex128)
-    np.add.at(merged, inv, vals)
-    return _prune(uniq, merged)
-
-
-def _strictly_sorted(modes) -> bool:
-    """Rows in strictly increasing lexicographic order: sorted, no repeats."""
-    d0 = np.diff(modes[:, 0])
-    return bool(np.all((d0 > 0) | ((d0 == 0) & (np.diff(modes[:, 1]) > 0))))
-
-
-def _prune(modes, vals):
-    keep = np.abs(vals) > 0.0
-    return modes[keep], vals[keep]
+    _, first, inv = np.unique(_mode_keys(modes), return_index=True, return_inverse=True)
+    merged = np.zeros(len(first), dtype=np.complex128)
+    np.add.at(merged, inv, np.concatenate([v1, v2]))
+    keep = np.abs(merged) > 0.0
+    # np.take: indexing an (n, 2) array with an index array is several
+    # times slower
+    return np.take(modes, first[keep], axis=0), merged[keep]
 
 
 def make_wave(lattice: FrequencyLattice, modes_plus, vals_plus, modes_minus, vals_minus,
               color: str = "none", k: int = 0) -> SpectralWave:
-    mp, vp = _canonical(np.asarray(modes_plus, dtype=np.int64).reshape(-1, 2),
-                        np.asarray(vals_plus, dtype=np.complex128))
-    mm, vm = _canonical(np.asarray(modes_minus, dtype=np.int64).reshape(-1, 2),
-                        np.asarray(vals_minus, dtype=np.complex128))
+    """A wave from mode rows in any order, merged as sub merges them: the
+    values of a repeated row add up and exact zeros are dropped."""
+    sides = []
+    for modes, vals in ((modes_plus, vals_plus), (modes_minus, vals_minus)):
+        modes = np.asarray(modes, dtype=np.int64).reshape(-1, 2)
+        vals = np.asarray(vals, dtype=np.complex128)
+        sides.append(_merge(modes, vals, modes[:0], vals[:0]))
+    (mp, vp), (mm, vm) = sides
     return SpectralWave(lattice, mp, vp, mm, vm, color, k)
 
 
@@ -352,12 +334,22 @@ def plane_wave(lattice: FrequencyLattice, mode, amplitude: complex, side: str = 
 
 
 def inner_product(w1: SpectralWave, w2: SpectralWave) -> complex:
-    """L^2_x pairing <w1(0), w2(0)> computed spectrally on the finer lattice;
-    exact propagation makes it the same at every time."""
-    lat = w1.lattice if w1.lattice.size >= w2.lattice.size else w2.lattice
-    a = w1.coefficients_at(0.0, lat)
-    b = w2.coefficients_at(0.0, lat)
-    return complex(np.vdot(b, a)) / lat.box ** 2
+    """Pairing of two waves on one torus, cone side by cone side: L^-2 times
+    the sum of c1(m) conj(c2(m)) over the modes m that both waves hold on
+    that side.  inner_product(w, w) is w.mass(); when no mode lies on one
+    side of w1 and the other side of w2 (two red waves, two blue waves), it
+    is the L^2_x pairing <w1(t), w2(t)>, the same at every t by exact
+    propagation."""
+    if abs(w1.lattice.box - w2.lattice.box) > 1e-12:
+        raise ValueError("waves live on different tori")
+    total = 0j
+    for m1, v1, m2, v2 in ((w1.modes_plus, w1.vals_plus, w2.modes_plus, w2.vals_plus),
+                           (w1.modes_minus, w1.vals_minus, w2.modes_minus, w2.vals_minus)):
+        keys = _mode_keys(np.concatenate([m1, m2]))
+        _, i1, i2 = np.intersect1d(keys[:len(m1)], keys[len(m1):], assume_unique=True,
+                                   return_indices=True)
+        total += np.vdot(v2[i2], v1[i1])
+    return complex(total) / w1.lattice.box ** 2
 
 
 # ---------------------------------------------------------------------------

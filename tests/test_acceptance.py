@@ -11,6 +11,7 @@ bit-reproducibility checks.
 import hashlib
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,6 +299,19 @@ def test_c08_profile_theorem(universal, profile_report, config, quad0):
                      f"{report.max_outside():.4f} <= {bound:.3f}; adversarial "
                      f"full min {report.min_adversarial_full():.4f} > "
                      f"{contrast_floor:.3f}; verify {report.elapsed:.0f}s < 600s")
+
+
+def test_c08_fails_when_the_tubes_miss_the_ray(train, universal, config):
+    # the mutant: every universal tube moved by (20, 0), half the torus, off
+    # the train's ray; the packets along the ray then read above the bound
+    tubes, _, _ = universal
+    moved = [replace(t, x0=(t.x0[0] + 20.0, t.x0[1])) for t in tubes]
+    packets = [s for s in standard_suite(seeds_per_k=0) if s.k <= 2]
+    report = verify_profile(train[0], moved, DELTA, packets, config)
+    outside = [r.ratio_outside for r in report.records]
+    print(f"\nc08 mutant: packets k = 0, 1, 2 outside the moved tubes "
+          f"{', '.join(f'{v:.4f}' for v in outside)} > {C.C_V * DELTA:.3f}")
+    assert len(outside) == 3 and min(outside) > C.C_V * DELTA
 
 
 def test_c09_fungibility(train, universal, profile_report, quad0, config):

@@ -329,8 +329,8 @@ def test_second_delta_reuses_cache(small_config):
     lambda lat: make_blue_tube_wave(lat, 0.5, (6.0, 11.0), unit_dir(0.12), 2),
 ])
 def test_sector_weights_equals_per_cell_tubes(small_config, build):
-    # the reference family has one Tube per direction-grid cell above 1e-14,
-    # directions by angle and cells row-major
+    # the reference family has one Tube per direction-grid cell, with the
+    # cell's weight clipped at 0, directions by angle and cells row-major
     lat = lattice_for(small_config, 2)
     psi = build(lat)
     t_center = -2.0
@@ -339,16 +339,29 @@ def test_sector_weights_equals_per_cell_tubes(small_config, build):
     tubes, weights = [], []
     for theta, smoothed in sorted(psi._cache[("sector_grids", t_center)].items()):
         grid = smoothed / total
-        for a, b in zip(*np.where(grid > 1e-14)):
+        for a, b in itertools.product(range(grid.shape[0]), range(grid.shape[1])):
             tubes.append(Tube(0.0, (float(a), float(b)), tuple(unit_dir(theta)),
                               half_length=4.0))
-            weights.append(grid[a, b])
+            weights.append(max(grid[a, b], 0.0))
     ref = WeightedTubeFamily(tuple(tubes), np.array(weights), psi.k, lat.box)
     assert len(fam) > 0 and len({t.omega for t in tubes}) > 1
+    assert fam.full_grid()
     assert fam.tubes == ref.tubes
     assert fam.weights.tobytes() == ref.weights.tobytes()
     assert fam.anchors.tobytes() == ref.anchors.tobytes()
     assert fam.directions.tobytes() == ref.directions.tobytes()
+
+
+def test_packet_families_are_full_grids():
+    # a k = 3 packet whose far slabs hold weights near round-off: every slab's
+    # family is a full grid all the same, so the greedy takes the grid engine
+    cfg = RunConfig()
+    psi = make_blue_tube_wave(lattice_for(cfg, 3), 0.0, (20.0, 20.0), unit_dir(0.0), 3)
+    for t_center in (-4.0, 4.0):
+        fam = sector_weights(psi, t_center)
+        assert fam.full_grid()
+        assert len(fam) == len(set(map(tuple, fam.directions.tolist()))) * int(cfg.box) ** 2
+        assert fam.weights.min() < 1e-14 and fam.weights.min() >= 0.0
 
 
 # ---------------------------------------------------------------------------

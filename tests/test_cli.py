@@ -183,17 +183,32 @@ def test_cli_fungibility_smoke(tmp_path):
     assert text.startswith("k,seed,kind,t_lo,t_hi,ratio")
 
 
-def test_cli_usage_error_exit_2():
-    # the child imports the same conewave as this process
+def _child_env() -> dict:
+    """The environment of a child process that imports the same conewave as
+    this process."""
     src = str(Path(conewave.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_usage_error_exit_2():
+    env = _child_env()
     proc = subprocess.run([sys.executable, "-m", "conewave.cli", "no-such-command"],
                           capture_output=True, env=env)
     assert proc.returncode == 2
     proc = subprocess.run([sys.executable, "-m", "conewave.cli"], capture_output=True,
                           env=env)
     assert proc.returncode == 2
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    # scipy.spatial costs every command about 0.1 s of start-up: only covers
+    # need it, and tube_cover imports it inside _incidence
+    proc = subprocess.run([sys.executable, "-c", "import sys, conewave.cli; "
+                           "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv,unknown", [

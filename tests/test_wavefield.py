@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conewave.config import RunConfig
 from conewave.errors import InfeasibleMarginError, MarginUndefinedError
 from conewave.geometry import SECTOR_HALF_ANGLE, Tube, unit_dir, wrap_delta
 from conewave.lattice import FrequencyLattice, lattice_for
-from conewave.waves import (SpectralWave, make_blue_tube_wave,
+from conewave.waves import (SpectralWave, inner_product, make_blue_tube_wave,
                             make_red_cube_bump, make_red_cube_train, make_wave,
                             plane_wave, random_colored_wave, sector_margin_distance,
                             zero_wave)
@@ -275,13 +276,29 @@ def test_sub_of_equal_supports_matches_the_general_merge(lat0):
     want = _merge_by_unique(m, w.vals_plus, m, -1.0 * v.vals_plus)
     assert np.array_equal(d.modes_plus, want[0])
     assert d.vals_plus.tobytes() == want[1].tobytes()
-    # equal arrays with a repeated row, or out of order, take the general path
+    # equal arrays with a repeated row, or out of order, negative modes, and
+    # an empty side
     rep = np.array([[1, 2], [1, 2], [3, 0]])
     unsorted = np.array([[3, 0], [1, 2], [2, 5]])
-    for mm in (rep, unsorted):
-        a, b = np.array([1.0, 2.0, 3.0j]), np.array([0.5, -3.0, 1.0])
-        got, want = _merge(mm, a, mm, b), _merge_by_unique(mm, a, mm, b)
+    negative = np.array([[-3, 4], [-3, -4], [2, -7]])
+    a, b = np.array([1.0, 2.0, 3.0j]), np.array([0.5, -3.0, complex(-0.0, -1.0)])
+    none, nothing = np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.complex128)
+    for args in ((rep, a, rep, b), (unsorted, a, unsorted, b), (negative, a, unsorted, b),
+                 (none, nothing, unsorted, b), (negative, a, none, nothing),
+                 (none, nothing, none, nothing)):
+        got, want = _merge(*args), _merge_by_unique(*args)
         assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
+
+
+def test_make_wave_adds_up_repeated_rows(lat0):
+    # one wave from a repeated row and an exact zero: mass, field and
+    # pairing all see the summed coefficient
+    w = make_wave(lat0, [[30, 0], [31, 2], [30, 0]], [1.0, 0.0, 2.0j], [[33, 1]], [0.5])
+    assert w.modes_plus.tolist() == [[30, 0]] and w.vals_plus.tolist() == [1.0 + 2.0j]
+    f = w.evaluate(0.7)
+    field_mass = float((np.abs(f) ** 2).sum()) * lat0.spacing ** 2
+    assert abs(field_mass - w.mass()) <= 1e-12 * w.mass()
+    assert abs(inner_product(w, w) - w.mass()) <= 1e-12 * w.mass()
 
 
 @pytest.mark.parametrize("n", [16, 160, 640, 1280])
@@ -334,15 +351,89 @@ def test_evaluate_rejects_modes_sharing_a_residue(small_config):
                                w.evaluate(0.3, lat)[::2, ::2], rtol=0.0, atol=1e-15)
 
 
-def test_spectral_paths_keep_the_band_check(small_config):
-    lat = lattice_for(small_config, 1)
-    half = lattice_for(small_config, 0)          # band |m| <= 39
-    w = make_wave(lat, [[45, 3], [50, 3]], [1.0, 2.0], [], [])
-    w.evaluate(0.0, half)                         # spread 5: folds
+def _blue_k1():
+    """A k = 1 blue wave on the side-40 torus: modes spread over (76, 110)
+    integers and reach |m1| = 158, beyond the band of N = 160."""
+    lat = lattice_for(RunConfig(), 1)                # N = 320
+    w = random_colored_wave(lat, "blue", 1, 1 / 20, seed=5)
+    assert tuple(w.spread()) == (76, 110)
+    return w
+
+
+@pytest.mark.parametrize("n", [160, 200, 240])
+def test_point_values_are_evaluate_entries_on_folded_lattices(n):
+    w = _blue_k1()
+    lat = FrequencyLattice(n, w.lattice.box)
+    rng = np.random.default_rng(n)
+    times = rng.uniform(-8.0, 8.0, 5)
+    rows, cols = rng.integers(0, n, (2, 5))
+    got = w.point_values(times, rows, cols, lat)
+    for t, r, c, v in zip(times, rows, cols, got):
+        f = w.evaluate(t, lat)
+        assert abs(v - f[r, c]) <= 1e-13 * np.abs(f).max()
+
+
+def test_point_values_on_a_lattice_too_coarse_for_evaluate():
+    # a k = 2 blue wave (N = 640) spreads over (153, 222) integers
+    w = random_colored_wave(lattice_for(RunConfig(), 2), "blue", 2, 1 / 20, seed=5)
+    coarse = FrequencyLattice(160, w.lattice.box)
     with pytest.raises(ValueError):
-        w.coefficients_at(0.0, half)
-    with pytest.raises(ValueError):
-        w.point_values([0.0], [0], [0], half)
+        w.evaluate(0.0, coarse)
+    step = w.lattice.size // coarse.size
+    rng = np.random.default_rng(160)
+    times = rng.uniform(-8.0, 8.0, 5)
+    rows, cols = rng.integers(0, coarse.size, (2, 5))
+    got = w.point_values(times, rows, cols, coarse)
+    for t, r, c, v in zip(times, rows, cols, got):
+        f = w.evaluate(t)
+        assert abs(v - f[step * r, step * c]) <= 1e-13 * np.abs(f).max()
+
+
+def _dense_pairing(w1, w2):
+    """The pairing summed over the band of a lattice that holds both waves:
+    each cone side scattered onto its own dense array, then np.vdot."""
+    size = 2 * int(max(np.abs(m).max(initial=0) for m in (
+        w1.modes_plus, w1.modes_minus, w2.modes_plus, w2.modes_minus))) + 2
+    total = 0j
+    for side in ("plus", "minus"):
+        a, b = (np.zeros((size, size), dtype=np.complex128) for _ in range(2))
+        for buf, w in ((a, w1), (b, w2)):
+            modes = w.modes_plus if side == "plus" else w.modes_minus
+            buf[modes[:, 0] % size, modes[:, 1] % size] = \
+                w.vals_plus if side == "plus" else w.vals_minus
+        total += np.vdot(b, a)
+    return total / w1.lattice.box ** 2
+
+
+def test_inner_product_matches_the_dense_pairing(small_config, lat0):
+    red = random_colored_wave(lat0, "red", 0, 1 / 20, seed=21)
+    red2 = random_colored_wave(lat0, "red", 0, 0.12, seed=22)
+    blue = random_colored_wave(lat0, "blue", 0, 1 / 20, seed=23)
+    two_sided = red2.sub(blue, 0.5 - 0.5j)
+    lat1 = lattice_for(small_config, 1)
+    coarse_fine = (random_colored_wave(lat0, "red", 0, 1 / 20, seed=24),
+                   random_colored_wave(lat1, "red", 0, 1 / 20, seed=25))
+    pairs = [(red, red2), (red2, red), (red, red), (blue, two_sided), (two_sided, red),
+             (two_sided, two_sided), coarse_fine]
+    for w1, w2 in pairs:
+        want = _dense_pairing(w1, w2)
+        got = inner_product(w1, w2)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        if w1 is w2:
+            assert abs(got - w1.mass()) <= 1e-12 * w1.mass()
+    # a red and a blue wave share sector modes but no cone side
+    assert inner_product(red, blue) == 0.0
+
+
+def test_inner_product_rejects_waves_on_different_tori(small_config):
+    w = random_colored_wave(lattice_for(small_config, 0), "red", 0, 1 / 20, seed=3)
+    other = make_wave(FrequencyLattice(w.lattice.size, 0.5 * w.lattice.box),
+                      w.modes_plus, w.vals_plus, [], [], "red", 0)
+    for a, b in ((w, other), (other, w)):
+        with pytest.raises(ValueError):
+            inner_product(a, b)
+        with pytest.raises(ValueError):
+            a.sub(b)
 
 
 # ---------------------------------------------------------------------------
