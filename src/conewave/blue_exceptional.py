@@ -177,13 +177,11 @@ def unit_cube_masses(psi: SpectralWave, quad: Quadrature):
     nb = int(round(lat.box))
     t_corners = np.arange(-quad.config.half_window, quad.config.half_window)
     masses = np.zeros((len(t_corners), nb, nb))
-    layout = _cell_layout(lat, np.concatenate([psi.modes_plus, psi.modes_minus]))
-    for side in ("plus", "minus"):
-        psi.rho(side)                   # fill the cache here: workers only read it
+    layout = _cell_layout(lat, psi.modes)
+    psi.rho()                           # fill the cache here: workers only read it
 
     def sums_at(t):
-        coeffs = np.concatenate([psi.phased("plus", t), psi.phased("minus", t)])
-        return _cell_sums(lat, layout, coeffs)
+        return _cell_sums(lat, layout, psi.phased(t))
 
     for t, sums in zip(quad.times, _ordered_map(sums_at, quad.times)):
         i = int(math.floor(t + quad.config.half_window))
@@ -215,8 +213,8 @@ def frequency_cells(psi: SpectralWave):
     and per-mode square-root partition values.
 
     Returns list of (alpha, mode_sel, chi) where chi are the sqrt-partition
-    coefficients for psi's minus-side modes selected by mode_sel."""
-    modes = psi.modes_minus
+    coefficients for psi's modes selected by mode_sel."""
+    modes = psi.modes
     if len(modes) == 0:
         return []
     xi = modes / psi.lattice.box
@@ -280,6 +278,8 @@ def sector_weights(psi: SpectralWave, t_center: float = 0.0) -> WeightedTubeFami
 
     The frequency cells and each slab's per-direction grids do not depend on
     delta; they are kept on the wave, so a second delta reuses them."""
+    if psi.color != "blue":
+        raise ValueError("sector weights need a blue wave")
     lat = psi.lattice
     if "frequency_cells" not in psi._cache:
         psi._cache["frequency_cells"] = frequency_cells(psi)
@@ -306,11 +306,11 @@ def _direction_grids(psi: SpectralWave, cells: list, t_center: float) -> dict:
     t_center travelling that way, smoothed by the cross-section profile."""
     lat = psi.lattice
     box_i = int(round(lat.box))
-    phased = psi.phased("minus", t_center)
+    phased = psi.phased(t_center)
 
     def cell_sums(cell):
         _, sel, chi = cell
-        return unit_cell_sums(lat, psi.modes_minus[sel], phased[sel] * chi)
+        return unit_cell_sums(lat, psi.modes[sel], phased[sel] * chi)
 
     raw: dict = {}
     for (alpha, _, _), sums in zip(cells, _ordered_map(cell_sums, cells)):
@@ -326,9 +326,8 @@ def exceptional_tubes_for_blue(psi: SpectralWave, delta: float, quad: Quadrature
 
     The window splits into time slabs of length 2^k; each slab's sector-weight
     family goes through the greedy cover at threshold c * delta^2 and the
-    resulting tubes are shifted back to absolute time."""
-    if psi.color != "blue":
-        raise ValueError("exceptional tube analysis needs a blue wave")
+    resulting tubes are shifted back to absolute time; ValueError for a
+    wave that is not blue."""
     half_len = 2.0 ** psi.k
     t0 = -quad.config.half_window
     out = []

@@ -89,7 +89,7 @@ def measure(config: RunConfig, train, extraction, universal, profile_report,
         lat = lattice_for(config, k)
         quad = Quadrature(config, lat)
         out[f"random_ratio_max(k={k})"] = max(product_l2(
-            random_colored_wave(lat0, "red", 0, 1 / 20, seed=500 + seed).embed(lat),
+            random_colored_wave(lat0, "red", 0, 1 / 20, seed=500 + seed),
             random_colored_wave(lat, "blue", k, 1 / 20, seed=900 + 31 * k + seed),
             quad) for seed in range(5))
 

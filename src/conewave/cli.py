@@ -290,7 +290,7 @@ def cmd_profile(cfg, args) -> int:
                ["kind", "k", "seed", "ratio_outside", "ratio_full"])
     # heatmap of |phi psi| at t = 0 with the tubes' cross-sections
     psi = next(s for s in suite if s.kind == "packet").build(cfg)
-    f = np.abs(phi.embed(psi.lattice).evaluate(0.0)) * np.abs(psi.evaluate(0.0))
+    f = np.abs(phi.evaluate(0.0, psi.lattice)) * np.abs(psi.evaluate(0.0))
     circles = [(*t.axis_at(0.0), t.eff_radius) for t in tubes if t.time_active(0.0)]
     field_to_ppm(f, _out(args, "profile_t0.ppm"), circles, box=cfg.box)
     bound = C.C_V * args.delta

@@ -5,10 +5,6 @@ class ConewaveError(Exception):
     """Base class for all package errors."""
 
 
-class MarginUndefinedError(ConewaveError):
-    """Margin requested for a wave with no declared color."""
-
-
 class InfeasibleMarginError(ConewaveError):
     """No lattice frequency satisfies the requested margin."""
 

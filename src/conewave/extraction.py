@@ -375,7 +375,7 @@ def build_extractor(lattice: FrequencyLattice, witness: DualWitness,
         + xi[:, 0][:, None] * witness.points[None, :, 0] \
         + xi[:, 1][:, None] * witness.points[None, :, 1]
     vals = np.exp(-2j * np.pi * phase) @ (witness.dt * witness.f)
-    return make_wave(lattice, modes, vals, [], [], color="red", k=0)
+    return make_wave(lattice, modes, vals, "red")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,10 @@ earliest witness time:
   at every integer anchor of each direction group, as the blue-wave sector
   weights have).  Its witness set is a + omega t for every integer anchor a
   of each direction group; only on a full grid is that the pair engine's,
-  and then both return the same point bit for bit.  The residual on a whole anchor
+  and then both find the same maximum to round-off.  They sum in different
+  orders, so a tie within round-off may go to another witness (the two
+  mirror images of a symmetric family), and the covers then differ while
+  both hold the bound.  The residual on a whole anchor
   grid at one witness time is a sum of shifted windows of one wrap-padded
   stack of the per-direction weight images, with (time, direction pair)
   stencils of ``geometry.disk_spans`` unit disks built once.

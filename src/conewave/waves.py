@@ -1,19 +1,21 @@
 """Cone-supported waves on the torus: synthesis, propagation, mass, margin.
 
-A wave is stored by its nonzero Fourier coefficients on the two halves of the
-light cone.  With mode integers m (frequency xi = m / L) and coefficient
-values c, the field at time t is
+A wave lives on one half of the light cone and is stored by its nonzero
+Fourier coefficients there.  With mode integers m (frequency xi = m / L),
+coefficient values c and the sign s of the wave's color, the field at time t
+is
 
-    phi(t, x) = L^-2 * sum_m [ c+(m) e^{2 pi i t |xi|} + c-(m) e^{-2 pi i t |xi|} ] e^{2 pi i x . xi}
+    phi(t, x) = L^-2 * sum_m c(m) e^{2 pi i s t |xi|} e^{2 pi i x . xi}
 
 computed by scattering the phased coefficients onto the lattice and applying
 one inverse FFT, so propagation is exactly unitary mode by mode.  Mass is the
-plain weighted coefficient sum L^-2 * sum (|c+|^2 + |c-|^2); for a red or a
-blue wave it equals the spatial L^2 quadrature of the field at every time (a
-mode held on both cone sides adds cross terms that oscillate in time).
+plain weighted coefficient sum L^-2 * sum |c|^2; for every wave it equals
+the spatial L^2 quadrature of the field at every time, on every lattice that
+evaluate accepts (Parseval).
 
-Colors: a red wave propagates coefficients with phase +|xi| (packets travel
-along -xi/|xi|), a blue wave with phase -|xi| (packets travel along +xi/|xi|).
+Colors: a red wave lies on the forward cone and propagates coefficients with
+phase +|xi| (s = +1; packets travel along -xi/|xi|), a blue wave on the
+backward cone with phase -|xi| (s = -1; packets travel along +xi/|xi|).
 Both colors have frequency support in the annular sector
 S_k = { 2^k <= |xi| <= 2^(k+1), angle(xi, e1) <= pi/8 }, and the margin of a
 wave is the Euclidean distance of its rescaled support 2^-k xi to the boundary
@@ -30,7 +32,7 @@ from typing import Optional
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import InfeasibleMarginError, MarginUndefinedError, SectorResolutionError
+from .errors import InfeasibleMarginError, SectorResolutionError
 from .geometry import SECTOR_HALF_ANGLE, Tube, axis_unit_cubes, dir_angle
 from .lattice import FrequencyLattice
 
@@ -72,76 +74,90 @@ def sector_margin_distance(z1, z2):
     return np.minimum(radial, angular)
 
 
+_SIGNS = {"red": 1, "blue": -1}
+# the cone side a wave does not hold, as the side views return it
+_NO_MODES = np.zeros((0, 2), dtype=np.int64)
+_NO_VALS = np.zeros(0, dtype=np.complex128)
+_NO_MODES.flags.writeable = False
+_NO_VALS.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class SpectralWave:
-    """Sparse two-sided cone wave.  Mode arrays are int64 with distinct rows
-    in lexicographic order; vals are complex128.  Treat instances as
-    immutable."""
+    """Sparse cone wave on one side of the light cone: the forward side for
+    a red wave, the backward side for a blue one.  modes is int64 with
+    distinct rows in lexicographic order; vals is complex128.  Treat
+    instances as immutable."""
     lattice: FrequencyLattice
-    modes_plus: np.ndarray     # (n+, 2) mode integers
-    vals_plus: np.ndarray      # (n+,)
-    modes_minus: np.ndarray
-    vals_minus: np.ndarray
-    color: str = "none"
+    modes: np.ndarray          # (n, 2) mode integers
+    vals: np.ndarray           # (n,)
+    color: str
     k: int = 0
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.color not in ("red", "blue", "none"):
-            raise ValueError(f"unknown color {self.color!r}")
+        if self.color not in _SIGNS:
+            raise ValueError(f"unknown color {self.color!r}: a wave is red or blue")
         if self.k < 0:
             raise ValueError("frequency exponent k must be >= 0")
 
+    @property
+    def sign(self) -> int:
+        """The sign of the time phase: +1 for red, -1 for blue."""
+        return _SIGNS[self.color]
+
+    # -- read-only views by cone side, which bench/checks.py, bench/tracing.py
+    # and the CWAV1 writer read; the side a wave does not hold is empty
+
+    @property
+    def modes_plus(self) -> np.ndarray:
+        return self.modes if self.sign > 0 else _NO_MODES
+
+    @property
+    def vals_plus(self) -> np.ndarray:
+        return self.vals if self.sign > 0 else _NO_VALS
+
+    @property
+    def modes_minus(self) -> np.ndarray:
+        return self.modes if self.sign < 0 else _NO_MODES
+
+    @property
+    def vals_minus(self) -> np.ndarray:
+        return self.vals if self.sign < 0 else _NO_VALS
+
     # -- basic quantities ---------------------------------------------------
 
-    def rho(self, side: str) -> np.ndarray:
-        key = "rho_" + side
-        if key not in self._cache:
-            modes = self.modes_plus if side == "plus" else self.modes_minus
-            xi = modes / self.lattice.box
-            self._cache[key] = np.sqrt((xi * xi).sum(axis=1))
-        return self._cache[key]
+    def rho(self) -> np.ndarray:
+        if "rho" not in self._cache:
+            xi = self.modes / self.lattice.box
+            self._cache["rho"] = np.sqrt((xi * xi).sum(axis=1))
+        return self._cache["rho"]
 
     @property
     def num_modes(self) -> int:
-        return len(self.vals_plus) + len(self.vals_minus)
+        return len(self.vals)
 
     def mass(self) -> float:
-        s = np.sum(np.abs(self.vals_plus) ** 2) + np.sum(np.abs(self.vals_minus) ** 2)
-        return float(s) / self.lattice.box ** 2
+        return float(np.sum(np.abs(self.vals) ** 2)) / self.lattice.box ** 2
 
     def normalize_mass(self, target: float = 1.0) -> "SpectralWave":
         m = self.mass()
         if m == 0.0:
             raise ValueError("cannot normalize the zero wave")
-        scale = math.sqrt(target / m)
-        return self._replace_vals(self.vals_plus * scale, self.vals_minus * scale)
+        return self._replace_vals(self.vals * math.sqrt(target / m))
 
     def margin(self) -> float:
-        if self.color == "none":
-            raise MarginUndefinedError("margin needs a red or blue wave")
+        if not len(self.modes):
+            return math.inf          # vacuous: empty support
         scale = 2.0 ** (-self.k) / self.lattice.box
-        best = math.inf
-        for modes in (self.modes_plus, self.modes_minus):
-            if len(modes):
-                d = sector_margin_distance(modes[:, 0] * scale, modes[:, 1] * scale)
-                best = min(best, float(d.min()))
-        if best is math.inf:
-            return best          # vacuous: empty support
-        return max(0.0, best)
+        d = sector_margin_distance(self.modes[:, 0] * scale, self.modes[:, 1] * scale)
+        return max(0.0, float(d.min()))
 
     def validate_support(self) -> None:
-        """Check the color/support invariant coefficient by coefficient."""
-        if self.color == "red" and len(self.modes_minus):
-            raise ValueError("red wave with backward-cone coefficients")
-        if self.color == "blue" and len(self.modes_plus):
-            raise ValueError("blue wave with forward-cone coefficients")
-        if self.color == "none":
+        """Check that every mode lies in the sector of scale k."""
+        if not len(self.modes):
             return
-        modes = self.modes_plus if self.color == "red" else self.modes_minus
-        if not len(modes):
-            return
-        xi = modes / self.lattice.box
+        xi = self.modes / self.lattice.box
         r = np.sqrt((xi * xi).sum(axis=1))
         lo, hi = 2.0 ** self.k, 2.0 ** (self.k + 1)
         if np.any(r < lo - 1e-9) or np.any(r > hi + 1e-9):
@@ -153,26 +169,24 @@ class SpectralWave:
     # -- synthesis ----------------------------------------------------------
 
     def spread(self) -> np.ndarray:
-        """Per-axis spread of the mode integers over both cone sides: max - min
-        on each axis, zeros for the zero wave."""
+        """Per-axis spread of the mode integers: max - min on each axis,
+        zeros for the zero wave."""
         if "spread" not in self._cache:
-            modes = np.concatenate([self.modes_plus, self.modes_minus])
-            self._cache["spread"] = np.ptp(modes, axis=0) if len(modes) \
+            self._cache["spread"] = np.ptp(self.modes, axis=0) if len(self.modes) \
                 else np.zeros(2, dtype=np.int64)
         return self._cache["spread"]
 
-    def _indices(self, side: str, lattice: FrequencyLattice):
-        """Grid indices of one side's modes: the mode integers folded mod N."""
-        key = ("idx", side, lattice.size)
+    def _indices(self, lattice: FrequencyLattice):
+        """Grid indices of the modes: the mode integers folded mod N."""
+        key = ("idx", lattice.size)
         if key not in self._cache:
-            modes = self.modes_plus if side == "plus" else self.modes_minus
-            self._cache[key] = (modes[:, 0] % lattice.size, modes[:, 1] % lattice.size)
+            self._cache[key] = (self.modes[:, 0] % lattice.size,
+                                self.modes[:, 1] % lattice.size)
         return self._cache[key]
 
-    def phased(self, side: str, t: float, scale: float = 1.0) -> np.ndarray:
-        """Coefficients of one cone side propagated to time t, times scale."""
-        vals, sign = (self.vals_plus, 1) if side == "plus" else (self.vals_minus, -1)
-        return scale * vals * np.exp(sign * 2j * np.pi * t * self.rho(side))
+    def phased(self, t: float, scale: float = 1.0) -> np.ndarray:
+        """The coefficients propagated to time t, times scale."""
+        return scale * self.vals * np.exp(self.sign * 2j * np.pi * t * self.rho())
 
     def _eval_lattice(self, lattice: Optional[FrequencyLattice]) -> FrequencyLattice:
         lat = lattice or self.lattice
@@ -214,8 +228,7 @@ class SpectralWave:
         """[start, stop) runs of the grid columns that hold modes."""
         key = ("runs", lattice.size)
         if key not in self._cache:
-            cols = np.unique(np.concatenate([self._indices(side, lattice)[1]
-                                             for side in ("plus", "minus")]))
+            cols = np.unique(self._indices(lattice)[1])
             runs = np.split(cols, np.flatnonzero(np.diff(cols) != 1) + 1)
             self._cache[key] = [(int(r[0]), int(r[-1]) + 1) for r in runs if len(r)]
         return self._cache[key]
@@ -230,52 +243,39 @@ class SpectralWave:
         the mode integers through their residues mod N alone."""
         lat = self._eval_lattice(lattice)
         n = lat.size
-        out = np.zeros(len(times), dtype=np.complex128)
         roots = _roots_of_unity(n)
-        for side, vals in (("plus", self.vals_plus), ("minus", self.vals_minus)):
-            if not len(vals):
-                continue
-            i1, i2 = self._indices(side, lat)
-            for j, (t, r, c) in enumerate(zip(times, rows, cols)):
-                kernel = roots[(r * i1 + c * i2) % n]
-                out[j] += self.phased(side, t, lat.box ** -2) @ kernel
-        return out
+        i1, i2 = self._indices(lat)
+        return np.array([self.phased(t, lat.box ** -2) @ roots[(r * i1 + c * i2) % n]
+                         for t, r, c in zip(times, rows, cols)], dtype=np.complex128)
 
     def _scatter(self, t: float, lat: FrequencyLattice, scale: float) -> np.ndarray:
         """Phased coefficients scattered onto the lattice's index grid."""
         buf = lat.zeros()
-        for side, vals in (("plus", self.vals_plus), ("minus", self.vals_minus)):
-            if len(vals):
-                i1, i2 = self._indices(side, lat)
-                buf[i1, i2] += self.phased(side, t, scale)
+        buf[self._indices(lat)] = self.phased(t, scale)
         return buf
 
     # -- algebra ------------------------------------------------------------
 
-    def _replace_vals(self, vp, vm) -> "SpectralWave":
-        return SpectralWave(self.lattice, self.modes_plus, vp, self.modes_minus, vm,
-                            self.color, self.k)
+    def _replace_vals(self, vals) -> "SpectralWave":
+        return SpectralWave(self.lattice, self.modes, vals, self.color, self.k)
 
     def sub(self, other: "SpectralWave", coeff: complex = 1.0) -> "SpectralWave":
-        """self - coeff * other, merging supports; keeps self's color if the
-        result stays a valid one-sided wave."""
+        """self - coeff * other, merging supports; both waves must have one
+        color, which the result keeps."""
         if abs(self.lattice.box - other.lattice.box) > 1e-12:
             raise ValueError("waves live on different tori")
-        mp, vp = _merge(self.modes_plus, self.vals_plus,
-                        other.modes_plus, -coeff * other.vals_plus)
-        mm, vm = _merge(self.modes_minus, self.vals_minus,
-                        other.modes_minus, -coeff * other.vals_minus)
-        color = self.color if self.color == other.color else "none"
+        if self.color != other.color:
+            raise ValueError(f"cannot subtract a {other.color} wave from a {self.color} one")
+        modes, vals = _merge(self.modes, self.vals, other.modes, -coeff * other.vals)
         k = self.k if self.k == other.k else 0
         lat = self.lattice if self.lattice.size >= other.lattice.size else other.lattice
-        return SpectralWave(lat, mp, vp, mm, vm, color, k)
+        return SpectralWave(lat, modes, vals, self.color, k)
 
     def embed(self, lattice: FrequencyLattice) -> "SpectralWave":
         """Reinterpret on a finer lattice with identical frequencies."""
         if abs(lattice.box - self.lattice.box) > 1e-12:
             raise ValueError("embedding must preserve the torus size")
-        return SpectralWave(lattice, self.modes_plus, self.vals_plus,
-                            self.modes_minus, self.vals_minus, self.color, self.k)
+        return SpectralWave(lattice, self.modes, self.vals, self.color, self.k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -309,47 +309,36 @@ def _merge(m1, v1, m2, v2):
     return np.take(modes, first[keep], axis=0), merged[keep]
 
 
-def make_wave(lattice: FrequencyLattice, modes_plus, vals_plus, modes_minus, vals_minus,
-              color: str = "none", k: int = 0) -> SpectralWave:
+def make_wave(lattice: FrequencyLattice, modes, vals, color: str, k: int = 0) -> SpectralWave:
     """A wave from mode rows in any order, merged as sub merges them: the
     values of a repeated row add up and exact zeros are dropped."""
-    sides = []
-    for modes, vals in ((modes_plus, vals_plus), (modes_minus, vals_minus)):
-        modes = np.asarray(modes, dtype=np.int64).reshape(-1, 2)
-        vals = np.asarray(vals, dtype=np.complex128)
-        sides.append(_merge(modes, vals, modes[:0], vals[:0]))
-    (mp, vp), (mm, vm) = sides
-    return SpectralWave(lattice, mp, vp, mm, vm, color, k)
+    modes = np.asarray(modes, dtype=np.int64).reshape(-1, 2)
+    vals = np.asarray(vals, dtype=np.complex128)
+    return SpectralWave(lattice, *_merge(modes, vals, modes[:0], vals[:0]), color, k)
 
 
-def zero_wave(lattice: FrequencyLattice, color: str = "none", k: int = 0) -> SpectralWave:
-    return make_wave(lattice, [], [], [], [], color, k)
+def zero_wave(lattice: FrequencyLattice, color: str, k: int = 0) -> SpectralWave:
+    return make_wave(lattice, [], [], color, k)
 
 
-def plane_wave(lattice: FrequencyLattice, mode, amplitude: complex, side: str = "plus") -> SpectralWave:
-    m = [list(mode)]
-    if side == "plus":
-        return make_wave(lattice, m, [amplitude], [], [])
-    return make_wave(lattice, [], [], m, [amplitude])
+def plane_wave(lattice: FrequencyLattice, mode, amplitude: complex, color: str) -> SpectralWave:
+    return make_wave(lattice, [list(mode)], [amplitude], color)
 
 
 def inner_product(w1: SpectralWave, w2: SpectralWave) -> complex:
-    """Pairing of two waves on one torus, cone side by cone side: L^-2 times
-    the sum of c1(m) conj(c2(m)) over the modes m that both waves hold on
-    that side.  inner_product(w, w) is w.mass(); when no mode lies on one
-    side of w1 and the other side of w2 (two red waves, two blue waves), it
-    is the L^2_x pairing <w1(t), w2(t)>, the same at every t by exact
-    propagation."""
+    """Pairing of two waves on one torus: L^-2 times the sum of
+    c1(m) conj(c2(m)) over the modes m that both waves hold, zero for a red
+    and a blue wave (they lie on opposite cone sides).  inner_product(w, w)
+    is w.mass(), and for two waves of one color it is the L^2_x pairing
+    <w1(t), w2(t)>, the same at every t by exact propagation."""
     if abs(w1.lattice.box - w2.lattice.box) > 1e-12:
         raise ValueError("waves live on different tori")
-    total = 0j
-    for m1, v1, m2, v2 in ((w1.modes_plus, w1.vals_plus, w2.modes_plus, w2.vals_plus),
-                           (w1.modes_minus, w1.vals_minus, w2.modes_minus, w2.vals_minus)):
-        keys = _mode_keys(np.concatenate([m1, m2]))
-        _, i1, i2 = np.intersect1d(keys[:len(m1)], keys[len(m1):], assume_unique=True,
-                                   return_indices=True)
-        total += np.vdot(v2[i2], v1[i1])
-    return complex(total) / w1.lattice.box ** 2
+    if w1.color != w2.color:
+        return 0j
+    keys = _mode_keys(np.concatenate([w1.modes, w2.modes]))
+    _, i1, i2 = np.intersect1d(keys[:len(w1.modes)], keys[len(w1.modes):],
+                               assume_unique=True, return_indices=True)
+    return complex(np.vdot(w2.vals[i2], w1.vals[i1])) / w1.lattice.box ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +397,7 @@ def make_red_cube_bump(lattice: FrequencyLattice, center,
     modes, env = _bump_envelope(lattice, min_margin)
     t0, x1, x2 = center
     vals = _modulate(modes, env.astype(np.complex128), lattice.box, +1, t0, (x1, x2))
-    return make_wave(lattice, modes, vals, [], [], color="red", k=0).normalize_mass(1.0)
+    return make_wave(lattice, modes, vals, "red").normalize_mass(1.0)
 
 
 def make_blue_tube_wave(lattice: FrequencyLattice, t0: float, x0, omega,
@@ -439,8 +428,7 @@ def make_blue_tube_wave(lattice: FrequencyLattice, t0: float, x0, omega,
     env = np.exp(-((r[sel] - (lo + 0.5)) ** 2) / (2.0 * PACKET_SIGMA_RADIAL ** 2)
                  - (theta[sel] - theta0) ** 2 / (2.0 * sig_th ** 2))
     vals = _modulate(modes, env.astype(np.complex128), lattice.box, -1, t0, x0)
-    w = make_wave(lattice, [], [], modes, vals, color="blue", k=k)
-    return w.normalize_mass(1.0)
+    return make_wave(lattice, modes, vals, "blue", k).normalize_mass(1.0)
 
 
 def make_red_cube_train(lattice: FrequencyLattice, tube: Tube, coeffs, seed: int,
@@ -471,22 +459,16 @@ def make_red_cube_train(lattice: FrequencyLattice, tube: Tube, coeffs, seed: int
         t0, x1, x2 = cube.center
         vals += s * c * _modulate(modes, env.astype(np.complex128), lattice.box,
                                   +1, t0, (x1, x2))
-    return make_wave(lattice, modes, vals, [], [], color="red", k=0)
+    return make_wave(lattice, modes, vals, "red")
 
 
 def random_colored_wave(lattice: FrequencyLattice, color: str, k: int,
                         min_margin: float, seed: int) -> SpectralWave:
     """Mass-1 wave with iid complex Gaussian coefficients filling the whole
     margin-min_margin sub-sector; bit-deterministic per seed."""
-    if color not in ("red", "blue"):
-        raise ValueError("random waves must be red or blue")
     modes, _ = _sector_modes(lattice, k, min_margin)
     if len(modes) == 0:
         raise InfeasibleMarginError(f"margin {min_margin} infeasible at k={k}")
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
-    if color == "red":
-        w = make_wave(lattice, modes, vals, [], [], color="red", k=k)
-    else:
-        w = make_wave(lattice, [], [], modes, vals, color="blue", k=k)
-    return w.normalize_mass(1.0)
+    return make_wave(lattice, modes, vals, color, k).normalize_mass(1.0)

@@ -32,7 +32,7 @@ def test_cell_window_partition_of_unity():
 
 
 def test_find_bad_cubes_zero_and_delta_one(quad0, lat0):
-    z = zero_wave(lat0, color="blue")
+    z = zero_wave(lat0, "blue")
     assert find_bad_cubes(z, 0.1, quad0) == []
     psi = make_blue_tube_wave(lat0, 0.0, (4.0, 9.0), unit_dir(0.2), 0)
     # no unit cube can hold more than the whole slice mass integrated over a
@@ -69,8 +69,7 @@ def test_partition_masses_sum_exactly(quad0, lat0):
     cells = frequency_cells(psi)
     total = 0.0
     for _, sel, chi in cells:
-        part = make_wave(lat0, [], [], psi.modes_minus[sel],
-                         psi.vals_minus[sel] * chi, color="blue", k=0)
+        part = make_wave(lat0, psi.modes[sel], psi.vals[sel] * chi, "blue")
         total += part.mass()
     assert total == pytest.approx(psi.mass(), rel=1e-12)
 
@@ -88,17 +87,15 @@ def test_window_localized_pieces_orthogonal(small_config):
             if max(abs(a[0] - a0[0]), abs(a[1] - a0[1])) > 4]
     assert pick, "need two separated cells"
     a1, s1, c1 = pick[-1]
-    p0 = make_wave(lat, [], [], psi.modes_minus[s0], psi.vals_minus[s0] * c0,
-                   color="blue", k=2)
-    p1 = make_wave(lat, [], [], psi.modes_minus[s1], psi.vals_minus[s1] * c1,
-                   color="blue", k=2)
+    p0 = make_wave(lat, psi.modes[s0], psi.vals[s0] * c0, "blue", 2)
+    p1 = make_wave(lat, psi.modes[s1], psi.vals[s1] * c1, "blue", 2)
     # band-limited nonnegative window |b|^2 with b supported in |xi| <= 1/2
     half = lat.size // 2
     m = np.arange(-half, half)
     m1g, m2g = np.meshgrid(m, m, indexing="ij")
     sel = (m1g / lat.box) ** 2 + (m2g / lat.box) ** 2 <= 0.25
     bvals = np.exp(-((m1g[sel] / lat.box) ** 2 + (m2g[sel] / lat.box) ** 2))
-    b = make_wave(lat, np.stack([m1g[sel], m2g[sel]], axis=1), bvals, [], [])
+    b = make_wave(lat, np.stack([m1g[sel], m2g[sel]], axis=1), bvals, "red")
     eta = np.abs(b.evaluate(0.0)) ** 2
     f0 = p0.evaluate(0.3) * eta
     f1 = p1.evaluate(0.3) * eta
@@ -118,8 +115,8 @@ def test_sector_weights_single_cell(lat0):
     sel = (np.abs(xi1 - 1.4) <= 0.4) & (np.abs(xi2) <= 0.4)
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(sel.sum()) + 1j * rng.standard_normal(sel.sum())
-    psi = make_wave(lat, [], [], np.stack([m1g[sel], m2g[sel]], axis=1), vals,
-                    color="blue", k=0).normalize_mass(1.0)
+    psi = make_wave(lat, np.stack([m1g[sel], m2g[sel]], axis=1), vals,
+                    "blue").normalize_mass(1.0)
     fam = sector_weights(psi, 0.0)
     dirs = {t.omega for t in fam.tubes}
     assert len(dirs) == 1
@@ -140,7 +137,7 @@ def test_sector_weights_packet_concentrates(lat0, small_config):
 
 
 def test_exceptional_tubes_zero_and_packet(quad0, lat0, small_config):
-    assert exceptional_tubes_for_blue(zero_wave(lat0, color="blue"), 0.2, quad0) == []
+    assert exceptional_tubes_for_blue(zero_wave(lat0, "blue"), 0.2, quad0) == []
     om = unit_dir(0.2)
     x0 = (4.0, 9.0)
     psi = make_blue_tube_wave(lat0, 0.0, x0, om, 0)
@@ -166,8 +163,10 @@ def test_exceptional_tubes_zero_and_packet(quad0, lat0, small_config):
 
 def test_exceptional_requires_blue(quad0, lat0):
     phi = random_colored_wave(lat0, "red", 0, 1 / 20, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="blue wave"):
         exceptional_tubes_for_blue(phi, 0.2, quad0)
+    with pytest.raises(ValueError, match="blue wave"):
+        sector_weights(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +181,7 @@ def _fine_cell_sums(psi, t, lat):
 
 
 def _assert_cell_sums_match(psi, t, lat):
-    modes = np.concatenate([psi.modes_plus, psi.modes_minus])
-    coeffs = np.concatenate([psi.phased("plus", t), psi.phased("minus", t)])
-    got = unit_cell_sums(lat, modes, coeffs)
+    got = unit_cell_sums(lat, psi.modes, psi.phased(t))
     want = _fine_cell_sums(psi, t, lat)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * want.sum()
@@ -219,16 +216,11 @@ def _small_wave(kind, k, j):
     if kind == "bump":
         return make_red_cube_bump(lattice_for(RunConfig(box=20.0, half_window=4.0), 0),
                                   (0.5 * j, 6.0 + j, 13.0)).embed(lat)
-    if kind == "shared":
-        # the same modes on both cone sides: their contributions add up
-        return make_wave(lat, red.modes_plus, red.vals_plus,
-                         red.modes_plus, red.vals_plus[::-1], k=k)
-    blue = random_colored_wave(lat, "blue", k, 1 / 20, seed=400 + 10 * k + j)
-    return red.sub(blue, 0.5 + 0.25j)
+    return random_colored_wave(lat, "blue", k, 1 / 20, seed=400 + 10 * k + j)
 
 
 @settings(max_examples=24, deadline=None)
-@given(kind=st.sampled_from(["red", "bump", "shared", "two-sided"]), k=st.integers(0, 2),
+@given(kind=st.sampled_from(["red", "bump", "blue"]), k=st.integers(0, 2),
        j=st.integers(0, 1), t=st.floats(-4.0, 4.0))
 def test_unit_cell_sums_match_fine_grid_small_config(kind, k, j, t):
     psi = _small_wave(kind, k, j)
@@ -243,7 +235,7 @@ def test_unit_cell_sums_widest_spread(small_config):
     modes = [(-half + 1, 3), (half - 1, -2), (5, half - 1), (-7, -half + 1), (2, 1)]
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    psi = make_wave(lat, modes, vals, [], [])
+    psi = make_wave(lat, modes, vals, "red")
     for t in (-1.3, 0.0, 2.7):
         _assert_cell_sums_match(psi, t, lat)
 
@@ -407,12 +399,10 @@ def _small_blue(kind, k):
 def test_unit_cube_masses_equal_serial_accumulation(small_config, monkeypatch, kind, k):
     psi = _small_blue(kind, k)
     quad = Quadrature(small_config, psi.lattice)
-    modes = np.concatenate([psi.modes_plus, psi.modes_minus])
     want = np.zeros((2 * int(small_config.half_window),) + (int(small_config.box),) * 2)
     for t in quad.times:
-        coeffs = np.concatenate([psi.phased("plus", t), psi.phased("minus", t)])
         want[int(math.floor(t + small_config.half_window))] += \
-            quad.dt * unit_cell_sums(psi.lattice, modes, coeffs)
+            quad.dt * unit_cell_sums(psi.lattice, psi.modes, psi.phased(t))
     with _out_of_order(monkeypatch, "_cell_sums"):
         _, got = unit_cube_masses(psi, quad)
     assert np.array_equal(got, want)
@@ -424,11 +414,11 @@ def test_direction_grids_equal_serial_cell_sums(small_config, monkeypatch, kind,
     psi = _small_blue(kind, k)
     cells = frequency_cells(psi)
     t_center = -1.5
-    phased = psi.phased("minus", t_center)
+    phased = psi.phased(t_center)
     raw = {}
     for alpha, sel, chi in cells:
         theta = _snapped_direction(alpha, psi.k)
-        raw[theta] = raw.get(theta, 0.0) + unit_cell_sums(psi.lattice, psi.modes_minus[sel],
+        raw[theta] = raw.get(theta, 0.0) + unit_cell_sums(psi.lattice, psi.modes[sel],
                                                           phased[sel] * chi)
     assert len(cells) > len(raw)         # some direction adds up several cells
     box = int(small_config.box)
@@ -451,7 +441,7 @@ def test_pooled_errors_raise_and_leave_no_thread(small_config, lat0, monkeypatch
     assert threading.active_count() == before
     # a wave whose own lattice cannot hold its modes: each frequency cell's
     # check fails on the thread that claims the cell
-    narrow = make_wave(lat0, [], [], psi.modes_minus, psi.vals_minus, color="blue", k=2)
+    narrow = make_wave(lat0, psi.modes, psi.vals, "blue", 2)
     with pytest.raises(ValueError, match="not representable"):
         sector_weights(narrow)
     assert threading.active_count() == before

@@ -335,6 +335,40 @@ def test_load_wave_rejects_support_outside_color(tmp_path, lat0):
         load_wave(p)
 
 
+def test_load_wave_rejects_color_code_zero(tmp_path, lat0, capsys):
+    # the format's colorless code: a wave is red or blue
+    p = _saved(tmp_path, lat0)
+    raw = bytearray(p.read_bytes())
+    raw[5 + 16] = 0
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="color code 0"):
+        load_wave(p)
+    with pytest.raises(SystemExit) as exc:
+        main(SMALL + ["--out-dir", str(tmp_path / "out"), "extract", "--delta", "0.3",
+                      "--wave", str(p)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("conewave: error: cannot read input") and "color code 0" in err[-1]
+
+
+@pytest.mark.parametrize("color", ["red", "blue"])
+def test_load_wave_rejects_a_coefficient_on_the_other_cone_side(tmp_path, lat0, color):
+    # one coefficient in the block the color does not fill, on a mode of the
+    # wave's own sector
+    w = random_colored_wave(lat0, color, 0, 1 / 20, seed=2)
+    p = tmp_path / "w.cwav"
+    save_wave(w, p)
+    n = lat0.size
+    m1, m2 = (int(m) + n // 2 for m in w.modes[0])
+    other = 1 if color == "red" else 0
+    off = 5 + 21 + 8 * (other * n * n + m1 * n + m2)
+    raw = bytearray(p.read_bytes())
+    raw[off:off + 8] = np.complex64(0.5).tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"a {color} wave with coefficients on the other"):
+        load_wave(p)
+
+
 def test_cli_bad_input_files_are_usage_errors(tmp_path, lat0, capsys):
     p = _saved(tmp_path, lat0)
     p.write_bytes(p.read_bytes()[:-1])

@@ -30,7 +30,7 @@ def test_search_directions_grid():
 
 
 def test_find_zero_wave_none(quad0, lat0):
-    tube, val = find_concentrating_tube(zero_wave(lat0, color="red"), 0.2, quad0)
+    tube, val = find_concentrating_tube(zero_wave(lat0, "red"), 0.2, quad0)
     assert tube is None and val == 0.0
 
 
@@ -57,7 +57,7 @@ def test_find_threshold_behavior(quad0, lat0):
 
 
 def test_dual_witness_plane_wave(quad0, lat0):
-    w = plane_wave(lat0, (25, 2), lat0.box)
+    w = plane_wave(lat0, (25, 2), lat0.box, "red")
     tube = Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=None)
     wit = dual_witness(w, tube, quad0)
     assert np.allclose(np.abs(wit.f), np.abs(wit.f[0]))
@@ -127,13 +127,13 @@ def test_extractor_cutoff_margins(quad0, train):
 
 
 def test_optimal_multiple_exact_cases(lat0):
-    w = plane_wave(lat0, (25, 0), lat0.box)
+    w = plane_wave(lat0, (25, 0), lat0.box, "red")
     step = optimal_multiple(w, w)
     assert step.mu == 1.0
     assert w.sub(w, coeff=step.mu).mass() == pytest.approx(0.0, abs=1e-15)
     # Re<phi,F> = 1, M(F) = 2  ->  mu = 1/2, decrement = 1/2
-    phi = plane_wave(lat0, (25, 0), lat0.box / math.sqrt(2.0))
-    F = plane_wave(lat0, (25, 0), lat0.box * math.sqrt(2.0))
+    phi = plane_wave(lat0, (25, 0), lat0.box / math.sqrt(2.0), "red")
+    F = plane_wave(lat0, (25, 0), lat0.box * math.sqrt(2.0), "red")
     step = optimal_multiple(phi, F)
     assert step.pairing == pytest.approx(1.0, rel=1e-12)
     assert step.mass_extractor == pytest.approx(2.0, rel=1e-12)
@@ -142,13 +142,13 @@ def test_optimal_multiple_exact_cases(lat0):
 
 
 def test_optimal_multiple_rejects_antialigned(lat0):
-    w = plane_wave(lat0, (25, 0), lat0.box)
+    w = plane_wave(lat0, (25, 0), lat0.box, "red")
     with pytest.raises(NoDecrementError):
-        optimal_multiple(w, plane_wave(lat0, (25, 0), -lat0.box))
+        optimal_multiple(w, plane_wave(lat0, (25, 0), -lat0.box, "red"))
 
 
 def test_extract_profile_zero_wave(quad0, lat0):
-    tubes, rem, trace = extract_profile(zero_wave(lat0, color="red"), 0.2, quad0)
+    tubes, rem, trace = extract_profile(zero_wave(lat0, "red"), 0.2, quad0)
     assert tubes == [] and rem.mass() == 0.0 and len(trace) == 0
 
 
@@ -292,12 +292,12 @@ def test_point_values_match_evaluate(small_config, k):
     from conewave.lattice import lattice_for
     lat = lattice_for(small_config, k)
     red = random_colored_wave(lat, "red", k, 1 / 20, seed=31)
-    two_sided = red.sub(random_colored_wave(lat, "blue", k, 1 / 20, seed=32))
+    blue = random_colored_wave(lat, "blue", k, 1 / 20, seed=32)
     rng = np.random.default_rng(k)
     times = rng.uniform(-4.0, 4.0, 6)
     rows = rng.integers(0, lat.size, 6)
     cols = rng.integers(0, lat.size, 6)
-    for w in (red, two_sided):
+    for w in (red, blue):
         got = w.point_values(times, rows, cols, lat)
         for t, r, c, v in zip(times, rows, cols, got):
             f = w.evaluate(t, lat)

@@ -39,7 +39,7 @@ def train(small_config, lat0):
 
 
 def test_universal_family_zero_wave(quad0, lat0):
-    tubes, rem, trace = universal_tube_family(zero_wave(lat0, color="red"),
+    tubes, rem, trace = universal_tube_family(zero_wave(lat0, "red"),
                                               0.2, quad0)
     assert tubes == [] and rem.mass() == 0.0
 
@@ -78,7 +78,7 @@ def test_verify_profile_universality_records(small_config, train):
 def test_tube_sup_profile_and_partition(quad0, small_config, lat0):
     # constant-modulus wave and a single window tube: g is constant, the split
     # is the arithmetic tiling
-    w = plane_wave(lat0, (25, 2), lat0.box)   # mass 1, |field| = 1/L
+    w = plane_wave(lat0, (25, 2), lat0.box, "red")   # mass 1, |field| = 1/L
     tube = Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=None)
     g = tube_sup_profile(w, [tube], quad0)
     assert np.allclose(g, g[0])

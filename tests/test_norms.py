@@ -16,7 +16,7 @@ from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_red_cu
 
 def test_product_l2_zero_and_empty(quad0, lat0, small_config):
     w = random_colored_wave(lat0, "red", 0, 1 / 20, seed=0)
-    z = zero_wave(lat0)
+    z = zero_wave(lat0, "blue")
     assert product_l2(w, z, quad0) == 0.0
     # a tube whose disk covers the torus leaves no grid point outside
     cover = (Tube(0.0, (0.0, 0.0), (1.0, 0.0), half_length=None, radius=small_config.box),)
@@ -25,8 +25,8 @@ def test_product_l2_zero_and_empty(quad0, lat0, small_config):
 
 def test_product_l2_plane_wave_closed_form(quad0, lat0, small_config):
     # constant-modulus factors: the norm is |c1||c2| L^-2n sqrt(vol)
-    a = plane_wave(lat0, (25, 2), 3.0)
-    b = plane_wave(lat0, (28, -3), 2.0, side="minus")
+    a = plane_wave(lat0, (25, 2), 3.0, "red")
+    b = plane_wave(lat0, (28, -3), 2.0, "blue")
     vol = 2 * small_config.half_window * small_config.box ** 2
     want = 3.0 * 2.0 * small_config.box ** -4 * math.sqrt(vol)
     got = product_l2(a, b, quad0)
@@ -42,7 +42,7 @@ def test_lp_product_p2_consistency(small_config):
     b = random_colored_wave(lat, "blue", 2, 1 / 20, seed=2)
     assert exact_product_quadrature(quad, a, (b,)).lattice.size < lat.size
     assert lp_product(a, b, 2.0, quad) == pytest.approx(product_l2(a, b, quad), rel=1e-10)
-    assert lp_product(a, zero_wave(lat), 1.7, quad) == 0.0
+    assert lp_product(a, zero_wave(lat, "blue"), 1.7, quad) == 0.0
 
 
 def test_region_partition_additivity(quad0, lat0, small_config):
@@ -65,7 +65,7 @@ def test_region_partition_additivity(quad0, lat0, small_config):
 
 
 def test_tube_norm_zero_cases(quad0, lat0):
-    z = zero_wave(lat0)
+    z = zero_wave(lat0, "red")
     t = Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=None)
     assert l2t_linf_on_tube(z, t, quad0) == 0.0
     w = random_colored_wave(lat0, "red", 0, 1 / 20, seed=9)
@@ -237,8 +237,8 @@ def test_region_mask_spans_match_pixel_scatter():
 
 def _sum_pair(config, kind, k, seed, theta=0.1, x=(3.0, 4.0)):
     """(phi, psi, quad) at scale k: a random red k = 0 wave against a random
-    blue k wave, a cube bump against a blue packet, a two-sided wave against
-    a blue wave on the same modes, or the hand-built plane-wave pair whose
+    blue k wave, a cube bump against a blue packet, a random red k wave
+    against a blue wave on the same modes, or the hand-built plane-wave pair whose
     spread is exactly half the k lattice (axis 0 or 1)."""
     lat0, lat = lattice_for(config, 0), lattice_for(config, k)
     if kind == "random":
@@ -248,15 +248,14 @@ def _sum_pair(config, kind, k, seed, theta=0.1, x=(3.0, 4.0)):
         phi = make_red_cube_bump(lat0, (0.0, *x)).embed(lat)
         psi = make_blue_tube_wave(lat, 0.5, x, unit_dir(theta), k)
     elif kind == "shared":
-        red = random_colored_wave(lat, "red", k, 1 / 20, seed)
-        phi = red.sub(random_colored_wave(lat, "blue", k, 1 / 20, seed + 1), -1.0)
+        phi = random_colored_wave(lat, "red", k, 1 / 20, seed)
         psi = random_colored_wave(lat, "blue", k, 1 / 20, seed + 2)
     else:
         # modes 20, 40 against 19, 79 on the 160 lattice: 20 + 60 = 80
         e = np.eye(2, dtype=np.int64)[int(kind[-1])]
         lat = lattice_for(config, 1)
-        phi = make_wave(lat, np.outer([20, 40], e), [1.0, 0.5 + 0.5j], [], [])
-        psi = make_wave(lat, np.outer([19, 79], e), [0.7, 1.0], [], [])
+        phi = make_wave(lat, np.outer([20, 40], e), [1.0, 0.5 + 0.5j], "red")
+        psi = make_wave(lat, np.outer([19, 79], e), [0.7, 1.0], "blue")
         assert (phi.spread() + psi.spread()).max() * 2 == lat.size
     return phi, psi, Quadrature(config, lat)
 

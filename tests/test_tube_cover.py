@@ -437,7 +437,9 @@ def _full_grid_cases(draw):
 @given(case=_full_grid_cases())
 def test_grid_engine_cover_equals_pair_engine_on_full_families(case):
     # on a full family the grid engine's witness set is the pair engine's
-    # axis samples, so the greedy cover is the same bit for bit
+    # axis samples, so both find the same maxima to round-off; these random
+    # weights leave no tie within round-off, so the covers agree bit for bit
+    # (a symmetric family can tie: see the mirror-witness test below)
     fam, delta = case
     assert fam.full_grid()
     diag, pair_diag = CoverDiagnostics(), CoverDiagnostics()
@@ -453,6 +455,31 @@ def test_grid_engine_cover_equals_pair_engine_on_full_families(case):
         assert members and all(fam.tubes[i].contains(t, np.array(x), fam.box) for i in members)
     collected = [i for members in diag.class_members for i in members]
     assert len(collected) == len(set(collected))
+
+
+def test_engines_tie_to_round_off_on_a_mirror_symmetric_packet():
+    # the k = 3 blue packet along e1 from (20, 20): its slab at t = -4 is a
+    # full grid of 8000 tubes, nearly symmetric about the packet's axis.  The
+    # engines' first maxima are equal to round-off at mirror witnesses, and
+    # their covers differ, but both covers hold the pointwise bound.
+    from conewave.blue_exceptional import sector_weights
+    from conewave.config import RunConfig
+    from conewave.lattice import lattice_for
+    from conewave.waves import make_blue_tube_wave
+    cfg = RunConfig()
+    psi = make_blue_tube_wave(lattice_for(cfg, 3), 0.0, (20.0, 20.0), unit_dir(0.0), 3)
+    fam = sector_weights(psi, -4.0)
+    assert fam.full_grid() and len(fam) == 8000
+    active = np.ones(len(fam), dtype=bool)
+    grid_max, _ = _GridResidual(fam).max_point(active)
+    pair_max, _ = _PairResidual(fam).max_point(active)
+    assert abs(grid_max - pair_max) <= 1e-12 * pair_max
+    delta = 0.08
+    grid_cover = greedy_tube_cover(fam, delta)
+    with mock.patch.object(WeightedTubeFamily, "full_grid", return_value=False):
+        pair_cover = greedy_tube_cover(fam, delta)
+    for cover in (grid_cover, pair_cover):
+        assert verify_pointwise_bound(fam, cover, delta, 2000) <= delta
 
 
 def test_full_grid_needs_one_tube_per_integer_anchor_and_group():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conewave.config import RunConfig
-from conewave.errors import InfeasibleMarginError, MarginUndefinedError
+from conewave.errors import InfeasibleMarginError
 from conewave.geometry import SECTOR_HALF_ANGLE, Tube, unit_dir, wrap_delta
 from conewave.lattice import FrequencyLattice, lattice_for
 from conewave.waves import (SpectralWave, inner_product, make_blue_tube_wave,
@@ -45,7 +45,7 @@ def test_margin_distance_matches_boundary_oracle(z):
 def test_margin_single_frequency_half_unit(lat0):
     # support exactly at 1.5 e1: distance min(0.5, 0.5, 1.5 sin(pi/8)) = 0.5
     m = int(round(1.5 * lat0.box))
-    w = make_wave(lat0, [[m, 0]], [1.0], [], [], color="red", k=0)
+    w = make_wave(lat0, [[m, 0]], [1.0], "red")
     assert w.margin() == pytest.approx(0.5, abs=1e-12)
     assert w.margin() == pytest.approx(margin_distance_oracle(np.array([1.5, 0.0])), abs=2e-4)
 
@@ -53,35 +53,36 @@ def test_margin_single_frequency_half_unit(lat0):
 def test_margin_two_points_takes_min(lat0):
     m1 = int(round(1.5 * lat0.box))
     m2 = int(round(1.9 * lat0.box))
-    w = make_wave(lat0, [[m1, 0], [m2, 0]], [1.0, 1.0], [], [], color="red", k=0)
+    w = make_wave(lat0, [[m1, 0], [m2, 0]], [1.0, 1.0], "red")
     assert w.margin() == pytest.approx(2.0 - m2 / lat0.box, abs=1e-12)
     assert abs(w.margin() - 0.1) <= 1.0 / lat0.box
 
 
 def test_margin_boundary_point_is_zero(lat0):
-    w = make_wave(lat0, [[lat0.size // 2 - lat0.size // 4, 0]], [1.0], [], [],
-                  color="red", k=0)
+    w = make_wave(lat0, [[lat0.size // 2 - lat0.size // 4, 0]], [1.0], "red")
     # |xi| = 1 exactly when the mode sits at box distance
     m = int(lat0.box)
-    w = make_wave(lat0, [[m, 0]], [1.0], [], [], color="red", k=0)
+    w = make_wave(lat0, [[m, 0]], [1.0], "red")
     assert w.margin() == 0.0
 
 
-def test_margin_requires_color(lat0):
-    w = plane_wave(lat0, (30, 0), 1.0)
-    with pytest.raises(MarginUndefinedError):
-        w.margin()
+def test_a_wave_is_red_or_blue(lat0):
+    for color in ("none", "green"):
+        with pytest.raises(ValueError, match="red or blue"):
+            make_wave(lat0, [[30, 0]], [1.0], color)
+        with pytest.raises(ValueError, match="red or blue"):
+            zero_wave(lat0, color)
 
 
 # ---------------------------------------------------------------------------
 # mass
 
 def test_mass_zero_wave(lat0):
-    assert zero_wave(lat0).mass() == 0.0
+    assert zero_wave(lat0, "red").mass() == 0.0
 
 
 def test_mass_single_coefficient_normalization(lat0):
-    w = plane_wave(lat0, (25, 3), lat0.box)  # |c| = L^(n/2)
+    w = plane_wave(lat0, (25, 3), lat0.box, "red")  # |c| = L^(n/2)
     assert w.mass() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -96,7 +97,7 @@ def test_mass_direct_summation_oracle(lat0):
 # evaluate / propagation
 
 def test_plane_wave_constant_modulus(lat0):
-    w = plane_wave(lat0, (21, -4), 2.0 + 1.0j)
+    w = plane_wave(lat0, (21, -4), 2.0 + 1.0j, "blue")
     f = w.evaluate(0.0)
     assert np.allclose(np.abs(f), np.abs(f).flat[0])
 
@@ -107,18 +108,6 @@ def test_conservation_over_times(small_config, lat0):
     for t in np.linspace(-small_config.half_window, small_config.half_window, 9):
         n2 = math.sqrt(float((np.abs(w.evaluate(t)) ** 2).sum()) * lat0.spacing ** 2)
         assert abs(n2 - ref) <= 1e-9 * ref
-
-
-def test_energy_bound_two_sided_disjoint_support(lat0):
-    # forward and backward parts on disjoint modes: the slice L^2 norm equals
-    # the square root of the mass exactly, at every time
-    wp = random_colored_wave(lat0, "red", 0, 1 / 20, seed=5)
-    wm = random_colored_wave(lat0, "blue", 0, 1 / 20, seed=6)
-    w = make_wave(lat0, wp.modes_plus, wp.vals_plus, wm.modes_minus, wm.vals_minus)
-    ref = math.sqrt(w.mass())
-    for t in (-3.0, 0.25, 1.75):
-        n2 = math.sqrt(float((np.abs(w.evaluate(t)) ** 2).sum()) * lat0.spacing ** 2)
-        assert n2 <= (1.0 + 1e-9) * ref
 
 
 def test_bernstein_sup_bound():
@@ -229,11 +218,11 @@ def test_random_wave_deterministic_and_feasible(lat0):
 
 
 def test_validate_support_catches_bad_modes(lat0):
-    w = make_wave(lat0, [[1, 0]], [1.0], [], [], color="red", k=0)  # |xi| tiny
+    w = make_wave(lat0, [[1, 0]], [1.0], "red")  # |xi| tiny
     with pytest.raises(ValueError):
         w.validate_support()
-    w2 = make_wave(lat0, [], [], [[30, 0]], [1.0], color="red", k=0)
-    with pytest.raises(ValueError):
+    w2 = make_wave(lat0, [[30, 20]], [1.0], "red")  # outside the e1 sector
+    with pytest.raises(ValueError, match="sector"):
         w2.validate_support()
 
 
@@ -251,6 +240,15 @@ def test_sub_and_embed(small_config, lat0):
     assert np.allclose(f1[::step, ::step], f0, atol=1e-9)
 
 
+def test_sub_of_two_colors_raises(lat0):
+    red = random_colored_wave(lat0, "red", 0, 1 / 20, seed=4)
+    blue = random_colored_wave(lat0, "blue", 0, 1 / 20, seed=5)
+    for a, b in ((red, blue), (blue, red)):
+        with pytest.raises(ValueError, match="cannot subtract"):
+            a.sub(b)
+    assert blue.sub(blue).color == "blue" and blue.sub(blue).mass() == 0.0
+
+
 def _merge_by_unique(m1, v1, m2, v2):
     """The general merge: unique modes, values added in order with np.add.at."""
     uniq, inv = np.unique(np.concatenate([m1, m2]), axis=0, return_inverse=True)
@@ -263,7 +261,7 @@ def _merge_by_unique(m1, v1, m2, v2):
 def test_sub_of_equal_supports_matches_the_general_merge(lat0):
     from conewave.waves import _merge
     w = random_colored_wave(lat0, "red", 0, 1 / 20, seed=8)
-    v = make_wave(lat0, w.modes_plus, (0.5 - 0.25j) * w.vals_plus, [], [], "red", 0)
+    v = make_wave(lat0, w.modes, (0.5 - 0.25j) * w.vals, "red")
     # exact cancellations and signed zeros in both operands
     v1, v2 = w.vals_plus.copy(), v.vals_plus.copy()
     v1[:4] = [complex(-0.0, 1.0), complex(-0.0, -0.0), 2.0 + 0j, complex(1.0, -0.0)]
@@ -277,7 +275,7 @@ def test_sub_of_equal_supports_matches_the_general_merge(lat0):
     assert np.array_equal(d.modes_plus, want[0])
     assert d.vals_plus.tobytes() == want[1].tobytes()
     # equal arrays with a repeated row, or out of order, negative modes, and
-    # an empty side
+    # an empty operand (the zero wave)
     rep = np.array([[1, 2], [1, 2], [3, 0]])
     unsorted = np.array([[3, 0], [1, 2], [2, 5]])
     negative = np.array([[-3, 4], [-3, -4], [2, -7]])
@@ -293,8 +291,8 @@ def test_sub_of_equal_supports_matches_the_general_merge(lat0):
 def test_make_wave_adds_up_repeated_rows(lat0):
     # one wave from a repeated row and an exact zero: mass, field and
     # pairing all see the summed coefficient
-    w = make_wave(lat0, [[30, 0], [31, 2], [30, 0]], [1.0, 0.0, 2.0j], [[33, 1]], [0.5])
-    assert w.modes_plus.tolist() == [[30, 0]] and w.vals_plus.tolist() == [1.0 + 2.0j]
+    w = make_wave(lat0, [[30, 0], [31, 2], [30, 0]], [1.0, 0.0, 2.0j], "red")
+    assert w.modes.tolist() == [[30, 0]] and w.vals.tolist() == [1.0 + 2.0j]
     f = w.evaluate(0.7)
     field_mass = float((np.abs(f) ** 2).sum()) * lat0.spacing ** 2
     assert abs(field_mass - w.mass()) <= 1e-12 * w.mass()
@@ -326,7 +324,7 @@ def test_folded_evaluate_samples_the_fine_field(small_config, packet, color, k, 
     if packet:
         w = make_blue_tube_wave(lat, 0.0, x, unit_dir(theta), k)
         if color == "red":
-            w = make_wave(lat, w.modes_minus, w.vals_minus, [], [], color="red", k=k)
+            w = make_wave(lat, w.modes, w.vals, "red", k)
     else:
         w = random_colored_wave(lat, color, k, 1 / 20, seed)
     # the k = 0 lattice is the coarsest one (h = 1/4): compare it with k = 1
@@ -342,11 +340,11 @@ def test_evaluate_rejects_modes_sharing_a_residue(small_config):
     lat = lattice_for(small_config, 1)
     half = lattice_for(small_config, 0)          # N = 80
     for modes in ([[-40, 0], [40, 0]], [[30, -40], [30, 40]]):   # spread 80 on one axis
-        w = make_wave(lat, modes, [1.0, 1.0], [], [])
+        w = make_wave(lat, modes, [1.0, 1.0], "red")
         with pytest.raises(ValueError):
             w.evaluate(0.0, half)
     # spread 79 on both axes: every mode keeps its own residue
-    w = make_wave(lat, [[-40, -40]], [1.0], [[39, 39]], [1.0])
+    w = make_wave(lat, [[-40, -40], [39, 39]], [1.0, 1.0], "blue")
     np.testing.assert_allclose(w.evaluate(0.3, half),
                                w.evaluate(0.3, lat)[::2, ::2], rtol=0.0, atol=1e-15)
 
@@ -390,31 +388,25 @@ def test_point_values_on_a_lattice_too_coarse_for_evaluate():
 
 
 def _dense_pairing(w1, w2):
-    """The pairing summed over the band of a lattice that holds both waves:
-    each cone side scattered onto its own dense array, then np.vdot."""
-    size = 2 * int(max(np.abs(m).max(initial=0) for m in (
-        w1.modes_plus, w1.modes_minus, w2.modes_plus, w2.modes_minus))) + 2
-    total = 0j
-    for side in ("plus", "minus"):
-        a, b = (np.zeros((size, size), dtype=np.complex128) for _ in range(2))
-        for buf, w in ((a, w1), (b, w2)):
-            modes = w.modes_plus if side == "plus" else w.modes_minus
-            buf[modes[:, 0] % size, modes[:, 1] % size] = \
-                w.vals_plus if side == "plus" else w.vals_minus
-        total += np.vdot(b, a)
-    return total / w1.lattice.box ** 2
+    """The pairing summed over the band of a lattice that holds both waves of
+    one color: each scattered onto its own dense array, then np.vdot."""
+    size = 2 * int(max(np.abs(w.modes).max(initial=0) for w in (w1, w2))) + 2
+    a, b = (np.zeros((size, size), dtype=np.complex128) for _ in range(2))
+    for buf, w in ((a, w1), (b, w2)):
+        buf[w.modes[:, 0] % size, w.modes[:, 1] % size] = w.vals
+    return np.vdot(b, a) / w1.lattice.box ** 2
 
 
 def test_inner_product_matches_the_dense_pairing(small_config, lat0):
     red = random_colored_wave(lat0, "red", 0, 1 / 20, seed=21)
     red2 = random_colored_wave(lat0, "red", 0, 0.12, seed=22)
     blue = random_colored_wave(lat0, "blue", 0, 1 / 20, seed=23)
-    two_sided = red2.sub(blue, 0.5 - 0.5j)
+    blue2 = random_colored_wave(lat0, "blue", 0, 0.12, seed=26)
     lat1 = lattice_for(small_config, 1)
     coarse_fine = (random_colored_wave(lat0, "red", 0, 1 / 20, seed=24),
                    random_colored_wave(lat1, "red", 0, 1 / 20, seed=25))
-    pairs = [(red, red2), (red2, red), (red, red), (blue, two_sided), (two_sided, red),
-             (two_sided, two_sided), coarse_fine]
+    pairs = [(red, red2), (red2, red), (red, red), (blue, blue2), (blue2, blue),
+             coarse_fine]
     for w1, w2 in pairs:
         want = _dense_pairing(w1, w2)
         got = inner_product(w1, w2)
@@ -428,7 +420,7 @@ def test_inner_product_matches_the_dense_pairing(small_config, lat0):
 def test_inner_product_rejects_waves_on_different_tori(small_config):
     w = random_colored_wave(lattice_for(small_config, 0), "red", 0, 1 / 20, seed=3)
     other = make_wave(FrequencyLattice(w.lattice.size, 0.5 * w.lattice.box),
-                      w.modes_plus, w.vals_plus, [], [], "red", 0)
+                      w.modes, w.vals, "red")
     for a, b in ((w, other), (other, w)):
         with pytest.raises(ValueError):
             inner_product(a, b)
@@ -454,14 +446,14 @@ def _bit_cases(config):
     lat1 = lattice_for(config, 1)
     packet = make_blue_tube_wave(lat1, 0.5, (3.0, 7.0), unit_dir(0.2), 1)
     yield packet, (lat1,)
-    red = random_colored_wave(lat1, "red", 1, 1 / 20, seed=50)
-    yield red.sub(packet, 0.3 - 0.2j), (lat1,)
+    blue = random_colored_wave(lat1, "blue", 1, 1 / 20, seed=50)
+    yield blue.sub(packet, 0.3 - 0.2j), (lat1,)
     # embedded on the k = 2 lattice, then folded onto coarser ones
     lat2 = lattice_for(config, 2)
     embedded = random_colored_wave(lat0, "red", 0, 1 / 20, seed=51).embed(lat2)
     yield embedded, (lat2, lat1, lat0)
-    yield zero_wave(lat0), (lat0,)
-    yield plane_wave(lat1, (7, -3), 1.5 - 0.5j, side="minus"), (lat1, lat0)
+    yield zero_wave(lat0, "red"), (lat0,)
+    yield plane_wave(lat1, (7, -3), 1.5 - 0.5j, "blue"), (lat1, lat0)
 
 
 @pytest.mark.parametrize("default", [False, True])
@@ -570,8 +562,7 @@ def test_random_waves_match_full_grid_construction():
             w = random_colored_wave(lat, color, k, 1 / 20, seed=seed)
             rng = np.random.default_rng(seed)
             vals = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
-            side = ((modes, vals), ([], [])) if color == "red" else (([], []), (modes, vals))
-            ref = make_wave(lat, *side[0], *side[1], color=color, k=k).normalize_mass(1.0)
+            ref = make_wave(lat, modes, vals, color, k).normalize_mass(1.0)
             for h, v in ((got, w), (want, ref)):
                 for a in (v.modes_plus, v.vals_plus, v.modes_minus, v.vals_minus):
                     h.update(a.tobytes())
