@@ -2,9 +2,10 @@
 
     conewave gen-wave | cover | blue-tubes | extract | profile | fungibility | sharpness
 
-Global flags configure the torus/window/quadrature; a key=value config file
-can stand in for any flag (flags win).  Exit status: 0 when every asserted
-bound holds, 1 on a violation, 2 on usage errors.
+The global flags before the command are the only settings of a run: the
+torus, window and quadrature step of its RunConfig, the seed and the output
+directory.  Exit status: 0 when every asserted bound holds, 1 on a
+violation, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -72,28 +73,16 @@ def _write_csv(path, rows, fieldnames) -> None:
             w.writerow(r)
 
 
-def _load_config_file(path) -> dict:
-    out = {}
-    for num, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {num} is not key = value")
-        key, val = (s.strip() for s in line.split("=", 1))
-        out[key.replace("-", "_").lower()] = val
-    return out
-
-
 def _global_parser(**kwargs) -> argparse.ArgumentParser:
     """The flags that come before the command."""
     ap = argparse.ArgumentParser(prog="conewave", **kwargs)
-    ap.add_argument("--config", help="key=value file mirroring the flags")
-    ap.add_argument("--box-L", type=float, default=None, help="torus side")
-    ap.add_argument("--window", type=float, default=None, help="half time window")
-    ap.add_argument("--dt", type=float, default=None, help="time step")
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--out-dir", default=None)
+    # the dataclass's class attributes are its field defaults
+    ap.add_argument("--box-L", type=float, default=RunConfig.box, help="torus side")
+    ap.add_argument("--window", type=float, default=RunConfig.half_window,
+                    help="half time window")
+    ap.add_argument("--dt", type=float, default=RunConfig.dt, help="time step")
+    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--out-dir", default=".")
     return ap
 
 
@@ -144,28 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kmax", type=int, default=3)
     s.add_argument("--seeds", type=int, nargs="+", default=[42])
     return ap
-
-
-def _merge_config(args) -> RunConfig:
-    file_vals = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag, key, cast, default):
-        val = file_vals.pop(key, None)
-        if flag is not None:
-            return flag
-        if val is not None:
-            return cast(val)
-        return default
-
-    # the dataclass's class attributes are its field defaults
-    box = pick(args.box_L, "box_l", float, RunConfig.box)
-    window = pick(args.window, "window", float, RunConfig.half_window)
-    dt = pick(args.dt, "dt", float, RunConfig.dt)
-    args.seed = pick(args.seed, "seed", int, 42)
-    args.out_dir = pick(args.out_dir, "out_dir", str, ".")
-    if file_vals:
-        raise ValueError(f"{args.config}: unknown key {min(file_vals)!r}")
-    return RunConfig(box=box, half_window=window, dt=dt)
 
 
 def _red_wave(cfg, args):
@@ -344,9 +311,9 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
     gen-wave's wave built (args.generated); any invalid value or input file
     is a usage error (one line, exit status 2) before work starts."""
     try:
-        cfg = _merge_config(args)
+        cfg = RunConfig(box=args.box_L, half_window=args.window, dt=args.dt)
         lattice_for(cfg, 0)         # a torus too small for the k = 0 lattice
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         ap.error(str(exc))
     delta = getattr(args, "delta", None)
     if delta is not None and not 0.0 < delta < 1.0:

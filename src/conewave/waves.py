@@ -261,15 +261,16 @@ class SpectralWave:
 
     def sub(self, other: "SpectralWave", coeff: complex = 1.0) -> "SpectralWave":
         """self - coeff * other, merging supports; both waves must have one
-        color, which the result keeps."""
+        color and one scale k, which the result keeps."""
         if abs(self.lattice.box - other.lattice.box) > 1e-12:
             raise ValueError("waves live on different tori")
         if self.color != other.color:
             raise ValueError(f"cannot subtract a {other.color} wave from a {self.color} one")
+        if self.k != other.k:
+            raise ValueError(f"cannot subtract a k = {other.k} wave from a k = {self.k} one")
         modes, vals = _merge(self.modes, self.vals, other.modes, -coeff * other.vals)
-        k = self.k if self.k == other.k else 0
         lat = self.lattice if self.lattice.size >= other.lattice.size else other.lattice
-        return SpectralWave(lat, modes, vals, self.color, k)
+        return SpectralWave(lat, modes, vals, self.color, self.k)
 
     def embed(self, lattice: FrequencyLattice) -> "SpectralWave":
         """Reinterpret on a finer lattice with identical frequencies."""

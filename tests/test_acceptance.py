@@ -205,6 +205,8 @@ def _random_family(config, seed, k, n_tubes):
 def test_c05_covering_lemma(config):
     t0 = time.time()
     worst_residual = 0.0
+    # a greedy call is live when it runs a round, i.e. emits a tube
+    live, outside = 0, []
     for i in range(20):
         k = i % 4
         n = 80 + (i * 17) % 121      # up to 200 tubes
@@ -215,14 +217,18 @@ def test_c05_covering_lemma(config):
             exc = greedy_tube_cover(fam, delta, diagnostics=diag)
             assert diag.rounds <= math.ceil(2.0 / delta), "round budget"
             assert len(exc) <= C.K_COV * delta ** -3, "tube budget"
-            res = verify_pointwise_bound(fam, exc, delta, 100_000, seed=i)
+            res = verify_pointwise_bound(fam, exc, delta, 100_000, seed=i,
+                                         diagnostics=diag)
+            live += diag.rounds >= 1
+            outside.append(diag.samples_outside / diag.samples_checked)
             worst_residual = max(worst_residual, res / delta)
             assert res <= delta, f"residual {res} above {delta}"
     elapsed = time.time() - t0
     ok = elapsed < 300.0
     _announce(5, ok, f"20 families x 3 deltas: rounds/budget/residual hold, "
                      f"worst residual/delta {worst_residual:.3f}, "
-                     f"{elapsed:.0f}s < 300s")
+                     f"{live} of 60 calls live, samples outside the cover "
+                     f"{min(outside):.0%} to {max(outside):.0%}, {elapsed:.0f}s < 300s")
 
 
 def test_c06_blue_exceptional(config):
@@ -331,14 +337,17 @@ def test_c09_fungibility(train, universal, profile_report, quad0, config):
     rows = interval_ratios_from_report(profile_report, intervals, config)
     worst = max(r["ratio"] for r in rows)
     int_budget = C.K_I * DELTA ** -C.K_P
+    slices = [(quad0.times >= lo - 1e-12) & (quad0.times < hi - 1e-12)
+              for lo, hi in intervals]
     ok = (len(intervals) <= int_budget
           and g_total <= C.K_G * DELTA ** -C.K_P
           and worst <= C.C_F * DELTA
-          and all(quad0.dt * g[(quad0.times >= lo - 1e-12)
-                               & (quad0.times < hi - 1e-12)].sum()
-                  <= DELTA ** 2 + 1e-12 or (hi - lo) <= quad0.dt + 1e-12
-                  for lo, hi in intervals))
-    _announce(9, ok, f"{len(intervals)} intervals (budget {int_budget:.0f}); "
+          and all(quad0.dt * g[s].sum() <= DELTA ** 2 + 1e-12
+                  or (hi - lo) <= quad0.dt + 1e-12
+                  for s, (lo, hi) in zip(slices, intervals)))
+    multi = sum(int(s.sum()) > 1 for s in slices)
+    _announce(9, ok, f"{len(intervals)} intervals (budget {int_budget:.0f}), "
+                     f"{multi} holding more than one slice; "
                      f"int g = {g_total:.2f} <= {C.K_G * DELTA ** -C.K_P:.0f}; "
                      f"worst (interval,psi) ratio {worst:.4f} <= "
                      f"{C.C_F * DELTA:.3f}")

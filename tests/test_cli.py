@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conewave
-from conewave.cli import (_random_family, main, tube_from_dict, tube_to_dict,
-                          write_tubes)
+from conewave.cli import (_check_usage, _random_family, build_parser, main,
+                          tube_from_dict, tube_to_dict, write_tubes)
 from conewave.config import RunConfig
 from conewave.constants import S_MIN
 from conewave.geometry import Tube, unit_dir
@@ -153,16 +153,6 @@ def test_cli_sharpness(tmp_path):
     assert text.startswith("k,seed,rho")
 
 
-def test_cli_config_file(tmp_path):
-    cfgf = tmp_path / "run.cfg"
-    cfgf.write_text("box_l = 20   # torus\nwindow = 4\nseed = 9\n")
-    rc = main(["--config", str(cfgf), "--out-dir", str(tmp_path),
-               "gen-wave", "--kind", "bump", "--out", "b.cwav"])
-    assert rc == 0
-    w = load_wave(tmp_path / "b.cwav")
-    assert w.lattice.box == 20.0
-
-
 def test_cli_profile_smoke(tmp_path):
     # exercises the pipeline end to end; the frozen ratio constants are
     # calibrated for the default torus, so on this small box only the exit
@@ -215,6 +205,7 @@ def test_cli_import_leaves_scipy_spatial_out():
     (["--n", "2", "gen-wave"], "--n 2"),
     (["--seed", "3", "--bogus", "gen-wave", "--k", "1"], "--bogus"),
     (["--dims=3", "cover", "--delta", "0.3"], "--dims=3"),
+    (["--config", "run.cfg", "gen-wave"], "--config run.cfg"),
 ])
 def test_cli_unknown_global_flag_is_named(capsys, argv, unknown):
     # argparse alone reads the value of an unknown flag as the command and
@@ -224,6 +215,15 @@ def test_cli_unknown_global_flag_is_named(capsys, argv, unknown):
     assert exc.value.code == 2
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last.endswith(f"unrecognized arguments before the command: {unknown}")
+
+
+def test_cli_global_defaults():
+    # with no global flags the run has the default config, seed 42 and the
+    # current directory
+    ap = build_parser()
+    args = ap.parse_args(["sharpness"])
+    assert _check_usage(ap, args) == RunConfig()
+    assert args.seed == 42 and args.out_dir == "."
 
 
 def test_cli_command_name_as_global_value(tmp_path, monkeypatch):
@@ -242,14 +242,10 @@ def test_cli_command_name_as_global_value(tmp_path, monkeypatch):
     ["gen-wave", "--k", "-1"],
     ["extract", "--delta", "1.5"],
     ["gen-wave", "--margin", "-0.1"],
-    ["--config", "bogus_key = 3", "gen-wave"],
-    ["--config", "box_l 20", "gen-wave"],
     ["cover", "--delta", "0.3", "--samples", "-1"],
     ["cover", "--delta", "0.3", "--tubes", "-3"],
     ["cover", "--delta", "0.3", "--tubes", "0"],
-    ["--config", "n = 3", "gen-wave"],
     ["--seed", "-1", "gen-wave"],
-    ["--config", "seed = -1", "gen-wave"],
     ["sharpness", "--kmax", "0", "--seeds", "-1"],
     ["sharpness", "--kmax", "0", "--seeds", "3", "-2"],
     SMALL + ["fungibility", "--delta", "0.2", "--suite-size", "-1"],
@@ -267,11 +263,6 @@ def test_cli_command_name_as_global_value(tmp_path, monkeypatch):
 ])
 def test_cli_bad_values_are_usage_errors(argv, tmp_path, capsys):
     # rejected before any work: one error line, exit status 2, no output files
-    if "--config" in argv:            # the value after it is the file's text
-        i = argv.index("--config") + 1
-        cfgf = tmp_path / "run.cfg"
-        cfgf.write_text(argv[i] + "\n")
-        argv = argv[:i] + [str(cfgf)] + argv[i + 1:]
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(["--out-dir", str(out)] + argv)

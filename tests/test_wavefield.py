@@ -249,6 +249,19 @@ def test_sub_of_two_colors_raises(lat0):
     assert blue.sub(blue).color == "blue" and blue.sub(blue).mass() == 0.0
 
 
+def test_sub_of_two_scales_raises(small_config):
+    # a k = 0 result would lie outside both operands' frequency annuli
+    lat2 = lattice_for(small_config, 2)
+    one = random_colored_wave(lat2, "blue", 1, 1 / 20, seed=6)
+    two = random_colored_wave(lat2, "blue", 2, 1 / 20, seed=7)
+    for a, b in ((one, two), (two, one)):
+        with pytest.raises(ValueError, match="cannot subtract a k = "):
+            a.sub(b, 0.5)
+    d = two.sub(two, 0.5)
+    assert d.k == 2 and d.margin() == two.margin()
+    d.validate_support()
+
+
 def _merge_by_unique(m1, v1, m2, v2):
     """The general merge: unique modes, values added in order with np.add.at."""
     uniq, inv = np.unique(np.concatenate([m1, m2]), axis=0, return_inverse=True)
