@@ -36,7 +36,7 @@ from .geometry import SECTOR_HALF_ANGLE, Cube, disk_spans, span_pixels, unit_dir
 from .lattice import FrequencyLattice
 from .norms import Quadrature
 from .tube_cover import WeightedTubeFamily, greedy_tube_cover
-from .waves import _FFT_WORKERS, SpectralWave, smoothstep
+from .waves import _FFT_WORKERS, SpectralWave, pruned_ifft2, smoothstep
 
 PROFILE_POWER = 3.0          # cross-section weight profile (1 + d^2)^-power
 PROFILE_RADIUS = 8.0         # truncation radius of the profile
@@ -106,10 +106,8 @@ def _cell_sums(lattice: FrequencyLattice, layout, coeffs: np.ndarray) -> np.ndar
     # repeated modes in input order.
     field = np.zeros(shape, dtype=np.complex128)
     np.add.at(field.reshape(-1), flat, np.asarray(coeffs, dtype=np.complex128).ravel())
-    # ifft2 in place, along axis 0 only over the leading columns that hold
-    # modes: the bits of ifft2, for the reason SpectralWave.evaluate gives
-    _fft.ifft(field[:, :width], axis=0, norm="forward", overwrite_x=True, workers=1)
-    _fft.ifft(field, axis=1, norm="forward", overwrite_x=True, workers=1)
+    # the modes fill the leading columns
+    field = pruned_ifft2(field, [(0, width)], "forward", 1)
     dens, im = field.real, field.imag
     np.square(dens, out=dens)
     np.square(im, out=im)

@@ -257,7 +257,7 @@ def cmd_profile(cfg, args) -> int:
                ["kind", "k", "seed", "ratio_outside", "ratio_full"])
     # heatmap of |phi psi| at t = 0 with the tubes' cross-sections
     psi = next(s for s in suite if s.kind == "packet").build(cfg)
-    f = np.abs(phi.evaluate(0.0, psi.lattice)) * np.abs(psi.evaluate(0.0))
+    f = np.abs(phi.embed(psi.lattice).evaluate(0.0)) * np.abs(psi.evaluate(0.0))
     circles = [(*t.axis_at(0.0), t.eff_radius) for t in tubes if t.time_active(0.0)]
     field_to_ppm(f, _out(args, "profile_t0.ppm"), circles, box=cfg.box)
     bound = C.C_V * args.delta
@@ -338,6 +338,9 @@ def _check_usage(ap: argparse.ArgumentParser, args) -> RunConfig:
         color = "blue" if blue else "red"
         if args.wave.color != color:
             ap.error(f"{args.command} needs a {color} --wave, got a {args.wave.color} one")
+        # the extractor lies on the k = 0 sector: it pairs to zero at k >= 1
+        if not blue and args.wave.k != 0:
+            ap.error(f"{args.command} needs a k = 0 --wave, got k = {args.wave.k}")
         # the torus of the config, and unit cells or the search's offset grid
         # on the pixels
         try:

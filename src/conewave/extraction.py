@@ -193,8 +193,9 @@ class _TubeSearch:
         pad = self.stencils.pad
         self.padded = np.empty((len(quad.times), n + 2 * pad, n + 2 * pad))
         self.slices = self.padded[:, pad:pad + n, pad:pad + n]
+        phi = phi.embed(self.lat)
         for i, t in enumerate(quad.times):
-            np.abs(phi.evaluate(t, self.lat), out=self.slices[i])
+            np.abs(phi.evaluate(t), out=self.slices[i])
         # wrap the border: columns of the interior rows, then whole rows
         edge = np.r_[0:pad, n + pad:n + 2 * pad]
         src = (edge - pad) % n + pad
@@ -354,7 +355,7 @@ def dual_witness(phi: SpectralWave, tube: Tube, quad: Quadrature,
     _, rows, cols = np.unravel_index(best, search.padded.shape)
     pix = (np.stack([rows, cols], axis=1) - search.stencils.pad) % quad.lattice.size
     times = quad.times.copy()
-    vals = phi.point_values(times, pix[:, 0], pix[:, 1], quad.lattice)
+    vals = phi.embed(quad.lattice).point_values(times, pix[:, 0], pix[:, 1])
     norm = math.sqrt(quad.dt * float(np.sum(np.abs(vals) ** 2)))
     if norm == 0.0:
         raise NoDecrementError("zero tube norm: no witness")

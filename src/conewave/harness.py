@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import RunConfig
 from .extraction import extract_profile
-from .geometry import Tube, dir_angle, unit_dir
+from .geometry import Tube, unit_dir
 from .lattice import lattice_for
 from .norms import Quadrature, exact_product_quadrature, product_densities, \
     tube_slice_maxima
@@ -109,21 +109,12 @@ class ProfileReport:
         return min(vals) if vals else math.inf
 
 
-def _dedupe_tubes(tubes: list) -> list:
-    seen = {}
-    for t in tubes:
-        key = (round(dir_angle(t.omega) * 1024), round(t.x0[0] * 4), round(t.x0[1] * 4))
-        if key not in seen or t.lam > seen[key].lam:
-            seen[key] = t
-    return list(seen.values())
-
-
 def universal_tube_family(phi: SpectralWave, delta: float, quad: Quadrature):
     """Partner-independent tube family: ray extraction at the boosted accuracy
-    delta' = delta^C / C, with near-duplicate tubes merged."""
+    delta' = delta^C / C, with repeated tubes dropped (the first kept)."""
     delta_prime = delta ** COMPOSITION_EXPONENT / COMPOSITION_EXPONENT
     tubes, remainder, trace = extract_profile(phi, delta_prime, quad)
-    return _dedupe_tubes(tubes), remainder, trace
+    return list(dict.fromkeys(tubes)), remainder, trace
 
 
 def _partners_by_scale(suite: list, config: RunConfig):

@@ -98,16 +98,18 @@ def _paint_spans(n: int, rows, lo, hi) -> np.ndarray:
 def product_densities(phi: SpectralWave, partners, quad: Quadrature, excluded=()):
     """The |phi psi|^2 density of phi with each partner psi, slice by slice.
 
-    phi and every partner are synthesized on quad's grid once per time slice,
-    and the mask outside the excluded tubes is built once per slice.  Yields
-    (i, j, mask, density) for time slice i and partner j, with mask as
-    region_slice_mask returns it (None: whole grid)."""
+    phi and every partner are embedded on quad's grid once and synthesized
+    there once per time slice, and the mask outside the excluded tubes is
+    built once per slice.  Yields (i, j, mask, density) for time slice i and
+    partner j, with mask as region_slice_mask returns it (None: whole grid)."""
     lat = quad.lattice
+    phi = phi.embed(lat)
+    partners = [psi.embed(lat) for psi in partners]
     for i, t in enumerate(quad.times):
         mask = region_slice_mask(excluded, t, lat)
-        f = phi.evaluate(t, lat)
+        f = phi.evaluate(t)
         for j, psi in enumerate(partners):
-            g = psi.evaluate(t, lat)
+            g = psi.evaluate(t)
             dens = np.square(f.real) + np.square(f.imag)
             dens *= np.square(g.real) + np.square(g.imag)
             yield i, j, mask, dens
@@ -171,13 +173,14 @@ def tube_slice_maxima(phi: SpectralWave, tubes, quad: Quadrature) -> np.ndarray:
     cross-section disk, zero where the tube is inactive.  One synthesis and
     one ``disk_spans`` call per slice that has an active tube."""
     n = quad.lattice.size
+    phi = phi.embed(quad.lattice)
     out = np.zeros((len(quad.times), len(tubes)))
     for i, t in enumerate(quad.times):
         active, spans = _active_disk_spans(tubes, t, quad.h)
         if active:
             # every disk holds a grid point: its radius is at least 1 > h
             rows, cols, disk = span_pixels(*spans)
-            a = np.abs(phi.evaluate(t, quad.lattice))
+            a = np.abs(phi.evaluate(t))
             out[i, active] = np.maximum.reduceat(
                 a[rows % n, cols % n], np.searchsorted(disk, np.arange(len(active))))
     return out

@@ -176,25 +176,18 @@ class SpectralWave:
                 else np.zeros(2, dtype=np.int64)
         return self._cache["spread"]
 
-    def _indices(self, lattice: FrequencyLattice):
+    def _indices(self):
         """Grid indices of the modes: the mode integers folded mod N."""
-        key = ("idx", lattice.size)
-        if key not in self._cache:
-            self._cache[key] = (self.modes[:, 0] % lattice.size,
-                                self.modes[:, 1] % lattice.size)
-        return self._cache[key]
+        if "idx" not in self._cache:
+            n = self.lattice.size
+            self._cache["idx"] = (self.modes[:, 0] % n, self.modes[:, 1] % n)
+        return self._cache["idx"]
 
     def phased(self, t: float, scale: float = 1.0) -> np.ndarray:
         """The coefficients propagated to time t, times scale."""
         return scale * self.vals * np.exp(self.sign * 2j * np.pi * t * self.rho())
 
-    def _eval_lattice(self, lattice: Optional[FrequencyLattice]) -> FrequencyLattice:
-        lat = lattice or self.lattice
-        if abs(lat.box - self.lattice.box) > 1e-12:
-            raise ValueError("evaluation lattice must share the torus size")
-        return lat
-
-    def evaluate(self, t: float, lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
+    def evaluate(self, t: float) -> np.ndarray:
         """Spatial field at time t on the lattice grid (complex N x N).
 
         The lattice may be coarser than the wave's band: on the grid x = j h,
@@ -202,56 +195,40 @@ class SpectralWave:
         folding the mode integers mod N gives the exact point values as long
         as no two modes share a residue.  That holds when the modes spread
         over fewer than N integers on each axis; ValueError otherwise.
-
-        The transform skips the columns that hold no modes: each run of
-        columns that hold modes is transformed along axis 0 in place and
-        multiplied by 1/N^2, then the whole array along axis 1.  This gives
-        the bits of ifft2, because pocketfft transforms axis 0 first and
-        multiplies each entry of that pass's output by its factor 1/N^2
-        (the double 1.0 / N**2 for every even N below 5000), while a column
-        without modes only adds zeros to the rows of the second pass."""
-        lat = self._eval_lattice(lattice)
+        ``embed`` moves a wave to another lattice of its torus."""
+        lat = self.lattice
         if np.any(self.spread() >= lat.size):
             raise ValueError(f"wave modes spread over {tuple(self.spread())} integers: "
                              f"two may share a residue mod N = {lat.size}")
-        # a fresh coefficient array per call, transformed in place
-        buf = self._scatter(t, lat, (lat.size / lat.box) ** 2)
-        fct = 1.0 / lat.size ** 2
-        for a, b in self._column_runs(lat):
-            cols = buf[:, a:b]
-            out = _fft.ifft(cols, axis=0, norm="forward", overwrite_x=True,
-                            workers=_FFT_WORKERS)
-            np.multiply(out.view(np.float64), fct, out=cols.view(np.float64))
-        return _fft.ifft(buf, axis=1, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+        return pruned_ifft2(self._scatter(t, (lat.size / lat.box) ** 2),
+                            self._column_runs(), "backward", _FFT_WORKERS)
 
-    def _column_runs(self, lattice: FrequencyLattice) -> list:
+    def _column_runs(self) -> list:
         """[start, stop) runs of the grid columns that hold modes."""
-        key = ("runs", lattice.size)
-        if key not in self._cache:
-            cols = np.unique(self._indices(lattice)[1])
+        if "runs" not in self._cache:
+            cols = np.unique(self._indices()[1])
             runs = np.split(cols, np.flatnonzero(np.diff(cols) != 1) + 1)
-            self._cache[key] = [(int(r[0]), int(r[-1]) + 1) for r in runs if len(r)]
-        return self._cache[key]
+            self._cache["runs"] = [(int(r[0]), int(r[-1]) + 1) for r in runs if len(r)]
+        return self._cache["runs"]
 
-    def point_values(self, times, rows, cols,
-                     lattice: Optional[FrequencyLattice] = None) -> np.ndarray:
+    def point_values(self, times, rows, cols) -> np.ndarray:
         """Field values at (times[i], h * (rows[i], cols[i])): the entries
         evaluate(times[i])[rows[i], cols[i]], summed over the modes directly.
 
-        Any lattice of the torus will do, also one too coarse for evaluate:
-        at a grid point the kernel e^{2 pi i (r m1 + c m2) / N} depends on
-        the mode integers through their residues mod N alone."""
-        lat = self._eval_lattice(lattice)
+        The lattice may be too coarse for evaluate: at a grid point the
+        kernel e^{2 pi i (r m1 + c m2) / N} depends on the mode integers
+        through their residues mod N alone."""
+        lat = self.lattice
         n = lat.size
         roots = _roots_of_unity(n)
-        i1, i2 = self._indices(lat)
+        i1, i2 = self._indices()
         return np.array([self.phased(t, lat.box ** -2) @ roots[(r * i1 + c * i2) % n]
                          for t, r, c in zip(times, rows, cols)], dtype=np.complex128)
 
-    def _scatter(self, t: float, lat: FrequencyLattice, scale: float) -> np.ndarray:
+    def _scatter(self, t: float, scale: float) -> np.ndarray:
         """Phased coefficients scattered onto the lattice's index grid."""
-        buf = lat.zeros()
-        buf[self._indices(lat)] = self.phased(t, scale)
+        buf = self.lattice.zeros()
+        buf[self._indices()] = self.phased(t, scale)
         return buf
 
     # -- algebra ------------------------------------------------------------
@@ -273,10 +250,40 @@ class SpectralWave:
         return SpectralWave(lat, modes, vals, self.color, self.k)
 
     def embed(self, lattice: FrequencyLattice) -> "SpectralWave":
-        """Reinterpret on a finer lattice with identical frequencies."""
+        """The wave on another lattice of its torus, with identical
+        frequencies: the one way to read a wave on another grid.  The lattice
+        may be finer or coarser (see evaluate); the wave itself for its own
+        lattice."""
         if abs(lattice.box - self.lattice.box) > 1e-12:
             raise ValueError("embedding must preserve the torus size")
+        if lattice == self.lattice:
+            return self
         return SpectralWave(lattice, self.modes, self.vals, self.color, self.k)
+
+
+def pruned_ifft2(buf: np.ndarray, runs, norm: str, workers: int) -> np.ndarray:
+    """scipy.fft.ifft2(buf, norm=norm), norm "backward" or "forward", bit for
+    bit, when every column of buf outside the [start, stop) runs is zero;
+    buf is overwritten.
+
+    Axis 0 is transformed over the runs alone, and for "backward" that
+    pass's output is multiplied by 1 / buf.size; then the whole array is
+    transformed along axis 1.  This gives the bits of ifft2, because
+    pocketfft transforms axis 0 first and multiplies each entry of that
+    pass's output by the whole factor (on an N x N grid the double
+    1.0 / N**2, for every even N below 5000), while a column without modes
+    only adds zeros to the rows of the second pass.  Every transform's
+    result is read: scipy lets overwrite_x destroy the input, but does not
+    promise to leave the result in its place."""
+    fct = 1.0 / buf.size if norm == "backward" else None
+    for a, b in runs:
+        cols = buf[:, a:b]
+        out = _fft.ifft(cols, axis=0, norm="forward", overwrite_x=True, workers=workers)
+        if fct is not None:
+            np.multiply(out.view(np.float64), fct, out=cols.view(np.float64))
+        elif out is not cols:
+            cols[...] = out
+    return _fft.ifft(buf, axis=1, norm="forward", overwrite_x=True, workers=workers)
 
 
 @functools.lru_cache(maxsize=None)
@@ -316,14 +323,6 @@ def make_wave(lattice: FrequencyLattice, modes, vals, color: str, k: int = 0) ->
     modes = np.asarray(modes, dtype=np.int64).reshape(-1, 2)
     vals = np.asarray(vals, dtype=np.complex128)
     return SpectralWave(lattice, *_merge(modes, vals, modes[:0], vals[:0]), color, k)
-
-
-def zero_wave(lattice: FrequencyLattice, color: str, k: int = 0) -> SpectralWave:
-    return make_wave(lattice, [], [], color, k)
-
-
-def plane_wave(lattice: FrequencyLattice, mode, amplitude: complex, color: str) -> SpectralWave:
-    return make_wave(lattice, [list(mode)], [amplitude], color)
 
 
 def inner_product(w1: SpectralWave, w2: SpectralWave) -> complex:

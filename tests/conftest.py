@@ -3,6 +3,15 @@ import pytest
 from conewave.config import RunConfig
 from conewave.lattice import lattice_for
 from conewave.norms import Quadrature
+from conewave.waves import make_wave
+
+
+def zero_wave(lattice, color, k=0):
+    return make_wave(lattice, [], [], color, k)
+
+
+def plane_wave(lattice, mode, amplitude, color):
+    return make_wave(lattice, [list(mode)], [amplitude], color)
 
 
 @pytest.fixture(scope="session")
@@ -23,14 +32,17 @@ def quad0(small_config, lat0):
 
 @pytest.fixture
 def evaluate_calls(monkeypatch):
-    """Every SpectralWave.evaluate call of the test, as (wave id, t, N)."""
+    """Every SpectralWave.evaluate call of the test, as (wave, t, N), the
+    wave by its colour, modes and coefficients: a wave and its embeddings
+    are one wave."""
     from conewave.waves import SpectralWave
     calls = []
     real = SpectralWave.evaluate
 
-    def counting(self, t, lattice=None):
-        calls.append((id(self), float(t), (lattice or self.lattice).size))
-        return real(self, t, lattice)
+    def counting(self, t):
+        wave = hash((self.color, self.modes.tobytes(), self.vals.tobytes()))
+        calls.append((wave, float(t), self.lattice.size))
+        return real(self, t)
 
     monkeypatch.setattr(SpectralWave, "evaluate", counting)
     return calls

@@ -22,7 +22,8 @@ from conewave.lattice import FrequencyLattice, lattice_for
 from conewave.norms import Quadrature
 from conewave.tube_cover import WeightedTubeFamily
 from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_wave,
-                            _FFT_WORKERS, random_colored_wave, zero_wave)
+                            _FFT_WORKERS, random_colored_wave)
+from conftest import zero_wave
 
 
 def test_cell_window_partition_of_unity():
@@ -173,7 +174,7 @@ def test_exceptional_requires_blue(quad0, lat0):
 # unit-cell sums from the smallest alias-exact grid vs the fine-grid definition
 
 def _fine_cell_sums(psi, t, lat):
-    f = psi.evaluate(t, lat)
+    f = psi.embed(lat).evaluate(t)
     dens = np.square(f.real) + np.square(f.imag)
     nb = int(round(lat.box))
     cell = lat.size // nb
@@ -225,6 +226,24 @@ def _small_wave(kind, k, j):
 def test_unit_cell_sums_match_fine_grid_small_config(kind, k, j, t):
     psi = _small_wave(kind, k, j)
     _assert_cell_sums_match(psi, t, psi.lattice)
+
+
+def test_synthesis_reads_the_transform_results(monkeypatch):
+    # scipy only says that overwrite_x lets ifft destroy its input: with an
+    # ifft that returns a fresh array and leaves its input as it was, the
+    # unit-cell sums and the field keep their values
+    from test_wavefield import _ifft2_field
+    real_ifft = _fft.ifft
+
+    def fresh_result(x, *args, **kwargs):
+        return real_ifft(np.array(x), *args, **dict(kwargs, overwrite_x=False))
+
+    monkeypatch.setattr(_fft, "ifft", fresh_result)
+    for kind, k, j in (("red", 1, 0), ("bump", 1, 1), ("blue", 2, 0)):
+        psi = _small_wave(kind, k, j)
+        for t in (-1.3, 0.4):
+            _assert_cell_sums_match(psi, t, psi.lattice)
+            assert psi.evaluate(t).tobytes() == _ifft2_field(psi, t).tobytes()
 
 
 def test_unit_cell_sums_widest_spread(small_config):

@@ -396,6 +396,22 @@ def test_cli_wave_of_the_other_color_is_usage_error(command, color, needed, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["extract", "profile", "fungibility"])
+def test_cli_red_wave_above_scale_zero_is_usage_error(command, tmp_path, small_config,
+                                                      capsys):
+    # the extractor lies on the k = 0 sector, so it pairs to zero with a
+    # k = 1 wave: a NoDecrementError traceback and exit status 1
+    p = tmp_path / "w.cwav"
+    save_wave(random_colored_wave(lattice_for(small_config, 1), "red", 1, 1 / 18, seed=4), p)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(SMALL + ["--out-dir", str(out), command, "--delta", "0.3", "--wave", str(p)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"conewave: error: {command} needs a k = 0 --wave, got k = 1"
+    assert not out.exists()
+
+
 def test_cli_cover_reads_family(tmp_path, capsys):
     tubes = [Tube(0.0, (5.0, 5.0), (1.0, 0.0), half_length=2.0),
              Tube(0.0, (12.0, 9.0), tuple(unit_dir(0.2)), half_length=2.0)]

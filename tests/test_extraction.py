@@ -11,7 +11,8 @@ from conewave.extraction import (build_extractor, dual_witness, extract_profile,
 from conewave.geometry import Tube, dir_angle, disk_spans, span_pixels, unit_dir
 from conewave.norms import l2t_linf_on_tube
 from conewave.waves import (inner_product, make_red_cube_bump, make_red_cube_train,
-                            make_wave, plane_wave, random_colored_wave, zero_wave)
+                            make_wave, random_colored_wave)
+from conftest import plane_wave, zero_wave
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +226,7 @@ def test_dual_witness_with_search_synthesizes_nothing(quad0, train, evaluate_cal
     # the values are the synthesized field at the witness pixels
     h = quad0.lattice.spacing
     for t, x, v in zip(wit.times, wit.points, wit.values):
-        f = w.evaluate(t, quad0.lattice)
+        f = w.embed(quad0.lattice).evaluate(t)
         want = f[int(round(x[0] / h)), int(round(x[1] / h))]
         assert abs(v - want) <= 1e-13 * np.abs(f).max()
 
@@ -298,9 +299,9 @@ def test_point_values_match_evaluate(small_config, k):
     rows = rng.integers(0, lat.size, 6)
     cols = rng.integers(0, lat.size, 6)
     for w in (red, blue):
-        got = w.point_values(times, rows, cols, lat)
+        got = w.embed(lat).point_values(times, rows, cols)
         for t, r, c, v in zip(times, rows, cols, got):
-            f = w.evaluate(t, lat)
+            f = w.embed(lat).evaluate(t)
             assert abs(v - f[r, c]) <= 1e-13 * np.abs(f).max()
 
 
@@ -342,7 +343,7 @@ def _oracle_slice_maxima(w, quad, thetas, x0s):
     o1, o2 = (a.ravel()[None, :] for a in np.meshgrid(o, o, indexing="ij"))
     out = np.empty((len(thetas), len(quad.times)))
     for i, t in enumerate(quad.times):
-        mag = np.abs(w.evaluate(t, lat))
+        mag = np.abs(w.embed(lat).evaluate(t))
         c1 = x0s[:, 0] + np.cos(thetas) * t
         c2 = x0s[:, 1] + np.sin(thetas) * t
         b1 = np.round(c1 / h).astype(np.int64)[:, None]

@@ -13,9 +13,9 @@ from conewave.harness import (DEFAULT_KS, TRAIN_THETA, TRAIN_X0, PsiSpec,
                               universal_tube_family, verify_profile)
 from conewave.norms import (Quadrature, exact_product_quadrature, product_densities,
                             product_l2, region_slice_mask)
-from conewave.waves import (SpectralWave, make_blue_tube_wave, make_red_cube_train,
-                            plane_wave, zero_wave)
+from conewave.waves import SpectralWave, make_blue_tube_wave, make_red_cube_train
 from conewave.lattice import lattice_for
+from conftest import plane_wave, zero_wave
 
 
 def _outside_l2(phi, psi, tubes, quad):
@@ -24,7 +24,8 @@ def _outside_l2(phi, psi, tubes, quad):
     and masked by ``region_slice_mask``."""
     total = 0.0
     for t in quad.times:
-        dens = (np.abs(phi.evaluate(t, quad.lattice)) * np.abs(psi.evaluate(t, quad.lattice))) ** 2
+        dens = (np.abs(phi.embed(quad.lattice).evaluate(t))
+                * np.abs(psi.embed(quad.lattice).evaluate(t))) ** 2
         mask = region_slice_mask(tubes, t, quad.lattice)
         total += float(dens.sum() if mask is None else dens[mask].sum())
     return math.sqrt(quad.dt * quad.cell_weight() * total)
@@ -51,6 +52,20 @@ def test_universal_family_train(quad0, train):
     from conewave.geometry import dir_angle
     best = min(abs(dir_angle(t.omega) - 0.21) for t in tubes)
     assert best <= 1.0 / 16.0
+
+
+def test_universal_family_drops_repeated_tubes(quad0, train, monkeypatch):
+    # equal tubes, also as distinct objects, are one tube: the first is kept,
+    # in the order of extraction
+    import conewave.harness as harness_mod
+    om = tuple(unit_dir(0.125))
+    a, b = (Tube(0.0, (3.0, x), om, None, lam=6.0) for x in (4.5, 5.0))
+    found = [a, b, Tube(0.0, (3.0, 4.5), om, None, lam=6.0), b]
+    monkeypatch.setattr(harness_mod, "extract_profile",
+                        lambda *args, **kwargs: (list(found), "remainder", "trace"))
+    tubes, rem, trace = universal_tube_family(train[0], 0.3, quad0)
+    assert tubes == [a, b] and tubes[0] is a
+    assert (rem, trace) == ("remainder", "trace")
 
 
 def test_verify_profile_full_cover_gives_zero(small_config, lat0, train):
@@ -135,9 +150,9 @@ def test_no_tube_sums_run_exactly_on_the_halved_grid(small_config, train, parts)
     real = SpectralWave.evaluate
     sizes = []
 
-    def counting(self, t, lattice=None):
-        sizes.append((lattice or self.lattice).size)
-        return real(self, t, lattice)
+    def counting(self, t):
+        sizes.append(self.lattice.size)
+        return real(self, t)
 
     with mock.patch.object(SpectralWave, "evaluate", counting):
         report = verify_profile(w, [], 0.2, suite, small_config, keep_slice_sums=True)

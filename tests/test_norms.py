@@ -11,7 +11,8 @@ from conewave.norms import (Quadrature, exact_product_quadrature,
                             l2t_linf_on_tube, lp_product, product_densities, product_l2,
                             product_slice_sums, region_slice_mask, tube_slice_maxima)
 from conewave.waves import (make_blue_tube_wave, make_red_cube_bump, make_red_cube_train,
-                            make_wave, plane_wave, random_colored_wave, zero_wave)
+                            make_wave, random_colored_wave)
+from conftest import plane_wave, zero_wave
 
 
 def test_product_l2_zero_and_empty(quad0, lat0, small_config):
@@ -57,8 +58,8 @@ def test_region_partition_additivity(quad0, lat0, small_config):
     on2 = 0.0
     for t in quad0.times:
         m = region_slice_mask((tube,), t, quad0.lattice)
-        f = a.evaluate(t, quad0.lattice)
-        g = b.evaluate(t, quad0.lattice)
+        f = a.embed(quad0.lattice).evaluate(t)
+        g = b.embed(quad0.lattice).evaluate(t)
         dens = (np.abs(f) * np.abs(g)) ** 2
         on2 += w * float(dens[~m].sum())
     assert off2 + on2 == pytest.approx(total2, rel=1e-12)
@@ -106,7 +107,7 @@ def test_tube_slice_maxima_match_wrapped_distance(quad0, lat0, seed, specs):
     box = lat0.box
     ax = quad0.h * np.arange(lat0.size)
     for i, t in enumerate(quad0.times):
-        mag = np.abs(phi.evaluate(t, lat0))
+        mag = np.abs(phi.embed(lat0).evaluate(t))
         for j, tube in enumerate(tubes):
             if not tube.time_active(t):
                 assert got[i, j] == 0.0
@@ -168,7 +169,7 @@ def test_product_densities_one_synthesis_per_field_and_slice(quad0, lat0,
         assert mask is None or np.array_equal(mask, want)
     i, j, _, dens = got[5]
     t = quad0.times[i]
-    want = (np.abs(a.evaluate(t, lat0)) * np.abs(bs[j].evaluate(t, lat0))) ** 2
+    want = (np.abs(a.embed(lat0).evaluate(t)) * np.abs(bs[j].embed(lat0).evaluate(t))) ** 2
     np.testing.assert_allclose(dens, want, rtol=1e-12, atol=0.0)
 
 

@@ -10,8 +10,8 @@ from conewave.geometry import SECTOR_HALF_ANGLE, Tube, unit_dir, wrap_delta
 from conewave.lattice import FrequencyLattice, lattice_for
 from conewave.waves import (SpectralWave, inner_product, make_blue_tube_wave,
                             make_red_cube_bump, make_red_cube_train, make_wave,
-                            plane_wave, random_colored_wave, sector_margin_distance,
-                            zero_wave)
+                            random_colored_wave, sector_margin_distance)
+from conftest import plane_wave, zero_wave
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +233,12 @@ def test_sub_and_embed(small_config, lat0):
     fine = lattice_for(small_config, 1)
     we = w.embed(fine)
     assert we.mass() == pytest.approx(w.mass(), rel=1e-12)
+    # the wave itself on its own lattice; no lattice of another torus
+    assert w.embed(lattice_for(small_config, 0)) is w and we.embed(fine) is we
+    with pytest.raises(ValueError, match="torus size"):
+        w.embed(FrequencyLattice(fine.size, 2.0 * fine.box))
     f0 = w.evaluate(0.5)
-    f1 = we.evaluate(0.5, fine)
+    f1 = we.evaluate(0.5)
     # same field sampled on the finer grid at the coarse points
     step = fine.size // lat0.size
     assert np.allclose(f1[::step, ::step], f0, atol=1e-9)
@@ -344,8 +348,8 @@ def test_folded_evaluate_samples_the_fine_field(small_config, packet, color, k, 
     fine = lattice_for(small_config, max(k, 1))
     half = FrequencyLattice(fine.size // 2, fine.box)
     assume(np.all(w.spread() < half.size))
-    want = w.evaluate(t, fine)[::2, ::2]
-    got = w.evaluate(t, half)
+    want = w.embed(fine).evaluate(t)[::2, ::2]
+    got = w.embed(half).evaluate(t)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -355,11 +359,11 @@ def test_evaluate_rejects_modes_sharing_a_residue(small_config):
     for modes in ([[-40, 0], [40, 0]], [[30, -40], [30, 40]]):   # spread 80 on one axis
         w = make_wave(lat, modes, [1.0, 1.0], "red")
         with pytest.raises(ValueError):
-            w.evaluate(0.0, half)
+            w.embed(half).evaluate(0.0)
     # spread 79 on both axes: every mode keeps its own residue
     w = make_wave(lat, [[-40, -40], [39, 39]], [1.0, 1.0], "blue")
-    np.testing.assert_allclose(w.evaluate(0.3, half),
-                               w.evaluate(0.3, lat)[::2, ::2], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w.embed(half).evaluate(0.3),
+                               w.evaluate(0.3)[::2, ::2], rtol=0.0, atol=1e-15)
 
 
 def _blue_k1():
@@ -373,28 +377,27 @@ def _blue_k1():
 
 @pytest.mark.parametrize("n", [160, 200, 240])
 def test_point_values_are_evaluate_entries_on_folded_lattices(n):
-    w = _blue_k1()
-    lat = FrequencyLattice(n, w.lattice.box)
+    w = _blue_k1().embed(FrequencyLattice(n, 40.0))
     rng = np.random.default_rng(n)
     times = rng.uniform(-8.0, 8.0, 5)
     rows, cols = rng.integers(0, n, (2, 5))
-    got = w.point_values(times, rows, cols, lat)
+    got = w.point_values(times, rows, cols)
     for t, r, c, v in zip(times, rows, cols, got):
-        f = w.evaluate(t, lat)
+        f = w.evaluate(t)
         assert abs(v - f[r, c]) <= 1e-13 * np.abs(f).max()
 
 
 def test_point_values_on_a_lattice_too_coarse_for_evaluate():
     # a k = 2 blue wave (N = 640) spreads over (153, 222) integers
     w = random_colored_wave(lattice_for(RunConfig(), 2), "blue", 2, 1 / 20, seed=5)
-    coarse = FrequencyLattice(160, w.lattice.box)
+    coarse = w.embed(FrequencyLattice(160, w.lattice.box))
     with pytest.raises(ValueError):
-        w.evaluate(0.0, coarse)
-    step = w.lattice.size // coarse.size
+        coarse.evaluate(0.0)
+    step = w.lattice.size // coarse.lattice.size
     rng = np.random.default_rng(160)
     times = rng.uniform(-8.0, 8.0, 5)
-    rows, cols = rng.integers(0, coarse.size, (2, 5))
-    got = w.point_values(times, rows, cols, coarse)
+    rows, cols = rng.integers(0, coarse.lattice.size, (2, 5))
+    got = coarse.point_values(times, rows, cols)
     for t, r, c, v in zip(times, rows, cols, got):
         f = w.evaluate(t)
         assert abs(v - f[step * r, step * c]) <= 1e-13 * np.abs(f).max()
@@ -444,10 +447,11 @@ def test_inner_product_rejects_waves_on_different_tori(small_config):
 # ---------------------------------------------------------------------------
 # the column-pruned transform against ifft2, bit for bit
 
-def _ifft2_field(w, t, lat):
+def _ifft2_field(w, t):
     """The field as one full ifft2 of the scattered coefficients."""
     import scipy.fft
-    return scipy.fft.ifft2(w._scatter(t, lat, (lat.size / lat.box) ** 2))
+    lat = w.lattice
+    return scipy.fft.ifft2(w._scatter(t, (lat.size / lat.box) ** 2))
 
 
 def _bit_cases(config):
@@ -476,9 +480,9 @@ def test_evaluate_equals_ifft2_bit_for_bit(small_config, default):
     cases = 0
     for w, lattices in _bit_cases(config):
         for lat in lattices:
+            e = w.embed(lat)
             for t in (-config.half_window, -1.25, 0.0, 0.3, 2.75):
-                got = w.evaluate(t, lat)
-                assert got.tobytes() == _ifft2_field(w, t, lat).tobytes()
+                assert e.evaluate(t).tobytes() == _ifft2_field(e, t).tobytes()
                 cases += 1
     assert cases == 5 * 16
 
@@ -502,10 +506,9 @@ def test_evaluate_after_failed_transform_is_clean(small_config, monkeypatch):
 
     monkeypatch.setattr(waves_mod._fft, "ifft", failing_once)
     with pytest.raises(RuntimeError):
-        red.evaluate(0.3, lat)
-    got = blue.evaluate(0.7, lat)
-    want = blue.evaluate(0.7, lattice_for(small_config, 1))
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        red.evaluate(0.3)
+    assert blue.evaluate(0.7).tobytes() == _ifft2_field(blue, 0.7).tobytes()
+    assert red.evaluate(0.3).tobytes() == _ifft2_field(red, 0.3).tobytes()
 
 
 def test_evaluate_threads_match_serial(small_config):
@@ -514,14 +517,15 @@ def test_evaluate_threads_match_serial(small_config):
     ws = [random_colored_wave(lat, "red", 1, 1 / 20, seed=21),
           random_colored_wave(lat, "blue", 1, 1 / 20, seed=22)]
     times = small_config.time_samples()
-    fresh = lattice_for(small_config, 1)
-    serial = [[w.evaluate(t, fresh) for t in times] for w in ws]
+    # copies with their own caches: the threads fill the waves' caches
+    copies = [make_wave(lat, w.modes, w.vals, w.color, w.k) for w in ws]
+    serial = [[w.evaluate(t) for t in times] for w in copies]
     results = [None, None]
     barrier = threading.Barrier(2)
 
     def run(j):
         barrier.wait()
-        results[j] = [ws[j].evaluate(t, lat) for t in times]
+        results[j] = [ws[j].evaluate(t) for t in times]
 
     threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
     for th in threads:
