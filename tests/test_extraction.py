@@ -11,7 +11,7 @@ from conewave.extraction import (build_extractor, dual_witness, extract_profile,
 from conewave.geometry import Tube, dir_angle, disk_spans, span_pixels, unit_dir
 from conewave.norms import l2t_linf_on_tube
 from conewave.waves import (inner_product, make_red_cube_bump, make_red_cube_train,
-                            make_wave, random_colored_wave)
+                            random_colored_wave)
 from conftest import plane_wave, zero_wave
 
 

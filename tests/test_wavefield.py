@@ -8,9 +8,9 @@ from conewave.config import RunConfig
 from conewave.errors import InfeasibleMarginError
 from conewave.geometry import SECTOR_HALF_ANGLE, Tube, unit_dir, wrap_delta
 from conewave.lattice import FrequencyLattice, lattice_for
-from conewave.waves import (SpectralWave, inner_product, make_blue_tube_wave,
-                            make_red_cube_bump, make_red_cube_train, make_wave,
-                            random_colored_wave, sector_margin_distance)
+from conewave.waves import (inner_product, make_blue_tube_wave, make_red_cube_bump,
+                            make_red_cube_train, make_wave, random_colored_wave,
+                            sector_margin_distance)
 from conftest import plane_wave, zero_wave
 
 
