@@ -16,13 +16,14 @@ One round, for a red wave phi of mass at most 1:
    around the axis pixel's cell.  Then the candidates whose bound reaches
    the threshold are evaluated exactly in decreasing bound order, in
    chunks of 64 growing to 512, until the bound drops below the best exact
-   value, so the returned tube is the exact argmax over the grid.  An
-   exact norm is one flat gather per time slice from a wrap-padded
-   magnitude stack; candidates off the grid are rejected, since the
-   stencils are exact only there.
+   value, so the returned tube is the exact argmax over the grid.  Each
+   candidate is a flat index into the bound array, and an exact norm is one
+   flat gather per time slice from a wrap-padded magnitude stack.
 2. ``dual_witness`` realizes the tube norm as a pairing: x(t) is the grid
    argmax of |phi(t, .)| over the tube cross-section, gathered through the
    exact norm's stencils, and f the normalized trace of phi along (t, x(t)).
+   A tube off the search grid, where the stencils are not exact, is
+   rejected before any synthesis.
 3. ``build_extractor`` synthesizes the red wave whose t=0 pairing with phi
    reproduces that tube norm exactly: coefficients are the windowed exponential
    sums of the witness, cut off to the sector sub-region of prescribed margin.
@@ -39,6 +40,7 @@ below delta on the grid by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -134,7 +136,7 @@ class _DiskStencils:
     of an anchor in cell a lies in cell a + ``cell_shift``, and on each axis
     every disk pixel lies ``window[0]`` to ``window[1]`` cells from that
     cell."""
-    thetas: np.ndarray      # (D,) search directions
+    shape: tuple            # (D, nc, nc) candidates: direction, anchor cells
     pad: int                # wrap padding of a magnitude slice, in pixels
     shift: np.ndarray       # (2, T, D) axis pixel of the anchor-0 tube
     flat: np.ndarray        # (T, D, K) flat disk offsets in a padded slice
@@ -142,42 +144,61 @@ class _DiskStencils:
     window: np.ndarray      # (2, 2) per axis: lowest and highest cell offset
 
 
+@functools.lru_cache(maxsize=None)
 def _disk_stencils(quad: Quadrature) -> _DiskStencils:
     """The search's disk stencils on this quadrature, built once per
-    quadrature from one ``disk_spans`` call over every (time, direction)."""
-    if "disk_stencils" not in quad._cache:
-        h = quad.h
-        cell = search_cell(quad.lattice)
-        pad = int(math.ceil(1.0 / h)) + 1
-        width = quad.lattice.size + 2 * pad
-        thetas = search_directions()
-        c1 = np.cos(thetas)[None, :] * quad.times[:, None]     # (T, D)
-        c2 = np.sin(thetas)[None, :] * quad.times[:, None]
-        shift = np.round(np.stack([c1, c2]) / h).astype(np.int64)
-        spans = disk_spans(np.stack([c1, c2], axis=-1), 1.0, h)
-        rows, cols, disk = span_pixels(*spans)
-        offsets = (rows - shift[0].ravel()[disk]) * width + cols - shift[1].ravel()[disk]
-        # the cells of each span's ends relative to the axis pixel's cell
-        d, r, lo, hi = spans
-        held = hi >= lo
-        cell_shift = shift // cell
-        q = cell_shift.reshape(2, -1)[:, d[held]]
-        near = np.stack([r[held], lo[held]]) // cell - q
-        far = np.stack([r[held], hi[held]]) // cell - q
-        window = np.stack([near.min(axis=1), far.max(axis=1)], axis=1)
-        count = np.bincount(disk, minlength=c1.size)
-        kmax = int(count.max())
-        k = np.arange(kmax)
-        take = (np.cumsum(count) - count)[:, None] + np.where(k < count[:, None], k, 0)
-        flat = offsets[take].reshape(*c1.shape, kmax)
-        quad._cache["disk_stencils"] = _DiskStencils(thetas, pad, shift, flat,
-                                                     cell_shift, window)
-    return quad._cache["disk_stencils"]
+    quadrature value from one ``disk_spans`` call over every (time,
+    direction); read-only, since every search on equal quadratures shares them."""
+    h = quad.h
+    cell = search_cell(quad.lattice)
+    nc = quad.lattice.size // cell
+    pad = int(math.ceil(1.0 / h)) + 1
+    width = quad.lattice.size + 2 * pad
+    thetas = search_directions()
+    c1 = np.cos(thetas)[None, :] * quad.times[:, None]     # (T, D)
+    c2 = np.sin(thetas)[None, :] * quad.times[:, None]
+    shift = np.round(np.stack([c1, c2]) / h).astype(np.int64)
+    spans = disk_spans(np.stack([c1, c2], axis=-1), 1.0, h)
+    rows, cols, disk = span_pixels(*spans)
+    offsets = (rows - shift[0].ravel()[disk]) * width + cols - shift[1].ravel()[disk]
+    # the cells of each span's ends relative to the axis pixel's cell
+    d, r, lo, hi = spans
+    held = hi >= lo
+    cell_shift = shift // cell
+    q = cell_shift.reshape(2, -1)[:, d[held]]
+    near = np.stack([r[held], lo[held]]) // cell - q
+    far = np.stack([r[held], hi[held]]) // cell - q
+    window = np.stack([near.min(axis=1), far.max(axis=1)], axis=1)
+    count = np.bincount(disk, minlength=c1.size)
+    kmax = int(count.max())
+    k = np.arange(kmax)
+    take = (np.cumsum(count) - count)[:, None] + np.where(k < count[:, None], k, 0)
+    flat = offsets[take].reshape(*c1.shape, kmax)
+    for a in (shift, flat, cell_shift, window):
+        a.flags.writeable = False
+    return _DiskStencils((len(thetas), nc, nc), pad, shift, flat, cell_shift, window)
+
+
+def _candidate(tube: Tube, quad: Quadrature) -> int:
+    """The search candidate of a window unit tube on the search grid, its
+    anchor wrapped onto the torus; a ValueError for any other tube.  Reads
+    the quadrature's stencils alone, so an off-grid tube costs no synthesis."""
+    if tube.half_length is not None or tube.t0 != 0.0 or tube.eff_radius != 1.0:
+        raise ValueError("the dual witness needs a window tube of radius 1 at t0 = 0")
+    st = _disk_stencils(quad)
+    # match unit vectors: atan2 of (cos theta, sin theta) need not give theta
+    dirs = [d for d, th in enumerate(search_directions()) if tuple(unit_dir(th)) == tube.omega]
+    if not dirs:
+        raise ValueError("tube directions must lie on the search grid")
+    cells = np.asarray(tube.x0) / OFFSET_SPACING
+    if not np.array_equal(cells, np.round(cells)):
+        raise ValueError("tube anchors must lie on the half-unit grid")
+    return int(np.ravel_multi_index((dirs[0], *cells.astype(np.int64)), st.shape, mode="wrap"))
 
 
 class _TubeSearch:
     """Shared machinery of one wave's search: magnitude slices, cell-max
-    bounds, and exact disk norms and witness pixels of search-grid tubes.
+    bounds, and exact disk norms and witness pixels of candidates.
 
     The magnitude slices are held as one stack wrap-padded by the stencils'
     padding, so every disk of an on-grid tube lies inside one padded slice
@@ -185,15 +206,13 @@ class _TubeSearch:
 
     def __init__(self, phi: SpectralWave, quad: Quadrature):
         self.quad = quad
-        self.lat = quad.lattice
-        self.stencils = _disk_stencils(quad)
-        n = self.lat.size
-        self.cell = cell = search_cell(self.lat)
-        self.nc = n // cell
-        pad = self.stencils.pad
+        self.stencils = st = _disk_stencils(quad)
+        n = quad.lattice.size
+        self.cell = cell = n // st.shape[1]
+        pad = st.pad
         self.padded = np.empty((len(quad.times), n + 2 * pad, n + 2 * pad))
         self.slices = self.padded[:, pad:pad + n, pad:pad + n]
-        phi = phi.embed(self.lat)
+        phi = phi.embed(quad.lattice)
         for i, t in enumerate(quad.times):
             np.abs(phi.evaluate(t), out=self.slices[i])
         # wrap the border: columns of the interior rows, then whole rows
@@ -206,19 +225,9 @@ class _TubeSearch:
             for b in range(cell):
                 np.maximum(self.cellmax, self.slices[:, a::cell, b::cell], out=self.cellmax)
 
-    def _directions(self, thetas) -> np.ndarray:
-        """Stencil indices of directions on the search grid; ValueError for
-        any other direction."""
-        st = self.stencils
-        thetas = np.asarray(thetas, dtype=float)
-        dirs = np.minimum(np.searchsorted(st.thetas, thetas), len(st.thetas) - 1)
-        if not np.array_equal(st.thetas[dirs], thetas):
-            raise ValueError("tube directions must lie on the search grid")
-        return dirs
-
-    def upper_bounds(self, thetas: np.ndarray) -> np.ndarray:
-        """Upper bound of the tube norm for every (direction, half-unit
-        offset), shape (n_dirs, 2*box, 2*box).
+    def upper_bounds(self) -> np.ndarray:
+        """Upper bound of the tube norm of every candidate, shape
+        (n_dirs, 2*box, 2*box): candidate c's bound is its flat entry c.
 
         The disk of a candidate anchored at pixel a * cell holds the pixels
         a * cell + p, p a pixel of the anchor-0 disk, and a * cell + p lies
@@ -231,12 +240,11 @@ class _TubeSearch:
         copy of the cell max, squared once; each direction adds one shifted
         view of it."""
         st = self.stencils
-        dirs = self._directions(thetas)
-        nc = self.nc
+        nc = st.shape[1]
         (lo1, hi1), (lo2, hi2) = st.window
-        bounds = np.zeros((len(dirs), nc, nc))
+        bounds = np.zeros(st.shape)
         for i in range(len(self.cellmax)):
-            q1, q2 = st.cell_shift[0, i, dirs], st.cell_shift[1, i, dirs]
+            q1, q2 = st.cell_shift[:, i]
             b1, b2 = q1.min(), q2.min()
             m1 = nc + q1.max() - b1
             m2 = nc + q2.max() - b2
@@ -249,41 +257,50 @@ class _TubeSearch:
             for d in range(1, hi2 - lo2 + 1):
                 np.maximum(win, rows[:, d:d + m2], out=win)
             np.square(win, out=win)
-            for j in range(len(dirs)):
+            for j in range(len(bounds)):
                 a, b = q1[j] - b1, q2[j] - b2
                 bounds[j] += win[a:a + nc, b:b + nc]
         bounds *= self.quad.dt
         return np.sqrt(bounds, out=bounds)
 
-    def _disk_index(self, thetas, x0s):
-        """(dirs, base): tube j's disk at time slice i is the flat indices
-        base[i, j] + stencils.flat[i, dirs[j]] into ``padded``.  For window
-        unit tubes on the search grid only, where the stencils are exact;
-        anything else is a ValueError."""
+    def _disk_index(self, cands):
+        """(dirs, base): candidate j's disk at time slice i is the flat
+        indices base[i, j] + stencils.flat[i, dirs[j]] into ``padded``."""
         st = self.stencils
-        dirs = self._directions(thetas)
-        cells = np.asarray(x0s, dtype=float).reshape(-1, 2) / OFFSET_SPACING
-        if not np.array_equal(cells, np.round(cells)):
-            raise ValueError("tube anchors must lie on the half-unit grid")
-        pix = cells.astype(np.int64) * self.cell
-        n = self.lat.size
+        dirs, a, b = np.unravel_index(cands, st.shape)
+        n = self.quad.lattice.size
         width = self.padded.shape[-1]
-        rows = (pix[:, 0] + st.shift[0][:, dirs]) % n + st.pad    # (T, batch)
-        cols = (pix[:, 1] + st.shift[1][:, dirs]) % n + st.pad
+        rows = (a * self.cell + st.shift[0][:, dirs]) % n + st.pad    # (T, batch)
+        cols = (b * self.cell + st.shift[1][:, dirs]) % n + st.pad
         return dirs, (np.arange(len(rows))[:, None] * width + rows) * width + cols
 
-    def exact_norms(self, thetas: np.ndarray, x0s: np.ndarray) -> np.ndarray:
-        """Exact grid tube norms for a batch of window unit tubes on the
-        search grid.  Per time slice the disk maxima of the whole batch are
-        one flat gather from the padded stack and a row max."""
+    def exact_norms(self, cands: np.ndarray) -> np.ndarray:
+        """Exact grid tube norms of a batch of candidates.  Per time slice
+        the disk maxima of the whole batch are one flat gather from the
+        padded stack and a row max."""
         st = self.stencils
-        dirs, base = self._disk_index(thetas, x0s)
+        dirs, base = self._disk_index(cands)
         flat = self.padded.ravel()
         acc = np.zeros(len(dirs))
         for i in range(len(base)):
             m = flat[st.flat[i, dirs] + base[i][:, None]].max(axis=1)
             acc += m * m
         return np.sqrt(self.quad.dt * acc)
+
+    def witness_pixels(self, cand: int) -> np.ndarray:
+        """Per time slice, the first pixel in row-major order of candidate
+        cand's disk where the magnitude slice is largest, as (row, col) on
+        the torus grid, all slices in one stencil gather; shape (T, 2)."""
+        dirs, base = self._disk_index([cand])
+        disk = self.stencils.flat[:, dirs[0]] + base                 # (T, K)
+        best = disk[np.arange(len(disk)), self.padded.ravel()[disk].argmax(axis=1)]
+        _, rows, cols = np.unravel_index(best, self.padded.shape)
+        return (np.stack([rows, cols], axis=1) - self.stencils.pad) % self.quad.lattice.size
+
+    def tube(self, cand: int) -> Tube:
+        d, a, b = np.unravel_index(cand, self.stencils.shape)
+        return Tube(0.0, (a * OFFSET_SPACING, b * OFFSET_SPACING),
+                    tuple(unit_dir(search_directions()[d])), half_length=None)
 
 
 def find_concentrating_tube(phi: SpectralWave, delta: float, quad: Quadrature,
@@ -292,41 +309,36 @@ def find_concentrating_tube(phi: SpectralWave, delta: float, quad: Quadrature,
     """Exact argmax of the window-tube concentration over the search grid.
 
     Returns (tube, value) when the best value reaches the threshold
-    (default delta * mass(phi)^(1/2)), else (None, best value)."""
+    (default delta * mass(phi)^(1/2)), else (None, value).  The value is
+    the exact maximum when it reaches the threshold, so always at threshold
+    0; below it, it is the best of the candidates evaluated (0.0 if none)."""
     if threshold is None:
         threshold = delta * math.sqrt(phi.mass())
     if phi.num_modes == 0:
         return None, 0.0
     search = search or _TubeSearch(phi, quad)
-    thetas = search_directions()
-    bounds = search.upper_bounds(thetas)
-    flat = bounds.ravel()
+    bounds = search.upper_bounds().ravel()
     # candidates whose bound reaches the threshold, by decreasing bound
     # (ties in index order, as a stable sort of every candidate would give)
     floor = threshold * (1.0 - 1e-12)
-    order = np.flatnonzero(flat > floor)
-    order = order[np.argsort(-flat[order], kind="stable")]
-    best_val = -1.0
-    best_tube = None
+    order = np.flatnonzero(bounds > floor)
+    order = order[np.argsort(-bounds[order], kind="stable")]
+    best_val, best = -1.0, None
     lo, chunk = 0, 64
     while lo < len(order):
-        cut = max(best_val, floor)
         take = order[lo:lo + chunk]
-        take = take[flat[take] > cut]
+        take = take[bounds[take] > max(best_val, floor)]
         if not len(take):
             break
         lo, chunk = lo + chunk, min(2 * chunk, 512)
-        di, a, b = np.unravel_index(take, bounds.shape)
-        ths = thetas[di]
-        xs = np.stack([a, b], axis=1) * OFFSET_SPACING
-        vals = search.exact_norms(ths, xs)
+        vals = search.exact_norms(take)
         # only a value above the best at the chunk's start can raise the best
         for j in np.flatnonzero(vals > best_val + 1e-15):
             if vals[j] > best_val + 1e-15:
                 best_val = float(vals[j])
-                best_tube = Tube(0.0, tuple(xs[j]), tuple(unit_dir(ths[j])), half_length=None)
-    if best_tube is not None and best_val >= threshold:
-        return best_tube, best_val
+                best = take[j]
+    if best is not None and best_val >= threshold:
+        return search.tube(best), best_val
     return None, max(best_val, 0.0)
 
 
@@ -337,29 +349,19 @@ def dual_witness(phi: SpectralWave, tube: Tube, quad: Quadrature,
                  search: Optional[_TubeSearch] = None) -> DualWitness:
     """Trajectory/coefficient pair realizing the tube norm as a pairing.
 
-    For window unit tubes on the search grid only (a ValueError otherwise).
-    x(t) is the first argmax pixel in row-major order of the search's
-    magnitude slice over the tube cross-section, all slices in one stencil
-    gather (a search of phi is built when none is given); the values
+    For window unit tubes on the search grid only (a ValueError, raised
+    before any synthesis, otherwise).  x(t) is the first argmax pixel in
+    row-major order of the search's magnitude slice over the tube
+    cross-section (a search of phi is built when none is given); the values
     phi(t, x(t)) are summed from the spectrum at those pixels."""
-    if tube.half_length is not None or tube.t0 != 0.0 or tube.eff_radius != 1.0:
-        raise ValueError("the dual witness needs a window tube of radius 1 at t0 = 0")
-    # match unit vectors: atan2 of (cos theta, sin theta) need not give theta
-    thetas = [th for th in search_directions() if tuple(unit_dir(th)) == tube.omega]
-    if not thetas:
-        raise ValueError("tube directions must lie on the search grid")
+    cand = _candidate(tube, quad)
     search = search or _TubeSearch(phi, quad)
-    dirs, base = search._disk_index(thetas, [tube.x0])
-    disk = search.stencils.flat[:, dirs[0]] + base                 # (T, K)
-    best = disk[np.arange(len(disk)), search.padded.ravel()[disk].argmax(axis=1)]
-    _, rows, cols = np.unravel_index(best, search.padded.shape)
-    pix = (np.stack([rows, cols], axis=1) - search.stencils.pad) % quad.lattice.size
-    times = quad.times.copy()
-    vals = phi.embed(quad.lattice).point_values(times, pix[:, 0], pix[:, 1])
+    pix = search.witness_pixels(cand)
+    vals = phi.embed(quad.lattice).point_values(quad.times, pix[:, 0], pix[:, 1])
     norm = math.sqrt(quad.dt * float(np.sum(np.abs(vals) ** 2)))
     if norm == 0.0:
         raise NoDecrementError("zero tube norm: no witness")
-    return DualWitness(tube, times, pix * quad.h, vals, vals / norm, quad.dt, norm)
+    return DualWitness(tube, quad.times, pix * quad.h, vals, vals / norm, quad.dt, norm)
 
 
 def build_extractor(lattice: FrequencyLattice, witness: DualWitness,

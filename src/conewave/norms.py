@@ -16,7 +16,7 @@ and the Riemann sum on any such grid is the exact integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,11 +31,14 @@ from .waves import SpectralWave
 class Quadrature:
     config: RunConfig
     lattice: FrequencyLattice
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if abs(self.lattice.box - self.config.box) > 1e-12:
             raise ValueError("lattice and config disagree on the torus size")
+        # the time nodes, computed once and read-only: every caller shares them
+        times = self.config.time_samples()
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
 
     @property
     def dt(self) -> float:
@@ -44,12 +47,6 @@ class Quadrature:
     @property
     def h(self) -> float:
         return self.lattice.spacing
-
-    @property
-    def times(self) -> np.ndarray:
-        if "times" not in self._cache:
-            self._cache["times"] = self.config.time_samples()
-        return self._cache["times"]
 
     def cell_weight(self) -> float:
         return self.h ** 2

@@ -256,10 +256,12 @@ def test_witness_pixels_are_the_stencil_argmax(seed, min_margin, direction, cell
     # norm and the tube norm bit for bit
     from conewave.extraction import _TubeSearch
     phi = random_colored_wave(lat0, "red", 0, min_margin, seed)
-    theta = search_directions()[direction]
+    thetas = search_directions()
     x0 = (0.5 * cell[0], 0.5 * cell[1])
-    tube = Tube(0.0, x0, tuple(unit_dir(theta)), half_length=None)
+    tube = Tube(0.0, x0, tuple(unit_dir(thetas[direction])), half_length=None)
     search = _TubeSearch(phi, quad0)
+    nc = int(2 * quad0.config.box)
+    cand = np.ravel_multi_index((direction, cell[0] % nc, cell[1] % nc), (len(thetas), nc, nc))
     wit = dual_witness(phi, tube, quad0, search)
     pix = _disk_argmax_pixels(search, tube, quad0)
     assert np.array_equal(wit.times, quad0.times)
@@ -267,7 +269,7 @@ def test_witness_pixels_are_the_stencil_argmax(seed, min_margin, direction, cell
     acc = 0.0
     for m in search.slices[np.arange(len(pix)), pix[:, 0], pix[:, 1]]:
         acc += m * m
-    exact = search.exact_norms(np.array([theta]), np.array([x0]))[0]
+    exact = search.exact_norms(np.array([cand]))[0]
     assert math.sqrt(quad0.dt * acc) == exact
     assert l2t_linf_on_tube(phi, tube, quad0) == exact
 
@@ -284,8 +286,8 @@ def test_dual_witness_takes_only_tubes_on_the_search_grid(quad0, train, evaluate
     for tube, match in cases:
         with pytest.raises(ValueError, match=match):
             dual_witness(w, tube, quad0)
-    # only the anchor check needs the search's synthesis
-    assert len(evaluate_calls) == len(quad0.times)
+    # every check reads the quadrature's stencils alone: nothing is synthesized
+    assert len(evaluate_calls) == 0
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -311,7 +313,7 @@ def test_point_values_match_evaluate(small_config, k):
 def test_search_bound_dominates_exact_norm(quad0, quad_default, kind, seed, x1, x2):
     # the stencil-window bound of every candidate on the search grid is at
     # least its exact norm, on the small and the default quadrature
-    from conewave.extraction import OFFSET_SPACING, _TubeSearch
+    from conewave.extraction import _TubeSearch
     for quad in (quad0, quad_default):
         lat = quad.lattice
         if kind == "random":
@@ -319,13 +321,12 @@ def test_search_bound_dominates_exact_norm(quad0, quad_default, kind, seed, x1, 
         else:
             w = make_red_cube_bump(lat, (0.0, x1 * lat.box, x2 * lat.box))
         search = _TubeSearch(w, quad)
-        thetas = search_directions()
-        bounds = search.upper_bounds(thetas)
+        bounds = search.upper_bounds()
         side = int(2 * quad.config.box)
-        assert bounds.shape == (len(thetas), side, side)
-        cells = np.indices((side, side)).reshape(2, -1).T
-        for di, theta in enumerate(thetas):
-            exact = search.exact_norms(np.full(len(cells), theta), cells * OFFSET_SPACING)
+        assert bounds.shape == (len(search_directions()), side, side)
+        # candidate c is the flat index c of the bound array; one direction at a time
+        for di in range(len(bounds)):
+            exact = search.exact_norms(di * side * side + np.arange(side * side))
             assert np.all(bounds[di].ravel() >= exact)
 
 
@@ -376,7 +377,8 @@ def quad_default():
        seed=st.integers(0, 10_000), x1=st.floats(0.0, 1.0), x2=st.floats(0.0, 1.0))
 def test_exact_norms_match_per_candidate_oracle(quad0, quad_default, kind, default,
                                                 seed, x1, x2):
-    # bitwise, for every direction, cells on the torus edges and random cells
+    # bitwise, for every direction, cells on the torus edges and random cells;
+    # the oracle takes the candidates' angles and anchors as floats
     from conewave.extraction import OFFSET_SPACING, _TubeSearch
     quad = quad_default if default else quad0
     lat = quad.lattice
@@ -386,13 +388,16 @@ def test_exact_norms_match_per_candidate_oracle(quad0, quad_default, kind, defau
         w = make_red_cube_bump(lat, (0.0, x1 * lat.box, x2 * lat.box))
     search = _TubeSearch(w, quad)
     thetas = search_directions()
-    last = search.nc - 1
+    nc = int(2 * quad.config.box)
+    last = nc - 1
     rng = np.random.default_rng(seed)
     cells = np.concatenate([[[0, 0], [0, last], [last, 0], [last, last]],
-                            rng.integers(0, search.nc, (4, 2))])
+                            rng.integers(0, nc, (4, 2))])
     di = np.repeat(np.arange(len(thetas)), len(cells))
-    x0s = np.tile(cells, (len(thetas), 1)) * OFFSET_SPACING
-    got = search.exact_norms(thetas[di], x0s)
+    a, b = np.tile(cells, (len(thetas), 1)).T
+    cands = np.ravel_multi_index((di, a, b), (len(thetas), nc, nc))
+    x0s = np.stack([a, b], axis=1) * OFFSET_SPACING
+    got = search.exact_norms(cands)
     assert np.array_equal(got, _oracle_norms(w, quad, thetas[di], x0s))
     # the first and last slices alone, where the disks lie furthest from the
     # anchors: the other slices of the search's stack are zeroed
@@ -401,28 +406,73 @@ def test_exact_norms_match_per_candidate_oracle(quad0, quad_default, kind, defau
     for i in (0, len(quad.times) - 1):
         search.padded[:] = 0.0
         search.padded[i] = stack[i]
-        got = search.exact_norms(thetas[di], x0s)
+        got = search.exact_norms(cands)
         assert np.array_equal(got, np.sqrt(quad.dt * (maxima[:, i] * maxima[:, i])))
 
 
 def test_exact_norms_reject_candidates_off_the_grid(quad0, train):
-    from conewave.extraction import _TubeSearch
+    # an index outside the bound array is no candidate, and a tube off the
+    # search grid has none
+    from conewave.extraction import _TubeSearch, _candidate
     search = _TubeSearch(train[0], quad0)
+    size = search.upper_bounds().size
+    for cand in (-1, size):
+        with pytest.raises(ValueError):
+            search.exact_norms(np.array([cand]))
     thetas = search_directions()
-    with pytest.raises(ValueError, match="half-unit grid"):
-        search.exact_norms(thetas[:1], np.array([[1.0, 1.25]]))
-    with pytest.raises(ValueError, match="search grid"):
-        search.exact_norms(np.array([thetas[0] + 1e-3]), np.array([[1.0, 1.5]]))
+    om = tuple(unit_dir(thetas[0]))
+    cases = [(Tube(0.0, (1.0, 1.5), om, half_length=4.0), "window tube"),
+             (Tube(0.0, (1.0, 1.5), om, half_length=None, radius=1.5), "window tube"),
+             (Tube(0.0, (1.0, 1.25), om, half_length=None), "half-unit grid"),
+             (Tube(0.0, (1.0, 1.5), tuple(unit_dir(thetas[0] + 1e-3)), half_length=None),
+              "search grid")]
+    for tube, match in cases:
+        with pytest.raises(ValueError, match=match):
+            _candidate(tube, quad0)
+
+
+def test_candidates_and_tubes_convert_both_ways(quad0, train):
+    # every candidate of the box-20 quadrature comes back from its tube, and
+    # anchors a whole torus side away wrap onto the same candidate
+    from conewave.extraction import _TubeSearch, _candidate
+    search = _TubeSearch(train[0], quad0)
+    box = quad0.config.box
+    for cand in range(search.upper_bounds().size):
+        tube = search.tube(cand)
+        assert tube.half_length is None and tube.t0 == 0.0 and tube.eff_radius == 1.0
+        assert _candidate(tube, quad0) == cand
+        for s1, s2 in ((box, 0.0), (0.0, -box), (-box, box)):
+            shifted = Tube(0.0, (tube.x0[0] + s1, tube.x0[1] + s2), tube.omega, None)
+            assert _candidate(shifted, quad0) == cand
+
+
+def test_search_state_is_shared_read_only(small_config, lat0, quad0):
+    # equal quadratures share one set of stencils, and neither the stencils
+    # nor the time nodes can be written through
+    from conewave.extraction import _disk_stencils
+    from conewave.norms import Quadrature
+    other = Quadrature(small_config, lat0)
+    assert other is not quad0 and _disk_stencils(other) is _disk_stencils(quad0)
+    with pytest.raises(ValueError):
+        _disk_stencils(quad0).flat[0, 0, 0] = 0
+    with pytest.raises(ValueError):
+        quad0.times[0] = 0.0
 
 
 def test_find_matches_oracle_search(quad0, lat0, train):
     # the same tube and value as a search whose exact stage is the oracle,
     # and that value is the oracle's max over every candidate of the grid
     from conewave.extraction import OFFSET_SPACING, _TubeSearch
+    thetas = search_directions()
+    nc = int(2 * quad0.config.box)
+
+    def oracle_norms(w, cands):
+        di, a, b = np.unravel_index(cands, (len(thetas), nc, nc))
+        return _oracle_norms(w, quad0, thetas[di], np.stack([a, b], axis=1) * OFFSET_SPACING)
 
     class OracleSearch(_TubeSearch):
-        def exact_norms(self, thetas, x0s):
-            return _oracle_norms(self.wave, self.quad, thetas, x0s)
+        def exact_norms(self, cands):
+            return oracle_norms(self.wave, cands)
 
     waves = (train[0], random_colored_wave(lat0, "red", 0, 1 / 20, seed=5),
              make_red_cube_bump(lat0, (0.0, 7.0, 13.5)))
@@ -432,7 +482,4 @@ def test_find_matches_oracle_search(quad0, lat0, train):
         want = find_concentrating_tube(w, 0.0, quad0, threshold=0.0, search=oracle)
         got = find_concentrating_tube(w, 0.0, quad0, threshold=0.0)
         assert got[0] == want[0] and got[1] == want[1]
-        thetas = search_directions()
-        di, a, b = np.indices((len(thetas), oracle.nc, oracle.nc)).reshape(3, -1)
-        every = _oracle_norms(w, quad0, thetas[di], np.stack([a, b], axis=1) * OFFSET_SPACING)
-        assert got[1] == every.max()
+        assert got[1] == oracle_norms(w, np.arange(len(thetas) * nc * nc)).max()
